@@ -138,37 +138,75 @@ def bisector_foot_from_C(t: Triangle) -> tuple[float, float]:
     )
 
 
+def _rel(x: float, y: float) -> float:
+    """Relative difference of two same-signed quantities."""
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _subtriangle_rels(
+    sin_A: float, sin_B: float, sin_C: float, sin_beta: float, sin_gamma: float,
+    sinh_u: float, sinh_U: float, sinh_v: float, sinh_V: float,
+    sinh_tB: float, sinh_tC: float,
+) -> tuple[float, float, float, float]:
+    """(res_u, res_U, res_v, res_V) of ``CevianResiduals`` from precomputed sines."""
+    return (
+        _rel(sinh_tB / sin_A, sinh_u / sin_beta),
+        _rel(sinh_tB / sin_C, sinh_U / sin_beta),
+        _rel(sinh_tC / sin_A, sinh_v / sin_gamma),
+        _rel(sinh_tC / sin_B, sinh_V / sin_gamma),
+    )
+
+
+def _foot_ratio_rels(
+    sin_A: float, sin_B: float, sin_C: float,
+    sinh_u: float, sinh_U: float, sinh_v: float, sinh_V: float,
+) -> tuple[float, float]:
+    """(idU, idV) of ``RatioResiduals`` from precomputed sines."""
+    return (
+        _rel(sinh_U / sinh_u, sin_A / sin_C),
+        _rel(sinh_V / sinh_v, sin_A / sin_B),
+    )
+
+
+def _check_feet(
+    b: float, c: float, u: float, U: float, v: float, V: float, tB: float, tC: float,
+    t: ToleranceConfig,
+) -> None:
+    """Positivity of every bisector quantity, then u + U = b and v + V = c."""
+    for name, value in (
+        ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
+    ):
+        if not (math.isfinite(value) and value > 0.0):
+            raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
+    if abs(u + U - b) > t.rtol_identity * b:
+        raise NumericalFailure(f"foot segments do not sum to the side: u + U - b = {u + U - b!r}")
+    if abs(v + V - c) > t.rtol_identity * c:
+        raise NumericalFailure(f"foot segments do not sum to the side: v + V - c = {v + V - c!r}")
+
+
+def _check_subtriangles(worst: float, t: ToleranceConfig) -> None:
+    if worst > t.rtol_identity:
+        raise NumericalFailure(
+            f"sub-triangle sine-law residual {worst!r} exceeds {t.rtol_identity}"
+        )
+
+
 def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
     """Relative residuals of the four sine laws in the bisector sub-triangles."""
-
-    def rel(x: float, y: float) -> float:
-        return abs(x - y) / max(abs(x), abs(y))
-
-    sin_A = math.sin(t.A)
-    sin_beta = math.sin(d.beta)
-    sin_gamma = math.sin(d.gamma)
-    sinh_tB = math.sinh(d.tB)
-    sinh_tC = math.sinh(d.tC)
-    return CevianResiduals(
-        res_u=rel(sinh_tB / sin_A, math.sinh(d.u) / sin_beta),
-        res_U=rel(sinh_tB / math.sin(t.C), math.sinh(d.U) / sin_beta),
-        res_v=rel(sinh_tC / sin_A, math.sinh(d.v) / sin_gamma),
-        res_V=rel(sinh_tC / math.sin(t.B), math.sinh(d.V) / sin_gamma),
-    )
+    return CevianResiduals(*_subtriangle_rels(
+        math.sin(t.A), math.sin(t.B), math.sin(t.C), math.sin(d.beta), math.sin(d.gamma),
+        math.sinh(d.u), math.sinh(d.U), math.sinh(d.v), math.sinh(d.V),
+        math.sinh(d.tB), math.sinh(d.tC),
+    ))
 
 
 def unconditional_identities(d: BisectorData, t: Triangle) -> RatioResiduals:
     """Residuals of the two foot-ratio identities that hold for every triangle:
     sinh U / sinh u = sin A / sin C and sinh V / sinh v = sin A / sin B."""
-
-    def rel(x: float, y: float) -> float:
-        return abs(x - y) / max(abs(x), abs(y))
-
-    sin_A = math.sin(t.A)
-    return RatioResiduals(
-        idU=rel(math.sinh(d.U) / math.sinh(d.u), sin_A / math.sin(t.C)),
-        idV=rel(math.sinh(d.V) / math.sinh(d.v), sin_A / math.sin(t.B)),
-    )
+    return RatioResiduals(*_foot_ratio_rels(
+        math.sin(t.A), math.sin(t.B), math.sin(t.C),
+        math.sinh(d.u), math.sinh(d.U), math.sinh(d.v), math.sinh(d.V),
+    ))
 
 
 def bisector_lengths(t: Triangle, tol: ToleranceConfig | None = None) -> BisectorData:
@@ -178,18 +216,6 @@ def bisector_lengths(t: Triangle, tol: ToleranceConfig | None = None) -> Bisecto
     cfg = tol if tol is not None else DEFAULT_TOL
     u, U, v, V, tB, tC = _feet_and_lengths(t.a, t.b, t.c, t.A)
     d = BisectorData(beta=0.5 * t.B, gamma=0.5 * t.C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)
-    for name, value in (
-        ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
-    ):
-        if not (math.isfinite(value) and value > 0.0):
-            raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
-    if abs(u + U - t.b) > cfg.rtol_identity * t.b:
-        raise NumericalFailure(f"foot segments do not sum to the side: u + U - b = {u + U - t.b!r}")
-    if abs(v + V - t.c) > cfg.rtol_identity * t.c:
-        raise NumericalFailure(f"foot segments do not sum to the side: v + V - c = {v + V - t.c!r}")
-    worst = subtriangle_residuals(t, d).max()
-    if worst > cfg.rtol_identity:
-        raise NumericalFailure(
-            f"sub-triangle sine-law residual {worst!r} exceeds {cfg.rtol_identity}"
-        )
+    _check_feet(t.b, t.c, u, U, v, V, tB, tC, cfg)
+    _check_subtriangles(subtriangle_residuals(t, d).max(), cfg)
     return d

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .cevian import bisector_lengths, subtriangle_residuals
 from .core import (
@@ -118,12 +118,7 @@ def _tolerance(args: argparse.Namespace, base: ToleranceConfig) -> ToleranceConf
     rtol = getattr(args, "rtol", None)
     if rtol is None:
         return base
-    return ToleranceConfig(
-        rtol_identity=rtol,
-        atol_equal=base.atol_equal,
-        eps_angle=base.eps_angle,
-        max_side=base.max_side,
-    )
+    return replace(base, rtol_identity=rtol)
 
 
 def _triangle_from_args(args: argparse.Namespace, tol: ToleranceConfig) -> Triangle:

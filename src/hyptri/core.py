@@ -104,8 +104,63 @@ def band_cmp(x: float, y: float, atol: float) -> int:
     return -1 if x < y else 1
 
 
-def _rel_diff(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y))
+def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
+    """Range and angle-sum checks of an angle triple; returns the defect."""
+    for name, value in (("A", A), ("B", B), ("C", C)):
+        if not (math.isfinite(value) and 0.0 < value < math.pi):
+            raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+    # fsum keeps the defect exact under relabeling of the angles
+    gap = math.pi - math.fsum((A, B, C))
+    if gap <= t.eps_angle:
+        raise InvalidTriangle(
+            f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
+        )
+    return gap
+
+
+def _check_sides(a: float, b: float, c: float, t: ToleranceConfig) -> None:
+    """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
+        if value > t.max_side:
+            raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
+    for name, excess in (
+        ("a", math.fsum((b, c, -a))),
+        ("b", math.fsum((c, a, -b))),
+        ("c", math.fsum((a, b, -c))),
+    ):
+        if excess <= 0.0:
+            raise InvalidTriangle(
+                f"triangle inequality violated: side {name} is not shorter "
+                f"than the other two combined"
+            )
+
+
+def _check_solved(
+    a: float, b: float, c: float,
+    A: float, B: float, C: float,
+    sinh_a: float, sinh_b: float, sinh_c: float,
+    sin_A: float, sin_B: float, sin_C: float,
+    half_A: float, half_B: float, half_C: float,
+    t: ToleranceConfig,
+) -> float:
+    """Consistency checks of a solved triangle from precomputed sinh(side),
+    sin(angle) and sin(angle/2): law of sines, law of cosines, then
+    side/angle ordering. Returns the law-of-sines spread."""
+    spread = _ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
+    if spread > t.rtol_identity:
+        raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
+    loc = _cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
+    if loc > t.rtol_identity:
+        raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
+    for x, y, X, Y in ((a, b, A, B), (b, c, B, C), (c, a, C, A)):
+        # ties inside the atol band are fine; only strictly opposed orderings fail
+        if band_cmp(x, y, t.atol_equal) * band_cmp(X, Y, t.atol_equal) < 0:
+            raise InvalidTriangle(
+                "side/angle ordering violated: larger angle must face larger side"
+            )
+    return spread
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,15 +174,7 @@ class TriangleAngles:
 
     def __post_init__(self, tol: ToleranceConfig | None) -> None:
         t = tol if tol is not None else DEFAULT_TOL
-        for name, value in (("A", self.A), ("B", self.B), ("C", self.C)):
-            if not (math.isfinite(value) and 0.0 < value < math.pi):
-                raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
-        # fsum keeps the defect exact under relabeling of the angles
-        gap = math.pi - math.fsum((self.A, self.B, self.C))
-        if gap <= t.eps_angle:
-            raise InvalidTriangle(
-                f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
-            )
+        _check_angles(self.A, self.B, self.C, t)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.A, self.B, self.C)
@@ -145,21 +192,7 @@ class TriangleSides:
 
     def __post_init__(self, tol: ToleranceConfig | None) -> None:
         t = tol if tol is not None else DEFAULT_TOL
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-            if value > t.max_side:
-                raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
-        for name, excess in (
-            ("a", math.fsum((self.b, self.c, -self.a))),
-            ("b", math.fsum((self.c, self.a, -self.b))),
-            ("c", math.fsum((self.a, self.b, -self.c))),
-        ):
-            if excess <= 0.0:
-                raise InvalidTriangle(
-                    f"triangle inequality violated: side {name} is not shorter "
-                    f"than the other two combined"
-                )
+        _check_sides(self.a, self.b, self.c, t)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -175,23 +208,15 @@ class Triangle:
 
     def __post_init__(self, tol: ToleranceConfig | None) -> None:
         t = tol if tol is not None else DEFAULT_TOL
-        spread = sine_ratio_spread(*self.sides.as_tuple(), *self.angles.as_tuple())
-        if spread > t.rtol_identity:
-            raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
-        loc = law_of_cosines_residual(self)
-        if loc > t.rtol_identity:
-            raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
-        pairs = (
-            (self.sides.a, self.sides.b, self.angles.A, self.angles.B),
-            (self.sides.b, self.sides.c, self.angles.B, self.angles.C),
-            (self.sides.c, self.sides.a, self.angles.C, self.angles.A),
+        a, b, c = self.sides.as_tuple()
+        A, B, C = self.angles.as_tuple()
+        _check_solved(
+            a, b, c, A, B, C,
+            math.sinh(a), math.sinh(b), math.sinh(c),
+            math.sin(A), math.sin(B), math.sin(C),
+            math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C),
+            t,
         )
-        for x, y, X, Y in pairs:
-            # ties inside the atol band are fine; only strictly opposed orderings fail
-            if band_cmp(x, y, t.atol_equal) * band_cmp(X, Y, t.atol_equal) < 0:
-                raise InvalidTriangle(
-                    "side/angle ordering violated: larger angle must face larger side"
-                )
 
     @property
     def a(self) -> float:
@@ -226,14 +251,17 @@ def defect(angles: TriangleAngles) -> float:
     return d
 
 
-def sine_ratio_spread(a: float, b: float, c: float, A: float, B: float, C: float) -> float:
-    """Largest pairwise relative difference of sinh(side)/sin(angle) ratios."""
-    ra = math.sinh(a) / math.sin(A)
-    rb = math.sinh(b) / math.sin(B)
-    rc = math.sinh(c) / math.sin(C)
+def _ratio_spread(ra: float, rb: float, rc: float) -> float:
     hi = max(ra, rb, rc)
     lo = min(ra, rb, rc)
     return (hi - lo) / hi
+
+
+def sine_ratio_spread(a: float, b: float, c: float, A: float, B: float, C: float) -> float:
+    """Largest pairwise relative difference of sinh(side)/sin(angle) ratios."""
+    return _ratio_spread(
+        math.sinh(a) / math.sin(A), math.sinh(b) / math.sin(B), math.sinh(c) / math.sin(C)
+    )
 
 
 def law_of_sines_residual(t: Triangle) -> float:
@@ -241,21 +269,35 @@ def law_of_sines_residual(t: Triangle) -> float:
     return sine_ratio_spread(t.a, t.b, t.c, t.A, t.B, t.C)
 
 
-def _loc_vertex_residual(opp: float, adj1: float, adj2: float, angle: float) -> float:
+def _loc_vertex_residual(
+    opp: float, adj1: float, adj2: float, sinh_adj1: float, sinh_adj2: float, half: float
+) -> float:
     # cosh(opp) = cosh(adj1)cosh(adj2) - sinh(adj1)sinh(adj2)cos(angle), evaluated
-    # in the cancellation-free split cosh(adj1-adj2) + 2 sinh(adj1)sinh(adj2)sin^2(angle/2)
-    s = math.sin(0.5 * angle)
-    rhs = math.cosh(adj1 - adj2) + 2.0 * math.sinh(adj1) * math.sinh(adj2) * s * s
+    # in the cancellation-free split cosh(adj1-adj2) + 2 sinh(adj1)sinh(adj2)half^2
+    # with half = sin(angle/2)
+    rhs = math.cosh(adj1 - adj2) + 2.0 * sinh_adj1 * sinh_adj2 * half * half
     lhs = math.cosh(opp)
     return abs(lhs - rhs) / max(lhs, rhs)
 
 
+def _cosines_residual(
+    a: float, b: float, c: float,
+    sinh_a: float, sinh_b: float, sinh_c: float,
+    half_A: float, half_B: float, half_C: float,
+) -> float:
+    return max(
+        _loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A),
+        _loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B),
+        _loc_vertex_residual(c, a, b, sinh_a, sinh_b, half_C),
+    )
+
+
 def law_of_cosines_residual(t: Triangle) -> float:
     """Max over the three vertices of the law-of-cosines relative residual."""
-    return max(
-        _loc_vertex_residual(t.a, t.b, t.c, t.A),
-        _loc_vertex_residual(t.b, t.c, t.a, t.B),
-        _loc_vertex_residual(t.c, t.a, t.b, t.C),
+    return _cosines_residual(
+        t.a, t.b, t.c,
+        math.sinh(t.a), math.sinh(t.b), math.sinh(t.c),
+        math.sin(0.5 * t.A), math.sin(0.5 * t.B), math.sin(0.5 * t.C),
     )
 
 

@@ -24,9 +24,13 @@ from dataclasses import dataclass
 from .cevian import (
     BisectorData,
     bisector_lengths,
-    subtriangle_residuals,
     unconditional_identities,
+    _adjacent_split,
+    _check_feet,
+    _check_subtriangles,
     _feet_and_lengths,
+    _foot_ratio_rels,
+    _subtriangle_rels,
 )
 from .core import (
     DEFAULT_TOL,
@@ -35,9 +39,9 @@ from .core import (
     NonConvergence,
     ToleranceConfig,
     Triangle,
-    TriangleAngles,
-    law_of_sines_residual,
-    solve_from_angles,
+    _check_angles,
+    _check_sides,
+    _check_solved,
     _sides_from_angles,
 )
 from .rng import SplitMix64
@@ -166,14 +170,18 @@ def check_monotonicity(
         d = bisector_lengths(t, tol)
     gap = d.tB - d.tC
     angle_gap = t.C - t.B
-    in_band = abs(angle_gap) < TIE_BAND_ANGLE
-    if in_band:
-        passed = abs(gap) < TIE_BAND_GAP_RTOL * max(d.tB, d.tC)
-    else:
-        passed = (gap > 0.0) if angle_gap > 0.0 else (gap < 0.0)
+    in_band, passed = _sign_law(gap, angle_gap, d.tB, d.tC)
     return MonotonicityResult(
         passed=passed, gap=gap, angle_gap=angle_gap, tB=d.tB, tC=d.tC, in_tie_band=in_band
     )
+
+
+def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool, bool]:
+    """(in the tie band, passed) for gap = tB - tC and angle_gap = C - B."""
+    in_band = abs(angle_gap) < TIE_BAND_ANGLE
+    if in_band:
+        return True, abs(gap) < TIE_BAND_GAP_RTOL * max(tB, tC)
+    return False, ((gap > 0.0) if angle_gap > 0.0 else (gap < 0.0))
 
 
 def _gap(A: float, B: float, C: float) -> float:
@@ -284,6 +292,70 @@ def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, floa
     )
 
 
+def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
+    """Every per-triangle quantity ``scan_random`` reduces, from raw floats.
+
+    Fuses ``solve_from_angles``, ``bisector_lengths``, ``proof_trace``,
+    ``check_monotonicity``, ``law_of_sines_residual`` and
+    ``subtriangle_residuals`` into one pass that evaluates each sine and
+    hyperbolic sine once and builds no value object. It runs the same checks
+    through the same helpers, in the same order, so it accepts and rejects
+    exactly what those calls do and returns bit-identical floats.
+
+    Returns (a, b, c, sine spread, worst sub-triangle residual, idU, idV,
+    R1, R2, R3, tB - tC, in tie band, sign law passed).
+    """
+    sin = math.sin
+    sinh = math.sinh
+    # solve_from_angles: TriangleAngles, the AAA side solve, TriangleSides
+    half_defect = 0.5 * _check_angles(A, B, C, t)
+    sd = sin(half_defect)
+    sin_A = sin(A)
+    sin_B = sin(B)
+    sin_C = sin(C)
+    a = 2.0 * math.asinh(math.sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
+    b = 2.0 * math.asinh(math.sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
+    c = 2.0 * math.asinh(math.sqrt(sd * sin(C + half_defect) / (sin_A * sin_B)))
+    _check_sides(a, b, c, t)
+    sinh_a = sinh(a)
+    sinh_b = sinh(b)
+    sinh_c = sinh(c)
+    half_A = sin(0.5 * A)
+    half_B = sin(0.5 * B)  # sin beta
+    half_C = sin(0.5 * C)  # sin gamma
+    spread = _check_solved(
+        a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
+    )
+    # bisector_lengths: feet and lengths (_feet_and_lengths), then its checks
+    u = _adjacent_split(b, sinh_c / sinh_a)
+    U = _adjacent_split(b, sinh_a / sinh_c)
+    v = _adjacent_split(c, sinh_b / sinh_a)
+    V = _adjacent_split(c, sinh_a / sinh_b)
+    sinh_u = sinh(u)
+    sinh_v = sinh(v)
+    h = sinh(0.5 * (c - u))
+    tB = 2.0 * math.asinh(math.sqrt(h * h + sinh_c * sinh_u * half_A * half_A))
+    h = sinh(0.5 * (b - v))
+    tC = 2.0 * math.asinh(math.sqrt(h * h + sinh_b * sinh_v * half_A * half_A))
+    _check_feet(b, c, u, U, v, V, tB, tC, t)
+    sinh_U = sinh(U)
+    sinh_V = sinh(V)
+    worst = max(_subtriangle_rels(
+        sin_A, sin_B, sin_C, half_B, half_C, sinh_u, sinh_U, sinh_v, sinh_V, sinh(tB), sinh(tC)
+    ))
+    _check_subtriangles(worst, t)
+    # proof_trace (without D) and check_monotonicity
+    idU, idV = _foot_ratio_rels(sin_A, sin_B, sin_C, sinh_u, sinh_U, sinh_v, sinh_V)
+    R2 = half_B / half_C
+    gap = tB - tC
+    in_band, passed = _sign_law(gap, C - B, tB, tC)
+    return (
+        a, b, c, spread, worst, idU, idV,
+        R2 * (sinh_b / sinh_c), R2, math.cos(0.5 * B) / math.cos(0.5 * C),
+        gap, in_band, passed,
+    )
+
+
 def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanReport:
     """Solve ``n`` seeded random triangles and aggregate every identity
     residual, strict-sign check, and monotonicity verdict (ordered reduction,
@@ -301,25 +373,22 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanRe
     max_side = 0.0
     for _ in range(n):
         A, B, C = sample_angles(rng, t.eps_angle)
-        tri = solve_from_angles(TriangleAngles(A, B, C, tol=t), tol=t)
-        d = bisector_lengths(tri, tol=t)
-        trace = proof_trace(tri, d=d)
-        mono = check_monotonicity(tri, tol=t, d=d)
+        a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, t)
 
-        max_sine = max(max_sine, law_of_sines_residual(tri))
-        max_cevian = max(max_cevian, subtriangle_residuals(tri, d).max())
-        max_ratio = max(max_ratio, trace.idU, trace.idV)
-        max_side = max(max_side, tri.a, tri.b, tri.c)
+        max_sine = max(max_sine, sine)
+        max_cevian = max(max_cevian, cevian)
+        max_ratio = max(max_ratio, idU, idV)
+        max_side = max(max_side, a, b, c)
 
-        if mono.in_tie_band:
+        if in_band:
             ties += 1
-        if not mono.passed:
+        if not passed:
             mono_failures += 1
-        if not mono.in_tie_band:
+        if not in_band:
             if B < C:
-                ok = trace.R1 < 1.0 and trace.R2 < 1.0 and trace.R3 > 1.0 and tri.b < tri.c
+                ok = R1 < 1.0 and R2 < 1.0 and R3 > 1.0 and b < c
             else:
-                ok = trace.R1 > 1.0 and trace.R2 > 1.0 and trace.R3 < 1.0 and tri.b > tri.c
+                ok = R1 > 1.0 and R2 > 1.0 and R3 < 1.0 and b > c
             if not ok:
                 ineq_failures += 1
     return ScanReport(

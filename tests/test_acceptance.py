@@ -15,6 +15,7 @@ import pytest
 
 from hyptri import (
     SCAN_TOL,
+    ScanReport,
     SplitMix64,
     TriangleAngles,
     TriangleSides,
@@ -89,6 +90,25 @@ def test_criterion_3_monotonicity(full_scan):
         f"{scan.tie_band_samples} tie-band samples",
     )
     assert ok
+
+
+def test_seed_42_report_is_pinned(full_scan):
+    # the exact bytes of `hyptri scan 100000 --seed 42`; any change to the
+    # scan's arithmetic or reduction order shows here
+    scan, _ = full_scan
+    assert scan == ScanReport(
+        samples=N_FULL,
+        seed=SEED,
+        eps_angle=SCAN_TOL.eps_angle,
+        max_identity_residual=2.2760533910007935e-14,
+        max_sine_residual=5.345432602668685e-15,
+        max_cevian_residual=2.2760533910007935e-14,
+        max_ratio_residual=1.1570690579173097e-14,
+        monotonicity_failures=0,
+        inequality_failures=0,
+        tie_band_samples=0,
+        max_side=12.47914769564942,
+    )
 
 
 def test_criterion_4_equality_case():

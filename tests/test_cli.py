@@ -113,3 +113,17 @@ def test_figure_matches_golden(tmp_path):
 def test_figure_unwritable_path(tmp_path):
     result = run_cli("figure", "sss", "1", "1", "1", "--out", str(tmp_path / "no" / "fig.svg"))
     assert result.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "rtol, message",
+    [
+        ("1e-15", "law of cosines residual 1.0128080393272694e-15 exceeds 1e-15"),
+        ("3e-15", "law of sines residual 5.290115606060029e-15 exceeds 3e-15"),
+    ],
+)
+def test_scan_rtol_rejection_is_pinned(rtol, message):
+    result = run_cli("scan", "2000", "--seed", "42", "--rtol", rtol)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == f"error: {message}\n".encode()

@@ -4,20 +4,30 @@ import pytest
 from hypothesis import given
 
 from hyptri import (
+    DEFAULT_TOL,
+    DomainCap,
     InvalidTriangle,
     NoBracket,
+    NumericalFailure,
     SCAN_TOL,
+    ScanReport,
+    SplitMix64,
+    ToleranceConfig,
     TriangleAngles,
+    bisector_lengths,
     check_monotonicity,
     equal_bisector_report,
+    law_of_sines_residual,
     proof_trace,
+    sample_angles,
     scan_random,
     solve_equal_bisector_angle,
     solve_from_angles,
     solve_from_sss,
+    subtriangle_residuals,
     TriangleSides,
 )
-from hyptri.steiner_lehmus import _bracketed_hybrid, _gap
+from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap
 
 from conftest import angle_triples, seeded_triangles
 
@@ -152,3 +162,146 @@ def test_euclidean_limit_gap():
     tB_e = 2 * a * c * math.cos(math.acos(cosB) / 2) / (a + c)
     tC_e = 2 * a * b * math.cos(math.acos(cosC) / 2) / (a + b)
     assert result.gap / scale == pytest.approx(tB_e - tC_e, rel=1e-4)
+
+
+def public_evidence(A, B, C, tol):
+    """The fused scan kernel's fields, computed through the public per-triangle API."""
+    tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
+    d = bisector_lengths(tri, tol=tol)
+    trace = proof_trace(tri, d=d)
+    mono = check_monotonicity(tri, tol=tol, d=d)
+    assert mono.gap == trace.gap
+    return (
+        tri.a, tri.b, tri.c,
+        law_of_sines_residual(tri), subtriangle_residuals(tri, d).max(),
+        trace.idU, trace.idV, trace.R1, trace.R2, trace.R3, trace.gap,
+        mono.in_tie_band, mono.passed,
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the exact class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class and message below
+        return type(exc), str(exc)
+
+
+def sampled(seed, n, eps):
+    rng = SplitMix64(seed)
+    return [sample_angles(rng, eps) for _ in range(n)]
+
+
+TIE_BAND_CASES = [
+    (0.9, 0.7, 0.7),
+    (0.8, 0.77, 0.77),
+    (0.5, 1.0, 1.0),
+    (0.3, 1.2, 1.2 + 5e-10),
+    (0.3, 1.2 + 5e-10, 1.2),
+]
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2**63])
+def test_evidence_equals_public_path_on_samples(seed):
+    for A, B, C in sampled(seed, 500, SCAN_TOL.eps_angle):
+        assert _evidence(A, B, C, SCAN_TOL) == public_evidence(A, B, C, SCAN_TOL)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL])
+@pytest.mark.parametrize("triple", TIE_BAND_CASES)
+def test_evidence_equals_public_path_in_tie_band(triple, tol):
+    fused = _evidence(*triple, tol)
+    assert fused == public_evidence(*triple, tol)
+    assert fused[-2] is True  # in the tie band
+
+
+# Each triple trips a different check of the public path under some of the
+# tolerances below: angle range, defect margin, side cap, triangle
+# inequality, law of sines, law of cosines, foot sums, sub-triangle sines.
+REJECTION_TRIPLES = [
+    (0.0, 1.0, 1.0),
+    (math.nan, 1.0, 1.0),
+    (1.0, 1.0, math.pi),
+    (1.0, 1.0, 1.1415),
+    (1e-5, 1e-5, 0.5),
+    (1e-9, 1e-9, 1e-9),
+    (1e-7, 2e-6, math.pi - 3e-6),
+    (0.6, 0.5, 0.9),
+    (3e-9, 0.5, 2.0),
+    (1e-4, 1e-4, 1e-4),
+]
+REJECTION_TOLS = [
+    DEFAULT_TOL,
+    SCAN_TOL,
+    ToleranceConfig(rtol_identity=1e-15),
+    ToleranceConfig(max_side=2.0),
+    ToleranceConfig(rtol_identity=3e-16, eps_angle=1e-3),
+]
+
+
+@pytest.mark.parametrize("tol", REJECTION_TOLS)
+def test_evidence_rejects_like_public_path(tol):
+    for triple in REJECTION_TRIPLES:
+        assert outcome(_evidence, *triple, tol) == outcome(public_evidence, *triple, tol)
+
+
+def public_scan(n, seed, tol=SCAN_TOL):
+    """scan_random's reduction over the public per-triangle calls."""
+    max_sine = max_cevian = max_ratio = max_side = 0.0
+    mono_failures = ineq_failures = ties = 0
+    for A, B, C in sampled(seed, n, tol.eps_angle):
+        a, b, c, sine, cevian, idU, idV, R1, R2, R3, _, in_band, passed = (
+            public_evidence(A, B, C, tol)
+        )
+        max_sine = max(max_sine, sine)
+        max_cevian = max(max_cevian, cevian)
+        max_ratio = max(max_ratio, idU, idV)
+        max_side = max(max_side, a, b, c)
+        ties += in_band
+        mono_failures += not passed
+        if not in_band:
+            if B < C:
+                ok = R1 < 1.0 and R2 < 1.0 and R3 > 1.0 and b < c
+            else:
+                ok = R1 > 1.0 and R2 > 1.0 and R3 < 1.0 and b > c
+            ineq_failures += not ok
+    return ScanReport(
+        samples=n,
+        seed=seed,
+        eps_angle=tol.eps_angle,
+        max_identity_residual=max(max_sine, max_cevian),
+        max_sine_residual=max_sine,
+        max_cevian_residual=max_cevian,
+        max_ratio_residual=max_ratio,
+        monotonicity_failures=mono_failures,
+        inequality_failures=ineq_failures,
+        tie_band_samples=ties,
+        max_side=max_side,
+    )
+
+
+def test_scan_equals_public_reduction():
+    assert scan_random(1500, 31) == public_scan(1500, 31)
+
+
+@pytest.mark.parametrize(
+    "tol, error, message",
+    [
+        (
+            ToleranceConfig(eps_angle=1e-3, max_side=5.0),
+            DomainCap,
+            "side a = 5.185103049674512 exceeds the cap 5.0",
+        ),
+        (
+            # passes every earlier check on all 2000 triangles
+            ToleranceConfig(rtol_identity=8.7e-15, eps_angle=1e-3),
+            NumericalFailure,
+            "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15",
+        ),
+    ],
+)
+def test_scan_rejection_is_pinned(tol, error, message):
+    with pytest.raises(error) as info:
+        scan_random(2000, 42, tol)
+    assert type(info.value) is error
+    assert str(info.value) == message
