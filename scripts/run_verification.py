@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end verification run: ensemble scan, equality-case root study, and
-a worked proof trace for one scalene example."""
+a worked proof trace for one scalene example.
+
+Exits 1 when a printed criterion fails: a monotonicity or inequality failure
+in the scan, a recovered root with |C - B| >= 1e-10, or a non-unique sweep.
+"""
 
 import argparse
 import math
+import sys
 import time
 
 from hyptri import (
@@ -18,7 +23,7 @@ from hyptri import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--pairs", type=int, default=1_000)
@@ -40,6 +45,8 @@ def main() -> None:
     rng = SplitMix64(args.seed)
     start = time.perf_counter()
     worst = 0.0
+    worst_pair = None
+    iterations = 0
     bad = 0
     solved = 0
     while solved < args.pairs:
@@ -49,11 +56,14 @@ def main() -> None:
             continue
         B = 0.05 + rng.random() * (b_max - 0.05)
         result = equal_bisector_report(A, B, SCAN_TOL)
-        worst = max(worst, abs(result.c - B))
+        if abs(result.c - B) > worst:
+            worst, worst_pair = abs(result.c - B), (A, B)
+        iterations += result.iterations
         bad += result.sign_changes != 1
         solved += 1
     print(f"  elapsed                {time.perf_counter() - start:.2f}s")
-    print(f"  worst |C - B|          {worst:.3e}")
+    print(f"  worst |C - B|          {worst:.3e} at (A, B) = {worst_pair!r}")
+    print(f"  root iterations        {iterations}")
     print(f"  non-unique sweeps      {bad}")
 
     print("\n== proof trace for angles (0.6, 0.5, 0.9) ==")
@@ -65,6 +75,15 @@ def main() -> None:
     print(f"  R1={trace.R1:.6f} R2={trace.R2:.6f} R3={trace.R3:.6f} D={trace.D:+.6f}")
     print(f"  identity residuals     idU={trace.idU:.3e} idV={trace.idV:.3e}")
 
+    failed = (
+        scan.monotonicity_failures > 0
+        or scan.inequality_failures > 0
+        or worst >= 1e-10
+        or bad > 0
+    )
+    print(f"\n{'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

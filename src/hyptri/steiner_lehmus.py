@@ -28,7 +28,6 @@ from .cevian import (
     _adjacent_split,
     _check_feet,
     _check_subtriangles,
-    _feet_and_lengths,
     _foot_ratio_rels,
     _subtriangle_rels,
 )
@@ -42,7 +41,6 @@ from .core import (
     _check_angles,
     _check_sides,
     _check_solved,
-    _sides_from_angles,
 )
 from .rng import SplitMix64
 
@@ -184,11 +182,51 @@ def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool,
     return False, ((gap > 0.0) if angle_gap > 0.0 else (gap < 0.0))
 
 
-def _gap(A: float, B: float, C: float) -> float:
-    """tB - tC for the triangle with the given (valid) angles; raw kernel."""
-    a, b, c = _sides_from_angles(A, B, C)
-    u, U, v, V, tB, tC = _feet_and_lengths(a, b, c, A)
-    return tB - tC
+def _gap_in_C(A: float, B: float):
+    """g(C) = tB - tC for fixed (A, B): the equality-case kernel.
+
+    Returns the same floats and raises the same exceptions as
+    ``_sides_from_angles`` followed by ``_feet_and_lengths``: it keeps their
+    subexpressions and association order, but evaluates the C-free sines once
+    per pair, each sinh and exp of a side once per point, and never forms the
+    far segments U and V, which tB and tC do not use.
+    """
+    sin = math.sin
+    sinh = math.sinh
+    exp = math.exp
+    log1p = math.log1p
+    asinh = math.asinh
+    sqrt = math.sqrt
+    fsum = math.fsum
+    pi = math.pi
+    sin_A = sin(A)
+    sin_B = sin(B)
+    sin_AB = sin_A * sin_B
+    half_A = sin(0.5 * A)
+
+    def g(C: float) -> float:
+        # _sides_from_angles
+        half_defect = 0.5 * (pi - fsum((A, B, C)))
+        sd = sin(half_defect)
+        sin_C = sin(C)
+        a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
+        b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
+        c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
+        # _feet_and_lengths: _adjacent_split for u and v, _cevian_length
+        sinh_a = sinh(a)
+        sinh_b = sinh(b)
+        sinh_c = sinh(c)
+        k = sinh_c / sinh_a
+        u = 0.5 * (log1p(k * exp(b)) - log1p(k * exp(-b)))
+        k = sinh_b / sinh_a
+        v = 0.5 * (log1p(k * exp(c)) - log1p(k * exp(-c)))
+        h = sinh(0.5 * (c - u))
+        tB = 2.0 * asinh(sqrt(h * h + sinh_c * sinh(u) * half_A * half_A))
+        h = sinh(0.5 * (b - v))
+        tC = 2.0 * asinh(sqrt(h * h + sinh_b * sinh(v) * half_A * half_A))
+        return tB - tC
+
+    return g
 
 
 def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
@@ -262,9 +300,7 @@ def equal_bisector_report(
             f"A + 2B = {A + 2 * B!r} leaves no room for an isosceles solution below pi"
         )
 
-    def g(C: float) -> float:
-        return _gap(A, B, C)
-
+    g = _gap_in_C(A, B)
     root, evals = _bracketed_hybrid(g, t.eps_angle, hi)
     changes = _count_sign_changes(g, t.eps_angle, hi, sweep_points)
     return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)

@@ -115,6 +115,8 @@ def test_criterion_4_equality_case():
     start = time.perf_counter()
     rng = SplitMix64(777)
     worst = 0.0
+    worst_pair = None
+    iterations = 0
     bad_sweeps = 0
     solved = 0
     while solved < N_PAIRS:
@@ -124,7 +126,9 @@ def test_criterion_4_equality_case():
             continue
         B = 0.05 + rng.random() * (b_max - 0.05)
         result = equal_bisector_report(A, B, SCAN_TOL)
-        worst = max(worst, abs(result.c - B))
+        if abs(result.c - B) > worst:
+            worst, worst_pair = abs(result.c - B), (A, B)
+        iterations += result.iterations
         if result.sign_changes != 1:
             bad_sweeps += 1
         solved += 1
@@ -133,10 +137,14 @@ def test_criterion_4_equality_case():
     report(
         "criterion 4 (theorem, equality case)",
         ok,
-        f"{solved} pairs, worst |C - B| = {worst:.3e} < 1e-10, "
-        f"{bad_sweeps} non-unique sweeps, {elapsed:.1f}s",
+        f"{solved} pairs, worst |C - B| = {worst:.3e} < 1e-10 at (A, B) = {worst_pair!r}, "
+        f"{iterations} root iterations, {bad_sweeps} non-unique sweeps, {elapsed:.1f}s",
     )
     assert ok
+    # the study's outputs, pinned bit for bit
+    assert worst == 4.8405723873656825e-14
+    assert worst_pair == (0.5505036935841044, 0.9078819292038043)
+    assert iterations == 24194
 
 
 def test_criterion_5_proof_step_inequalities(full_scan):

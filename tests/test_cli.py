@@ -83,6 +83,10 @@ def test_verify_recovers_angle():
     assert set(payload) >= {"c", "gap_to_b", "sign_changes"}
     assert payload["c"] == pytest.approx(0.7, abs=1e-10)
     assert payload["sign_changes"] == 1
+    assert result.stdout == (
+        b'{"c": 0.7000000000000086, "gap_to_b": 8.659739592076221e-15, '
+        b'"sign_changes": 1, "iterations": 26}\n'
+    )
 
 
 def test_verify_rejects_wide_pair():

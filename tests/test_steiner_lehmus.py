@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,8 @@ from hypothesis import given
 from hyptri import (
     DEFAULT_TOL,
     DomainCap,
+    EqualBisectorSolve,
+    HypTriError,
     InvalidTriangle,
     NoBracket,
     NumericalFailure,
@@ -27,7 +30,9 @@ from hyptri import (
     subtriangle_residuals,
     TriangleSides,
 )
-from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap
+from hyptri.cevian import _feet_and_lengths
+from hyptri.core import _sides_from_angles
+from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap_in_C
 
 from conftest import angle_triples, seeded_triangles
 
@@ -91,15 +96,72 @@ def test_gap_antisymmetry_bitwise():
 @given(angle_triples())
 def test_gap_antisymmetry_property(triple):
     A, B, C = triple
-    assert _gap(A, C, B) == -_gap(A, B, C)
+    assert _gap_in_C(A, C)(B) == -_gap_in_C(A, B)(C)
 
 
 @given(angle_triples())
 def test_sign_law_property(triple):
     A, B, C = triple
-    g = _gap(A, B, C)
+    g = _gap_in_C(A, B)(C)
     if abs(C - B) >= 1e-9:
         assert (g > 0.0) == (C > B)
+
+
+def per_triangle_gap(A, B, C):
+    """tB - tC through the per-triangle raw kernels the public path uses."""
+    u, U, v, V, tB, tC = _feet_and_lengths(*_sides_from_angles(A, B, C), A)
+    return tB - tC
+
+
+def gap_triples():
+    """1000 uniform simplex triples, then 1000 needles and slivers: A and B
+    log-uniform in [1e-9, 2.5], C a log-uniform fraction of what is left."""
+    triples = sampled(8, 1000, SCAN_TOL.eps_angle)
+    rnd = random.Random(8)
+
+    def log_uniform(lo, hi):
+        return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
+
+    while len(triples) < 2000:
+        A = log_uniform(1e-9, 2.5)
+        B = log_uniform(1e-9, 2.5)
+        rest = math.pi - A - B
+        if rest <= 0.0:
+            continue
+        f = log_uniform(1e-9, 1.0)
+        triples.append((A, B, rest * (f if len(triples) % 2 else 1.0 - f)))
+    return triples
+
+
+def test_gap_kernel_equals_per_triangle_path():
+    for A, B, C in gap_triples():
+        assert _gap_in_C(A, B)(C) == per_triangle_gap(A, B, C)
+
+
+def test_gap_kernel_equals_public_bisector_lengths():
+    checked = 0
+    for A, B, C in gap_triples():
+        try:
+            d = bisector_lengths(solve_from_angles(TriangleAngles(A, B, C)))
+        except HypTriError:
+            continue
+        assert _gap_in_C(A, B)(C) == d.tB - d.tC
+        checked += 1
+    assert checked >= 1000
+
+
+def test_gap_kernel_raises_like_per_triangle_path_off_the_simplex():
+    # angle sums of exactly pi (zero defect, all sides zero), then C at or
+    # below zero and past the rest of pi for sampled (A, B)
+    cases = [(1.0, 1.0, math.pi - 2.0), (0.5, 1.5, math.pi - 2.0), (2.0, 0.5, math.pi - 2.5)]
+    for A, B, C in gap_triples()[::4]:
+        rest = math.pi - A - B
+        for off in (0.0, -1e-12, -C, rest * (1.0 + 1e-9), rest + 1e-9, rest + C, math.pi):
+            cases.append((A, B, off))
+    for A, B, C in cases:
+        expected = outcome(per_triangle_gap, A, B, C)
+        assert isinstance(expected, tuple)  # every one of these raises
+        assert outcome(_gap_in_C(A, B), C) == expected
 
 
 def test_solver_recovers_equal_angle():
@@ -111,6 +173,15 @@ def test_solver_reports_unique_sign_change():
     result = equal_bisector_report(0.9, 0.7)
     assert result.sign_changes == 1
     assert result.iterations <= 200
+
+
+def test_solver_outputs_are_pinned():
+    assert equal_bisector_report(0.9, 0.7) == EqualBisectorSolve(
+        c=0.7000000000000086, iterations=26, sign_changes=1
+    )
+    assert equal_bisector_report(0.3, 0.4, SCAN_TOL) == EqualBisectorSolve(
+        c=0.40000000000000047, iterations=28, sign_changes=1
+    )
 
 
 def test_solver_rejects_inadmissible_pair():
