@@ -4,20 +4,19 @@ Subcommands: solve, bisect, verify, scan, figure. Output goes to stdout in
 text, json, or csv; diagnostics go to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage/parse error, 3 domain rejection, 4 output
 failure. Nothing is read from the environment; all behavior comes from
-flags, so equal invocations produce byte-identical reports.
+flags, so equal invocations produce byte-identical reports. Each subcommand
+imports only the modules it runs: `solve` loads core alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 from dataclasses import asdict, replace
 
-from .cevian import bisector_lengths, subtriangle_residuals
 from .core import (
     DEFAULT_TOL,
     DomainCap,
@@ -37,11 +36,10 @@ from .core import (
     solve_from_sas,
     solve_from_sss,
 )
-from .diskmodel import render_svg
-from .steiner_lehmus import SCAN_TOL, equal_bisector_report, scan_random
 
 _VERIFY_GAP_TOL = 1e-10
 _SCAN_RESIDUAL_TOL = 1e-9
+_SEED_MAX = (1 << 64) - 1  # SplitMix64's bound, kept here so `solve` never loads rng
 
 
 def _positive_int(text: str) -> int:
@@ -53,8 +51,8 @@ def _positive_int(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    if not 0 <= value <= _SEED_MAX:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64 - 1], got {text}")
     return value
 
 
@@ -140,6 +138,8 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(payload.keys())
@@ -164,6 +164,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bisect(args: argparse.Namespace) -> int:
+    from .cevian import bisector_lengths, subtriangle_residuals
+
     tol = _tolerance(args, DEFAULT_TOL)
     t = _triangle_from_args(args, tol)
     d = bisector_lengths(t, tol)
@@ -180,6 +182,8 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .steiner_lehmus import equal_bisector_report
+
     tol = _tolerance(args, DEFAULT_TOL)
     A, B = args.A, args.B
     if args.degrees:
@@ -200,6 +204,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .steiner_lehmus import SCAN_TOL, scan_random
+
     tol = _tolerance(args, SCAN_TOL)
     report = scan_random(args.n, args.seed, tol)
     _emit(asdict(report), args.format)
@@ -213,6 +219,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .cevian import bisector_lengths
+    from .diskmodel import render_svg
+
     tol = _tolerance(args, DEFAULT_TOL)
     t = _triangle_from_args(args, tol)
     d = bisector_lengths(t, tol)

@@ -19,9 +19,9 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
+        self._state = seed & _MASK64  # `&` raises TypeError for a non-integer
 
     def next_uint64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+
+from hyptri import scan_random
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -131,3 +134,63 @@ def test_scan_rtol_rejection_is_pinned(rtol, message):
     assert result.returncode == 3
     assert result.stdout == b""
     assert result.stderr == f"error: {message}\n".encode()
+
+
+def test_scan_accepts_top_seed():
+    seed = 2**64 - 1
+    result = run_cli("scan", "5", "--seed", str(seed), "--format", "json")
+    assert result.returncode == 0
+    expected = json.dumps(asdict(scan_random(5, seed))) + "\n"
+    assert result.stdout.decode() == expected
+    assert json.loads(result.stdout)["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_scan_rejects_out_of_range_seed(seed):
+    result = run_cli("scan", "5", f"--seed={seed}")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert f"seed must be in [0, 2**64 - 1], got {seed}".encode() in result.stderr
+
+
+LOADED = """
+import contextlib, io, json, sys
+from hyptri.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "hyptri": sorted(m for m in sys.modules if m.split(".")[0] == "hyptri"),
+    "csv": "csv" in sys.modules,
+}))
+"""
+
+CORE = ["hyptri", "hyptri.cli", "hyptri.core"]
+SCAN_PATH = CORE + ["hyptri.cevian", "hyptri.rng", "hyptri.steiner_lehmus"]
+CSV = ["--format", "csv"]
+
+
+# csv loads only when a csv payload is written: never for figure or a rejection
+@pytest.mark.parametrize(
+    "argv, modules, code, csv",
+    [
+        (["solve", "sss", "1", "1", "1"], CORE, 0, False),
+        (["solve", "sss", "1", "1", "1", *CSV], CORE, 0, True),
+        (["solve", "sss", "1", "1", "2.5", *CSV], CORE, 3, False),
+        (["bisect", "sss", "1", "1", "1", "--format", "json"], CORE + ["hyptri.cevian"], 0, False),
+        (["bisect", "sss", "1", "1", "1", *CSV], CORE + ["hyptri.cevian"], 0, True),
+        (["figure", "sss", "1", "1", "1", "--out", "{tmp}", *CSV],
+         CORE + ["hyptri.cevian", "hyptri.diskmodel"], 0, False),
+        (["verify", "0.9", "0.7"], SCAN_PATH, 0, False),
+        (["verify", "0.9", "0.7", *CSV], SCAN_PATH, 0, True),
+        (["scan", "5"], SCAN_PATH, 0, False),
+        (["scan", "5", *CSV], SCAN_PATH, 0, True),
+    ],
+)
+def test_subcommand_loads_only_its_modules(argv, modules, code, csv, tmp_path):
+    argv = [a.format(tmp=tmp_path / "fig.svg") for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], capture_output=True, env=env, check=True
+    )
+    assert json.loads(result.stdout) == {"code": code, "hyptri": sorted(modules), "csv": csv}

@@ -1,0 +1,94 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hyptri
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+# the public namespace of hyptri, by defining submodule
+PUBLIC = {
+    "core": [
+        "DEFAULT_TOL", "DomainCap", "HypTriError", "InvalidInput", "InvalidPoint",
+        "InvalidTriangle", "NoBracket", "NonConvergence", "NumericalFailure",
+        "ToleranceConfig", "Triangle", "TriangleAngles", "TriangleSides", "defect",
+        "law_of_cosines_residual", "law_of_sines_residual", "solve_from_angles",
+        "solve_from_asa", "solve_from_sas", "solve_from_sss",
+    ],
+    "cevian": [
+        "BisectorData", "CevianResiduals", "RatioResiduals", "bisector_foot_from_B",
+        "bisector_foot_from_C", "bisector_lengths", "subtriangle_residuals",
+        "unconditional_identities",
+    ],
+    "diskmodel": [
+        "DiskPoint", "GeodesicArc", "disk_angle", "disk_distance", "embed_triangle",
+        "geodesic_arc", "point_toward", "render_svg", "svg_document",
+    ],
+    "rng": ["SplitMix64"],
+    "steiner_lehmus": [
+        "SCAN_TOL", "EqualBisectorSolve", "MonotonicityResult", "ProofTrace", "ScanReport",
+        "check_monotonicity", "equal_bisector_report", "proof_trace", "sample_angles",
+        "scan_random", "solve_equal_bisector_angle",
+    ],
+}
+NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
+
+
+def fresh(code):
+    """Run code in a new interpreter that imports hyptri from src; its stdout as JSON."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, check=True
+    )
+    return json.loads(result.stdout)
+
+
+def test_public_names_are_pinned():
+    assert len(NAMES) == 54
+    assert sorted(hyptri.__all__) == NAMES
+    assert sorted(n for n in dir(hyptri) if not n.startswith("__")) == NAMES
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_names_are_the_submodules_objects(module):
+    sub = importlib.import_module(f"hyptri.{module}")
+    assert getattr(hyptri, module) is sub
+    for name in PUBLIC[module]:
+        assert getattr(hyptri, name) is getattr(sub, name)
+
+
+def test_fresh_namespace_matches_star_import_and_dir():
+    seen = fresh(
+        "import json, sys, hyptri\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('hyptri'))\n"
+        "before = [n for n in dir(hyptri) if not n.startswith('__')]\n"
+        "cached = sorted(set(before) & set(vars(hyptri)))\n"
+        "ns = {}\n"
+        "exec('from hyptri import *', ns)\n"
+        "after = [n for n in dir(hyptri) if not n.startswith('__')]\n"
+        "print(json.dumps([loaded, before, cached, sorted(set(ns) - {'__builtins__'}), after,\n"
+        "                  sorted(set(after) & set(vars(hyptri)))]))\n"
+    )
+    # nothing is bound before first use, and every name is cached after it
+    assert seen == [["hyptri"], NAMES, [], NAMES, NAMES, NAMES]
+
+
+def test_submodule_attributes_after_bare_import():
+    seen = fresh(
+        "import json, hyptri\n"
+        "scan = hyptri.steiner_lehmus.scan_random\n"
+        "print(json.dumps([scan.__module__, hyptri.core.__name__, hyptri.SplitMix64(7).random()]))\n"
+    )
+    assert seen == ["hyptri.steiner_lehmus", "hyptri.core", hyptri.SplitMix64(7).random()]
+
+
+@pytest.mark.parametrize("name", ["x", "importlib", "import_module", "annotations"])
+def test_no_other_attribute(name):
+    assert not hasattr(hyptri, name)
+    with pytest.raises(AttributeError, match=rf"^module 'hyptri' has no attribute '{name}'$"):
+        getattr(hyptri, name)

@@ -258,6 +258,19 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def test_splitmix64_seed_bounds():
+    # the reference stream for seed 0 starts 0xE220A8397B1DCDAF
+    assert SplitMix64(0).next_uint64() == 16294208416658607535
+    top = SplitMix64(2**64 - 1)
+    assert [top.next_uint64(), top.next_uint64()] == [16490336266968443936, 16834447057089888969]
+    assert top.random() == 0.21948196289526756
+    for seed in (-1, 2**64, 2**65 + 1):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64 - 1\]"):
+            SplitMix64(seed)
+    with pytest.raises(TypeError):
+        SplitMix64(1.0)
+
+
 def sampled(seed, n, eps):
     rng = SplitMix64(seed)
     return [sample_angles(rng, eps) for _ in range(n)]
