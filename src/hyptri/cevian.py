@@ -140,7 +140,9 @@ def bisector_foot_from_C(t: Triangle) -> tuple[float, float]:
 
 def _rel(x: float, y: float) -> float:
     """Relative difference of two same-signed quantities."""
-    return abs(x - y) / max(abs(x), abs(y))
+    p = abs(x)
+    q = abs(y)
+    return abs(x - y) / (q if q > p else p)  # max(p, q), nan included
 
 
 def _subtriangle_rels(
@@ -173,11 +175,17 @@ def _check_feet(
     t: ToleranceConfig,
 ) -> None:
     """Positivity of every bisector quantity, then u + U = b and v + V = c."""
-    for name, value in (
-        ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
+    inf = math.inf
+    # one chained comparison per quantity accepts; it is false for nan and +-inf
+    if not (
+        0.0 < u < inf and 0.0 < U < inf and 0.0 < v < inf
+        and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
     ):
-        if not (math.isfinite(value) and value > 0.0):
-            raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
+        for name, value in (
+            ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
+        ):
+            if not 0.0 < value < inf:
+                raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
     if abs(u + U - b) > t.rtol_identity * b:
         raise NumericalFailure(f"foot segments do not sum to the side: u + U - b = {u + U - b!r}")
     if abs(v + V - c) > t.rtol_identity * c:

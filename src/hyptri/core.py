@@ -106,11 +106,14 @@ def band_cmp(x: float, y: float, atol: float) -> int:
 
 def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
     """Range and angle-sum checks of an angle triple; returns the defect."""
-    for name, value in (("A", A), ("B", B), ("C", C)):
-        if not (math.isfinite(value) and 0.0 < value < math.pi):
-            raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+    pi = math.pi
+    # one chained comparison per angle accepts; it is false for nan and +-inf
+    if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
+        for name, value in (("A", A), ("B", B), ("C", C)):
+            if not 0.0 < value < pi:
+                raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
     # fsum keeps the defect exact under relabeling of the angles
-    gap = math.pi - math.fsum((A, B, C))
+    gap = pi - math.fsum((A, B, C))
     if gap <= t.eps_angle:
         raise InvalidTriangle(
             f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
@@ -120,11 +123,13 @@ def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
 
 def _check_sides(a: float, b: float, c: float, t: ToleranceConfig) -> None:
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-        if value > t.max_side:
-            raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
+    cap = t.max_side  # finite, so the guard below is false for nan and +-inf
+    if not (0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap):
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            if not 0.0 < value < math.inf:
+                raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
+            if value > cap:
+                raise DomainCap(f"side {name} = {value!r} exceeds the cap {cap}")
     for name, excess in (
         ("a", math.fsum((b, c, -a))),
         ("b", math.fsum((c, a, -b))),
@@ -154,12 +159,18 @@ def _check_solved(
     loc = _cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
     if loc > t.rtol_identity:
         raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
-    for x, y, X, Y in ((a, b, A, B), (b, c, B, C), (c, a, C, A)):
-        # ties inside the atol band are fine; only strictly opposed orderings fail
-        if band_cmp(x, y, t.atol_equal) * band_cmp(X, Y, t.atol_equal) < 0:
-            raise InvalidTriangle(
-                "side/angle ordering violated: larger angle must face larger side"
-            )
+    # band_cmp(x, y) * band_cmp(X, Y) < 0 for each (side, angle) pair: ties
+    # inside the atol band are fine, only strictly opposed orderings fail.
+    # "not ... <= atol" keeps band_cmp's reading of nan as outside the band.
+    atol = t.atol_equal
+    if (
+        (not abs(a - b) <= atol and not abs(A - B) <= atol and (a < b) != (A < B))
+        or (not abs(b - c) <= atol and not abs(B - C) <= atol and (b < c) != (B < C))
+        or (not abs(c - a) <= atol and not abs(C - A) <= atol and (c < a) != (C < A))
+    ):
+        raise InvalidTriangle(
+            "side/angle ordering violated: larger angle must face larger side"
+        )
     return spread
 
 
@@ -277,7 +288,7 @@ def _loc_vertex_residual(
     # with half = sin(angle/2)
     rhs = math.cosh(adj1 - adj2) + 2.0 * sinh_adj1 * sinh_adj2 * half * half
     lhs = math.cosh(opp)
-    return abs(lhs - rhs) / max(lhs, rhs)
+    return abs(lhs - rhs) / (rhs if rhs > lhs else lhs)  # max(lhs, rhs), nan included
 
 
 def _cosines_residual(

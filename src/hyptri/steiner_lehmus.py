@@ -36,6 +36,7 @@ from .core import (
     InvalidTriangle,
     NoBracket,
     NonConvergence,
+    NumericalFailure,
     ToleranceConfig,
     Triangle,
     _check_angles,
@@ -234,9 +235,13 @@ def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
     times and falls back to bisection whenever a secant step fails to halve
     the interval. Returns (root, function evaluations)."""
     flo = g(lo)
+    if math.isnan(flo):
+        raise NumericalFailure(f"g is nan at the bracket end lo = {lo!r}")
     if flo == 0.0:
         return lo, 1
     fhi = g(hi)
+    if math.isnan(fhi):
+        raise NumericalFailure(f"g is nan at the bracket end hi = {hi!r}")
     if fhi == 0.0:
         return hi, 2
     if (flo > 0.0) == (fhi > 0.0):
@@ -288,7 +293,11 @@ def equal_bisector_report(
     sweep_points: int = 1000,
 ) -> EqualBisectorSolve:
     """Root-solve g(C) = tB - tC on the admissible interval and sweep it for
-    sign changes; the theorem predicts the unique root C = B."""
+    sign changes; the theorem predicts the unique root C = B. A one-point
+    sweep cannot see a sign change, so it solves the root alone and reports
+    ``sign_changes=0``."""
+    if sweep_points < 1:
+        raise ValueError(f"sweep point count must be >= 1, got {sweep_points!r}")
     t = tol if tol is not None else DEFAULT_TOL
     if not (math.isfinite(A) and 0.0 < A < math.pi):
         raise InvalidTriangle(f"angle A must lie in (0, pi), got {A!r}")

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import sys
 
 import pytest
@@ -18,6 +19,26 @@ from hyptri.steiner_lehmus import sample_angles  # noqa: E402
 
 # validation margin relaxed enough for oracle sub-triangle solves
 ORACLE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-300)
+
+
+def special_floats(cap):
+    """Range ends, signed zeros, subnormals, the neighbours of pi and of the
+    side cap ``cap``, overflow-sized and non-finite floats."""
+    return (
+        -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5,
+        math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0), 3.5,
+        cap, math.nextafter(cap, math.inf), 1e308, math.inf, math.nan,
+    )
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` does: its float result as raw bits (so nan-ness and
+    the sign of zero count), None, or the class and message it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the oracles compare every exception, whatever its class
+        return type(exc), str(exc)
+    return None if value is None else struct.pack("<d", value)
 
 
 @st.composite

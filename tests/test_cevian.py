@@ -1,9 +1,12 @@
 import math
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 
 from hyptri import (
+    DEFAULT_TOL,
+    NumericalFailure,
     Triangle,
     TriangleAngles,
     TriangleSides,
@@ -20,7 +23,9 @@ from hyptri import (
     unconditional_identities,
 )
 
-from conftest import ORACLE_TOL, angle_triples, seeded_triangles
+from hyptri.cevian import _check_feet, _rel
+
+from conftest import ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
 
 EQUILATERAL_UNIT_BISECTOR = 0.8340252289813307  # acosh(cosh 1 / cosh 0.5)
 
@@ -142,3 +147,56 @@ def test_swap_symmetry_is_exact(triple):
     ds = bisector_lengths(swapped, tol=ORACLE_TOL)
     assert (ds.v, ds.V, ds.tC) == (d.u, d.U, d.tB)
     assert (ds.u, ds.U, ds.tB) == (d.v, d.V, d.tC)
+
+
+# The parent's loop-form helpers, kept verbatim as the oracle for the
+# one-comparison accept paths in hyptri.cevian: every input must give the same
+# return bits, or the same exception class and message.
+
+
+def _ref_rel(x, y):
+    """Relative difference of two same-signed quantities."""
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _ref_check_feet(b, c, u, U, v, V, tB, tC, t):
+    """Positivity of every bisector quantity, then u + U = b and v + V = c."""
+    for name, value in (
+        ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
+    ):
+        if not (math.isfinite(value) and value > 0.0):
+            raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
+    if abs(u + U - b) > t.rtol_identity * b:
+        raise NumericalFailure(f"foot segments do not sum to the side: u + U - b = {u + U - b!r}")
+    if abs(v + V - c) > t.rtol_identity * c:
+        raise NumericalFailure(f"foot segments do not sum to the side: v + V - c = {v + V - c!r}")
+
+
+def test_rel_matches_max():
+    values = special_floats(DEFAULT_TOL.max_side)
+    for x, y in product(values, repeat=2):
+        assert outcome(_rel, x, y) == outcome(_ref_rel, x, y), (x, y)
+
+
+def test_check_feet_matches_loop_form():
+    # every pair of the eight arguments over the special floats; the other six
+    # come from a solved triangle, so the foot-sum checks run whenever the
+    # positivity checks pass
+    t = solve_from_angles(TriangleAngles(0.6, 0.5, 0.9))
+    d = bisector_lengths(t)
+    base = (t.b, t.c, d.u, d.U, d.v, d.V, d.tB, d.tC)
+    values = special_floats(DEFAULT_TOL.max_side)
+    outcomes = set()
+    for i, j in combinations(range(len(base)), 2):
+        for x, y in product(values, repeat=2):
+            args = list(base)
+            args[i], args[j] = x, y
+            got = outcome(_check_feet, *args, DEFAULT_TOL)
+            assert got == outcome(_ref_check_feet, *args, DEFAULT_TOL), args
+            outcomes.add(got if got is None else got[1].split(" = ")[0])
+    assert outcomes == {
+        None,
+        *(f"bisector quantity {name}" for name in ("u", "U", "v", "V", "tB", "tC")),
+        "foot segments do not sum to the side: u + U - b",
+        "foot segments do not sum to the side: v + V - c",
+    }

@@ -97,6 +97,13 @@ def test_verify_rejects_wide_pair():
     assert result.returncode == 3
 
 
+def test_verify_nan_bracket_end_is_a_domain_rejection():
+    result = run_cli("verify", "1e-200", "0.7")
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == b"error: g is nan at the bracket end lo = 1e-09\n"
+
+
 def test_scan_deterministic_and_passing():
     first = run_cli("scan", "3000", "--seed", "42")
     second = run_cli("scan", "3000", "--seed", "42")

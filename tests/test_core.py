@@ -1,9 +1,12 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given
 
 from hyptri import (
+    DEFAULT_TOL,
+    SCAN_TOL,
     DomainCap,
     InvalidTriangle,
     Triangle,
@@ -18,9 +21,17 @@ from hyptri import (
     solve_from_sas,
     solve_from_sss,
 )
-from hyptri.core import band_cmp, sine_ratio_spread
+from hyptri.core import (
+    _check_angles,
+    _check_sides,
+    _check_solved,
+    _loc_vertex_residual,
+    _ratio_spread,
+    band_cmp,
+    sine_ratio_spread,
+)
 
-from conftest import angle_triples, seeded_triangles
+from conftest import angle_triples, outcome, seeded_triangles, special_floats
 
 # frozen closed-form expectations, cross-checked against a disk-model
 # embedding before being relied on
@@ -205,3 +216,147 @@ def test_small_triangle_euclidean_limit():
     )
     for got, expected in zip((t.A, t.B, t.C), euclid):
         assert got == pytest.approx(expected, rel=1e-6)
+
+
+# The parent's loop-form checks, kept verbatim as the oracle for the
+# one-comparison accept paths in hyptri.core: every input must give the same
+# return bits, or the same exception class and message.
+
+
+def _ref_check_angles(A, B, C, t):
+    """Range and angle-sum checks of an angle triple; returns the defect."""
+    for name, value in (("A", A), ("B", B), ("C", C)):
+        if not (math.isfinite(value) and 0.0 < value < math.pi):
+            raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+    # fsum keeps the defect exact under relabeling of the angles
+    gap = math.pi - math.fsum((A, B, C))
+    if gap <= t.eps_angle:
+        raise InvalidTriangle(
+            f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
+        )
+    return gap
+
+
+def _ref_check_sides(a, b, c, t):
+    """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
+        if value > t.max_side:
+            raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
+    for name, excess in (
+        ("a", math.fsum((b, c, -a))),
+        ("b", math.fsum((c, a, -b))),
+        ("c", math.fsum((a, b, -c))),
+    ):
+        if excess <= 0.0:
+            raise InvalidTriangle(
+                f"triangle inequality violated: side {name} is not shorter "
+                f"than the other two combined"
+            )
+
+
+def _ref_loc_vertex_residual(opp, adj1, adj2, sinh_adj1, sinh_adj2, half):
+    rhs = math.cosh(adj1 - adj2) + 2.0 * sinh_adj1 * sinh_adj2 * half * half
+    lhs = math.cosh(opp)
+    return abs(lhs - rhs) / max(lhs, rhs)
+
+
+def _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C):
+    return max(
+        _ref_loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A),
+        _ref_loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B),
+        _ref_loc_vertex_residual(c, a, b, sinh_a, sinh_b, half_C),
+    )
+
+
+def _ref_check_solved(
+    a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
+):
+    spread = _ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
+    if spread > t.rtol_identity:
+        raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
+    loc = _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
+    if loc > t.rtol_identity:
+        raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
+    for x, y, X, Y in ((a, b, A, B), (b, c, B, C), (c, a, C, A)):
+        # ties inside the atol band are fine; only strictly opposed orderings fail
+        if band_cmp(x, y, t.atol_equal) * band_cmp(X, Y, t.atol_equal) < 0:
+            raise InvalidTriangle(
+                "side/angle ordering violated: larger angle must face larger side"
+            )
+    return spread
+
+
+def _mismatches(fn, ref, grid):
+    """Inputs of ``grid`` on which ``fn`` and ``ref`` differ, and the outcomes
+    of ``fn`` seen over the grid."""
+    seen = set()
+    bad = []
+    for args in grid:
+        got = outcome(fn, *args)
+        if got != outcome(ref, *args):
+            bad.append(args)
+        seen.add(got[0] if isinstance(got, tuple) else "ok")
+    return bad, seen
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL])
+def test_check_angles_matches_loop_form(tol):
+    grid = [(*abc, tol) for abc in product(special_floats(tol.max_side), repeat=3)]
+    bad, seen = _mismatches(_check_angles, _ref_check_angles, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", InvalidTriangle}
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(max_side=1.0)])
+def test_check_sides_matches_loop_form(tol):
+    grid = [(*abc, tol) for abc in product(special_floats(tol.max_side), repeat=3)]
+    bad, seen = _mismatches(_check_sides, _ref_check_sides, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", InvalidTriangle, DomainCap}
+
+
+def test_loc_vertex_residual_matches_max():
+    values = special_floats(DEFAULT_TOL.max_side)
+    # lhs = cosh(opp) against rhs = 1 + 2 sinh_adj1 half^2, then against
+    # cosh(adj1 - adj2); sinh_adj1 = -0.5 with half = 1 makes rhs exactly 0,
+    # where max's rule decides between nan / nan and a division by zero
+    grid = [(opp, 0.0, 0.0, s, 1.0, h) for opp, s, h in product(values + (-0.5, 1.0), repeat=3)]
+    grid += [(opp, x, y, 1.0, 1.0, 0.5) for opp, x, y in product(values, repeat=3)]
+    bad, seen = _mismatches(_loc_vertex_residual, _ref_loc_vertex_residual, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", OverflowError}
+
+
+@pytest.mark.parametrize("atol", [DEFAULT_TOL.atol_equal, 0.5])
+def test_check_solved_ordering_matches_band_cmp(atol):
+    # nan sines pass the sine and cosine checks (nan > rtol is false), so every
+    # side/angle pairing reaches the ordering rule unless cosh overflows
+    t = ToleranceConfig(atol_equal=atol)
+    nan = math.nan
+    values = special_floats(t.max_side) + (0.5 + 0.5 * atol, 0.5 + 2.0 * atol)
+    grid = []
+    for i, (x, y, X, Y) in enumerate(product(values, repeat=4)):
+        # the pair under test takes each of the three (side, angle) slots in turn
+        k = i % 3
+        sides = [0.5, 0.5, 0.5]
+        angles = [0.5, 0.5, 0.5]
+        sides[k], sides[k - 2], angles[k], angles[k - 2] = x, y, X, Y
+        grid.append((*sides, *angles, nan, nan, nan, 1.0, 1.0, 1.0, nan, nan, nan, t))
+    bad, seen = _mismatches(_check_solved, _ref_check_solved, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", InvalidTriangle, OverflowError}
+
+
+def test_check_solved_matches_loop_form_on_solved_triangles():
+    # real sines: the sine and cosine checks pass or trip on their own
+    for tri in seeded_triangles(200, seed=5):
+        for t in (SCAN_TOL, ToleranceConfig(rtol_identity=1e-16)):
+            args = (
+                tri.a, tri.b, tri.c, tri.A, tri.B, tri.C,
+                math.sinh(tri.a), math.sinh(tri.b), math.sinh(tri.c),
+                math.sin(tri.A), math.sin(tri.B), math.sin(tri.C),
+                math.sin(0.5 * tri.A), math.sin(0.5 * tri.B), math.sin(0.5 * tri.C), t,
+            )
+            assert outcome(_check_solved, *args) == outcome(_ref_check_solved, *args)

@@ -202,6 +202,33 @@ def test_bracketed_hybrid_requires_sign_change():
         _bracketed_hybrid(math.cos, 0.2, 1.0)
 
 
+def test_bracketed_hybrid_rejects_nan_at_an_end():
+    # a nan end is a failed evaluation, not a missing sign change
+    def nan_at(x0):
+        return lambda x: math.nan if x == x0 else math.cos(x)
+
+    with pytest.raises(NumericalFailure, match=r"^g is nan at the bracket end lo = 1\.0$"):
+        _bracketed_hybrid(nan_at(1.0), 1.0, 2.0)
+    with pytest.raises(NumericalFailure, match=r"^g is nan at the bracket end hi = 2\.0$"):
+        _bracketed_hybrid(nan_at(2.0), 1.0, 2.0)
+    with pytest.raises(NumericalFailure, match=r"^g is nan at the bracket end lo = 1e-09$"):
+        equal_bisector_report(1e-200, 0.7)
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_equal_bisector_report_rejects_empty_sweep(points):
+    with pytest.raises(ValueError, match=f"^sweep point count must be >= 1, got {points}$"):
+        equal_bisector_report(0.9, 0.7, sweep_points=points)
+
+
+def test_equal_bisector_report_one_point_sweep_solves_root_only():
+    full = equal_bisector_report(0.9, 0.7)
+    assert equal_bisector_report(0.9, 0.7, sweep_points=1) == EqualBisectorSolve(
+        c=full.c, iterations=full.iterations, sign_changes=0
+    )
+    assert equal_bisector_report(0.9, 0.7, sweep_points=2).c == full.c
+
+
 def test_scan_rejects_empty():
     with pytest.raises(ValueError):
         scan_random(0, 1)
