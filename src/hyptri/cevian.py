@@ -20,6 +20,7 @@ from .core import (
     NumericalFailure,
     ToleranceConfig,
     Triangle,
+    _cevian_length,
 )
 
 __all__ = [
@@ -90,16 +91,6 @@ def _adjacent_split(side: float, k: float) -> float:
     tanh saturates for large sides.
     """
     return 0.5 * (math.log1p(k * math.exp(side)) - math.log1p(k * math.exp(-side)))
-
-
-def _cevian_length(adjacent: float, segment: float, apex: float) -> float:
-    """Law of cosines cosh t = cosh(adjacent)cosh(segment) -
-    sinh(adjacent)sinh(segment)cos(apex), evaluated as
-    sinh^2(t/2) = sinh^2((adjacent-segment)/2) + sinh(adjacent)sinh(segment)sin^2(apex/2)
-    so slivers with a tiny cevian keep full precision."""
-    h = math.sinh(0.5 * (adjacent - segment))
-    s = math.sin(0.5 * apex)
-    return 2.0 * math.asinh(math.sqrt(h * h + math.sinh(adjacent) * math.sinh(segment) * s * s))
 
 
 def _feet_and_lengths(

@@ -130,6 +130,10 @@ def _check_sides(a: float, b: float, c: float, t: ToleranceConfig) -> None:
                 raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
             if value > cap:
                 raise DomainCap(f"side {name} = {value!r} exceeds the cap {cap}")
+    # rounding is monotone, so fl(y + z) > x implies y + z > x exactly, which
+    # is what the fsum test decides; only a near tie reaches the fsum loop
+    if b + c > a and c + a > b and a + b > c:
+        return
     for name, excess in (
         ("a", math.fsum((b, c, -a))),
         ("b", math.fsum((c, a, -b))),
@@ -263,8 +267,17 @@ def defect(angles: TriangleAngles) -> float:
 
 
 def _ratio_spread(ra: float, rb: float, rc: float) -> float:
-    hi = max(ra, rb, rc)
-    lo = min(ra, rb, rc)
+    # max and min of (ra, rb, rc) by their rule: keep the first, replace only
+    # on > (max) or < (min), so nan in any slot resolves exactly as they do
+    hi = lo = ra
+    if rb > hi:
+        hi = rb
+    if rc > hi:
+        hi = rc
+    if rb < lo:
+        lo = rb
+    if rc < lo:
+        lo = rc
     return (hi - lo) / hi
 
 
@@ -296,11 +309,14 @@ def _cosines_residual(
     sinh_a: float, sinh_b: float, sinh_c: float,
     half_A: float, half_B: float, half_C: float,
 ) -> float:
-    return max(
-        _loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A),
-        _loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B),
-        _loc_vertex_residual(c, a, b, sinh_a, sinh_b, half_C),
-    )
+    worst = _loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A)
+    r = _loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B)
+    if r > worst:  # max of the three vertices, nan included
+        worst = r
+    r = _loc_vertex_residual(c, a, b, sinh_a, sinh_b, half_C)
+    if r > worst:
+        worst = r
+    return worst
 
 
 def law_of_cosines_residual(t: Triangle) -> float:
@@ -369,12 +385,15 @@ def solve_from_sss(sides: TriangleSides, tol: ToleranceConfig | None = None) -> 
     return Triangle(sides, TriangleAngles(A, B, C, tol=t), tol=t)
 
 
-def _third_side(b: float, A: float, c: float) -> float:
-    # cosh a = cosh b cosh c - sinh b sinh c cos A, evaluated as
-    # 2 sinh^2(a/2) = 2 sinh^2((b-c)/2) + 2 sinh b sinh c sin^2(A/2)
-    h = math.sinh(0.5 * (b - c))
-    s = math.sin(0.5 * A)
-    return 2.0 * math.asinh(math.sqrt(h * h + math.sinh(b) * math.sinh(c) * s * s))
+def _cevian_length(adjacent: float, segment: float, apex: float) -> float:
+    """Law of cosines cosh t = cosh(adjacent)cosh(segment) -
+    sinh(adjacent)sinh(segment)cos(apex), evaluated as
+    sinh^2(t/2) = sinh^2((adjacent-segment)/2) + sinh(adjacent)sinh(segment)sin^2(apex/2)
+    so slivers with a tiny cevian keep full precision. With adjacent = b,
+    segment = c and apex = A it is the SAS third side a."""
+    h = math.sinh(0.5 * (adjacent - segment))
+    s = math.sin(0.5 * apex)
+    return 2.0 * math.asinh(math.sqrt(h * h + math.sinh(adjacent) * math.sinh(segment) * s * s))
 
 
 def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig | None = None) -> Triangle:
@@ -387,7 +406,7 @@ def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig | None = N
             raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
     if not (math.isfinite(A) and 0.0 < A < math.pi):
         raise InvalidTriangle(f"included angle must lie in (0, pi), got {A!r}")
-    a = _third_side(b, A, c)
+    a = _cevian_length(b, c, A)
     if a > t.max_side:
         raise DomainCap(f"computed side a = {a!r} exceeds the cap {t.max_side}")
     return solve_from_sss(TriangleSides(a, b, c, tol=t), tol=t)

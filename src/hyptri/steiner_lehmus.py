@@ -213,7 +213,7 @@ def _gap_in_C(A: float, B: float):
         a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
         b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
         c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
-        # _feet_and_lengths: _adjacent_split for u and v, _cevian_length
+        # _feet_and_lengths: _adjacent_split for u and v, core._cevian_length
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
@@ -328,7 +328,16 @@ def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, floa
     Three draws per triple: sorted-uniform spacings give a uniform point of
     the solid simplex, then an affine map into the margin region.
     """
-    r1, r2, r3 = sorted((rng.random(), rng.random(), rng.random()))
+    r1 = rng.random()
+    r2 = rng.random()
+    r3 = rng.random()
+    # insertion sort on <, stable like sorted((r1, r2, r3))
+    if r2 < r1:
+        r1, r2 = r2, r1
+    if r3 < r2:
+        r2, r3 = r3, r2
+        if r2 < r1:
+            r1, r2 = r2, r1
     span = math.pi - 4.0 * eps_angle
     return (
         eps_angle + span * r1,
@@ -385,9 +394,16 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     _check_feet(b, c, u, U, v, V, tB, tC, t)
     sinh_U = sinh(U)
     sinh_V = sinh(V)
-    worst = max(_subtriangle_rels(
+    worst, res_U, res_v, res_V = _subtriangle_rels(
         sin_A, sin_B, sin_C, half_B, half_C, sinh_u, sinh_U, sinh_v, sinh_V, sinh(tB), sinh(tC)
-    ))
+    )
+    # max of the four by max's rule: replace only on >, nan included
+    if res_U > worst:
+        worst = res_U
+    if res_v > worst:
+        worst = res_v
+    if res_V > worst:
+        worst = res_V
     _check_subtriangles(worst, t)
     # proof_trace (without D) and check_monotonicity
     idU, idV = _foot_ratio_rels(sin_A, sin_B, sin_C, sinh_u, sinh_U, sinh_v, sinh_V)
@@ -420,10 +436,21 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanRe
         A, B, C = sample_angles(rng, t.eps_angle)
         a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, t)
 
-        max_sine = max(max_sine, sine)
-        max_cevian = max(max_cevian, cevian)
-        max_ratio = max(max_ratio, idU, idV)
-        max_side = max(max_side, a, b, c)
+        # the running maxima by max's rule: replace only on >, nan included
+        if sine > max_sine:
+            max_sine = sine
+        if cevian > max_cevian:
+            max_cevian = cevian
+        if idU > max_ratio:
+            max_ratio = idU
+        if idV > max_ratio:
+            max_ratio = idV
+        if a > max_side:
+            max_side = a
+        if b > max_side:
+            max_side = b
+        if c > max_side:
+            max_side = c
 
         if in_band:
             ties += 1

@@ -1,5 +1,6 @@
 import math
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from hyptri.core import (
     _check_angles,
     _check_sides,
     _check_solved,
+    _cosines_residual,
     _loc_vertex_residual,
     _ratio_spread,
     band_cmp,
@@ -270,10 +272,16 @@ def _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_
     )
 
 
+def _ref_ratio_spread(ra, rb, rc):
+    hi = max(ra, rb, rc)
+    lo = min(ra, rb, rc)
+    return (hi - lo) / hi
+
+
 def _ref_check_solved(
     a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
 ):
-    spread = _ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
+    spread = _ref_ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
     if spread > t.rtol_identity:
         raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
     loc = _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
@@ -309,12 +317,63 @@ def test_check_angles_matches_loop_form(tol):
     assert seen == {"ok", InvalidTriangle}
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(max_side=1.0)])
+# each side in turn the long one: the float sum of the other two ties it,
+# but the exact sum exceeds it by 2**-53 (first triple) or equals it (second)
+NEAR_TIES = [
+    *permutations((1.0, 0.5, 0.5 + 2**-53)),
+    *permutations((1.0, 0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "tol", [DEFAULT_TOL, ToleranceConfig(max_side=1.0), ToleranceConfig(max_side=1e308)]
+)
 def test_check_sides_matches_loop_form(tol):
-    grid = [(*abc, tol) for abc in product(special_floats(tol.max_side), repeat=3)]
+    triples = [*product(special_floats(tol.max_side), repeat=3), *NEAR_TIES]
+    grid = [(*abc, tol) for abc in triples]
     bad, seen = _mismatches(_check_sides, _ref_check_sides, grid)
+    # the float-sum accept differs from the loop form only where fsum
+    # overflows, on triples that satisfy the triangle inequality exactly
+    for args in bad:
+        assert outcome(_ref_check_sides, *args) == (
+            OverflowError, "intermediate overflow in fsum"
+        )
+        assert outcome(_check_sides, *args) is None
+        a, b, c = map(Fraction, args[:3])
+        assert b + c > a and c + a > b and a + b > c
+    near_limit = tol.max_side == 1e308
+    assert bool(bad) == near_limit
+    # a near tie such as (5e-324, 1e308, 1e308) still overflows fsum on both
+    assert seen == {"ok", InvalidTriangle, DomainCap} | ({OverflowError} if near_limit else set())
+    for abc in NEAR_TIES:
+        x, y, z = sorted(abc)
+        assert x + y == z  # the float sum ties the long side
+        expected = None if x != y else (
+            InvalidTriangle,
+            f"triangle inequality violated: side {'abc'[abc.index(1.0)]} is not "
+            f"shorter than the other two combined",
+        )
+        assert outcome(_check_sides, *abc, tol) == expected
+
+
+def test_ratio_spread_matches_max_min():
+    grid = list(product(special_floats(DEFAULT_TOL.max_side), repeat=3))
+    bad, seen = _mismatches(_ratio_spread, _ref_ratio_spread, grid)
     assert not bad, bad[:5]
-    assert seen == {"ok", InvalidTriangle, DomainCap}
+    assert seen == {"ok", ZeroDivisionError}
+
+
+def test_cosines_residual_matches_max():
+    values = special_floats(DEFAULT_TOL.max_side)
+    # zero sides with unit sinh make vertex X's residual a function of half_X
+    # alone: 0 for tiny half_X, nan for half_X = nan, +-inf or 1e308, so every
+    # slot of the max sees nan, ties and each ordering; real sides next, where
+    # cosh overflows in vertex order
+    grid = [(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, *h) for h in product(values, repeat=3)]
+    grid += [(*abc, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) for abc in product(values, repeat=3)]
+    bad, seen = _mismatches(_cosines_residual, _ref_cosines_residual, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", OverflowError}
 
 
 def test_loc_vertex_residual_matches_max():

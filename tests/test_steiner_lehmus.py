@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -296,6 +298,56 @@ def test_splitmix64_seed_bounds():
             SplitMix64(seed)
     with pytest.raises(TypeError):
         SplitMix64(1.0)
+
+
+class PresetDraws:
+    """Stands in for SplitMix64: ``random()`` returns preset values in turn."""
+
+    def __init__(self, values):
+        self.values = values
+        self.draws = 0
+
+    def random(self):
+        value = self.values[self.draws]
+        self.draws += 1
+        return value
+
+
+def sorted_sample_angles(rng, eps_angle):
+    """sample_angles written with ``sorted``, the oracle for its compare-and-swap."""
+    r1, r2, r3 = sorted((rng.random(), rng.random(), rng.random()))
+    span = math.pi - 4.0 * eps_angle
+    return (
+        eps_angle + span * r1,
+        eps_angle + span * (r2 - r1),
+        eps_angle + span * (r3 - r2),
+    )
+
+
+def test_sample_angles_matches_sorted():
+    # every ordering of distinct draws, then ties; the signed zeros compare
+    # equal, and with eps_angle = -0.0 their signs reach the output bits, which
+    # so show whether the sort keeps ties in draw order as sorted does
+    cases = {
+        *permutations((0.1, 0.4, 0.7)),
+        *permutations((0.3, 0.3, 0.6)),
+        *permutations((0.2, 0.6, 0.6)),
+        (0.5, 0.5, 0.5),
+        *permutations((0.0, -0.0, 0.5)),
+        *permutations((0.0, -0.0, -0.5)),
+        (0.0, -0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+    }
+    for draws, eps in product(sorted(cases), (SCAN_TOL.eps_angle, -0.0)):
+        got = PresetDraws([*draws, 0.9])
+        ref = PresetDraws([*draws, 0.9])
+        triple = sample_angles(got, eps)
+        expected = sorted_sample_angles(ref, eps)
+        assert struct.pack("<3d", *triple) == struct.pack("<3d", *expected), draws
+        assert got.draws == 3
+    got, ref = SplitMix64(5), SplitMix64(5)
+    for _ in range(1000):
+        assert sample_angles(got, 1e-3) == sorted_sample_angles(ref, 1e-3)
 
 
 def sampled(seed, n, eps):
