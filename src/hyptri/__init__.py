@@ -38,8 +38,6 @@ _SUBMODULE = {
             "BisectorData",
             "CevianResiduals",
             "RatioResiduals",
-            "bisector_foot_from_B",
-            "bisector_foot_from_C",
             "bisector_lengths",
             "subtriangle_residuals",
             "unconditional_identities",

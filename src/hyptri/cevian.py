@@ -27,8 +27,6 @@ __all__ = [
     "BisectorData",
     "CevianResiduals",
     "RatioResiduals",
-    "bisector_foot_from_B",
-    "bisector_foot_from_C",
     "bisector_lengths",
     "subtriangle_residuals",
     "unconditional_identities",
@@ -104,29 +102,10 @@ def _feet_and_lengths(
     U = _adjacent_split(b, sinh_a / sinh_c)
     v = _adjacent_split(c, sinh_b / sinh_a)
     V = _adjacent_split(c, sinh_a / sinh_b)
-    tB = _cevian_length(c, u, A)
-    tC = _cevian_length(b, v, A)
+    half_A = math.sin(0.5 * A)
+    tB = _cevian_length(c, u, sinh_c, math.sinh(u), half_A)
+    tC = _cevian_length(b, v, sinh_b, math.sinh(v), half_A)
     return u, U, v, V, tB, tC
-
-
-def bisector_foot_from_B(t: Triangle) -> tuple[float, float]:
-    """Segments (u, U) of side AC cut by the foot of the bisector from B."""
-    sinh_a = math.sinh(t.a)
-    sinh_c = math.sinh(t.c)
-    return (
-        _adjacent_split(t.b, sinh_c / sinh_a),
-        _adjacent_split(t.b, sinh_a / sinh_c),
-    )
-
-
-def bisector_foot_from_C(t: Triangle) -> tuple[float, float]:
-    """Segments (v, V) of side AB cut by the foot of the bisector from C."""
-    sinh_a = math.sinh(t.a)
-    sinh_b = math.sinh(t.b)
-    return (
-        _adjacent_split(t.c, sinh_b / sinh_a),
-        _adjacent_split(t.c, sinh_a / sinh_b),
-    )
 
 
 def _rel(x: float, y: float) -> float:
@@ -208,13 +187,12 @@ def unconditional_identities(d: BisectorData, t: Triangle) -> RatioResiduals:
     ))
 
 
-def bisector_lengths(t: Triangle, tol: ToleranceConfig | None = None) -> BisectorData:
+def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> BisectorData:
     """Both bisectors of ``t``: feet in closed form, lengths by the law of
     cosines in the A-side sub-triangles; validates every identity before
     returning."""
-    cfg = tol if tol is not None else DEFAULT_TOL
     u, U, v, V, tB, tC = _feet_and_lengths(t.a, t.b, t.c, t.A)
     d = BisectorData(beta=0.5 * t.B, gamma=0.5 * t.C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)
-    _check_feet(t.b, t.c, u, U, v, V, tB, tC, cfg)
-    _check_subtriangles(subtriangle_residuals(t, d).max(), cfg)
+    _check_feet(t.b, t.c, u, U, v, V, tB, tC, tol)
+    _check_subtriangles(subtriangle_residuals(t, d).max(), tol)
     return d

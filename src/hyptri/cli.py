@@ -211,10 +211,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _emit(asdict(report), args.format)
     ok = (
         report.monotonicity_failures == 0
+        and report.inequality_failures == 0
         and report.max_identity_residual < _SCAN_RESIDUAL_TOL
     )
     if not ok:
-        print("scan failed: monotonicity or identity thresholds exceeded", file=sys.stderr)
+        print("scan failed: monotonicity, inequality or identity checks failed", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -185,11 +185,10 @@ class TriangleAngles:
     A: float
     B: float
     C: float
-    tol: InitVar[ToleranceConfig | None] = None
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig | None) -> None:
-        t = tol if tol is not None else DEFAULT_TOL
-        _check_angles(self.A, self.B, self.C, t)
+    def __post_init__(self, tol: ToleranceConfig) -> None:
+        _check_angles(self.A, self.B, self.C, tol)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.A, self.B, self.C)
@@ -203,11 +202,10 @@ class TriangleSides:
     a: float
     b: float
     c: float
-    tol: InitVar[ToleranceConfig | None] = None
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig | None) -> None:
-        t = tol if tol is not None else DEFAULT_TOL
-        _check_sides(self.a, self.b, self.c, t)
+    def __post_init__(self, tol: ToleranceConfig) -> None:
+        _check_sides(self.a, self.b, self.c, tol)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -219,10 +217,9 @@ class Triangle:
 
     sides: TriangleSides
     angles: TriangleAngles
-    tol: InitVar[ToleranceConfig | None] = None
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig | None) -> None:
-        t = tol if tol is not None else DEFAULT_TOL
+    def __post_init__(self, tol: ToleranceConfig) -> None:
         a, b, c = self.sides.as_tuple()
         A, B, C = self.angles.as_tuple()
         _check_solved(
@@ -230,7 +227,7 @@ class Triangle:
             math.sinh(a), math.sinh(b), math.sinh(c),
             math.sin(A), math.sin(B), math.sin(C),
             math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C),
-            t,
+            tol,
         )
 
     @property
@@ -328,22 +325,22 @@ def law_of_cosines_residual(t: Triangle) -> float:
     )
 
 
-def _sides_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
-    """AAA side solve, assuming a validated angle triple.
+def _sides_from_angles(
+    A: float, B: float, C: float,
+    half_defect: float, sin_A: float, sin_B: float, sin_C: float,
+) -> tuple[float, float, float]:
+    """AAA side solve, assuming a validated angle triple, from half the
+    defect and the sines of the angles.
 
     The dual law of cosines cosh a = (cos A + cos B cos C)/(sin B sin C) is
     evaluated as cosh a - 1 = 2 sin(d/2) sin(A + d/2)/(sin B sin C) with
     d the defect, which stays positive and cancellation-free even when the
     defect is tiny or the angles are near the simplex corners.
     """
-    half_defect = 0.5 * (math.pi - math.fsum((A, B, C)))
     sd = math.sin(half_defect)
-    sA = math.sin(A)
-    sB = math.sin(B)
-    sC = math.sin(C)
-    a = 2.0 * math.asinh(math.sqrt(sd * math.sin(A + half_defect) / (sB * sC)))
-    b = 2.0 * math.asinh(math.sqrt(sd * math.sin(B + half_defect) / (sC * sA)))
-    c = 2.0 * math.asinh(math.sqrt(sd * math.sin(C + half_defect) / (sA * sB)))
+    a = 2.0 * math.asinh(math.sqrt(sd * math.sin(A + half_defect) / (sin_B * sin_C)))
+    b = 2.0 * math.asinh(math.sqrt(sd * math.sin(B + half_defect) / (sin_C * sin_A)))
+    c = 2.0 * math.asinh(math.sqrt(sd * math.sin(C + half_defect) / (sin_A * sin_B)))
     return a, b, c
 
 
@@ -370,51 +367,53 @@ def _angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, floa
     return A, B, C
 
 
-def solve_from_angles(angles: TriangleAngles, tol: ToleranceConfig | None = None) -> Triangle:
+def solve_from_angles(angles: TriangleAngles, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """AAA case: in hyperbolic geometry the three angles determine the triangle."""
-    t = tol if tol is not None else DEFAULT_TOL
-    a, b, c = _sides_from_angles(angles.A, angles.B, angles.C)
-    sides = TriangleSides(a, b, c, tol=t)
-    return Triangle(sides, angles, tol=t)
+    A, B, C = angles.as_tuple()
+    a, b, c = _sides_from_angles(
+        A, B, C, 0.5 * defect(angles), math.sin(A), math.sin(B), math.sin(C)
+    )
+    return Triangle(TriangleSides(a, b, c, tol=tol), angles, tol=tol)
 
 
-def solve_from_sss(sides: TriangleSides, tol: ToleranceConfig | None = None) -> Triangle:
+def solve_from_sss(sides: TriangleSides, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """SSS case via the hyperbolic law of cosines."""
-    t = tol if tol is not None else DEFAULT_TOL
     A, B, C = _angles_from_sides(sides.a, sides.b, sides.c)
-    return Triangle(sides, TriangleAngles(A, B, C, tol=t), tol=t)
+    return Triangle(sides, TriangleAngles(A, B, C, tol=tol), tol=tol)
 
 
-def _cevian_length(adjacent: float, segment: float, apex: float) -> float:
+def _cevian_length(
+    adjacent: float, segment: float, sinh_adjacent: float, sinh_segment: float, half_apex: float
+) -> float:
     """Law of cosines cosh t = cosh(adjacent)cosh(segment) -
     sinh(adjacent)sinh(segment)cos(apex), evaluated as
     sinh^2(t/2) = sinh^2((adjacent-segment)/2) + sinh(adjacent)sinh(segment)sin^2(apex/2)
-    so slivers with a tiny cevian keep full precision. With adjacent = b,
-    segment = c and apex = A it is the SAS third side a."""
+    so slivers with a tiny cevian keep full precision; half_apex is
+    sin(apex/2). With adjacent = b, segment = c and apex = A it is the SAS
+    third side a."""
     h = math.sinh(0.5 * (adjacent - segment))
-    s = math.sin(0.5 * apex)
-    return 2.0 * math.asinh(math.sqrt(h * h + math.sinh(adjacent) * math.sinh(segment) * s * s))
+    return 2.0 * math.asinh(
+        math.sqrt(h * h + sinh_adjacent * sinh_segment * half_apex * half_apex)
+    )
 
 
-def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig | None = None) -> Triangle:
+def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """SAS case: two sides and the included angle."""
-    t = tol if tol is not None else DEFAULT_TOL
     for name, value in (("b", b), ("c", c)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-        if value > t.max_side:
-            raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
+        if value > tol.max_side:
+            raise DomainCap(f"side {name} = {value!r} exceeds the cap {tol.max_side}")
     if not (math.isfinite(A) and 0.0 < A < math.pi):
         raise InvalidTriangle(f"included angle must lie in (0, pi), got {A!r}")
-    a = _cevian_length(b, c, A)
-    if a > t.max_side:
-        raise DomainCap(f"computed side a = {a!r} exceeds the cap {t.max_side}")
-    return solve_from_sss(TriangleSides(a, b, c, tol=t), tol=t)
+    a = _cevian_length(b, c, math.sinh(b), math.sinh(c), math.sin(0.5 * A))
+    if a > tol.max_side:
+        raise DomainCap(f"computed side a = {a!r} exceeds the cap {tol.max_side}")
+    return solve_from_sss(TriangleSides(a, b, c, tol=tol), tol=tol)
 
 
-def solve_from_asa(A: float, c: float, B: float, tol: ToleranceConfig | None = None) -> Triangle:
+def solve_from_asa(A: float, c: float, B: float, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """ASA case: the dual law of cosines gives the third angle, then AAA."""
-    t = tol if tol is not None else DEFAULT_TOL
     for name, value in (("A", A), ("B", B)):
         if not (math.isfinite(value) and 0.0 < value < math.pi):
             raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
@@ -422,12 +421,12 @@ def solve_from_asa(A: float, c: float, B: float, tol: ToleranceConfig | None = N
         raise InvalidTriangle(f"angles A + B = {A + B!r} must stay below pi")
     if not (math.isfinite(c) and c > 0.0):
         raise InvalidTriangle(f"included side must be finite and positive, got {c!r}")
-    if c > t.max_side:
-        raise DomainCap(f"side c = {c!r} exceeds the cap {t.max_side}")
+    if c > tol.max_side:
+        raise DomainCap(f"side c = {c!r} exceeds the cap {tol.max_side}")
     cos_C = math.sin(A) * math.sin(B) * math.cosh(c) - math.cos(A) * math.cos(B)
     if cos_C >= 1.0:
         raise InvalidTriangle(
             "the rays at the given angles do not meet (computed third angle <= 0)"
         )
     C = math.acos(cos_C)
-    return solve_from_angles(TriangleAngles(A, B, C, tol=t), tol=t)
+    return solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)

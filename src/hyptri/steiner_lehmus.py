@@ -42,6 +42,8 @@ from .core import (
     _check_angles,
     _check_sides,
     _check_solved,
+    _cevian_length,
+    _sides_from_angles,
 )
 from .rng import SplitMix64
 
@@ -129,7 +131,7 @@ class ScanReport:
 def proof_trace(
     t: Triangle,
     d: BisectorData | None = None,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> ProofTrace:
     """Evaluate every step quantity on the actual triangle (no equal-bisector
     assumption is imposed anywhere)."""
@@ -160,7 +162,7 @@ def proof_trace(
 
 def check_monotonicity(
     t: Triangle,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     d: BisectorData | None = None,
 ) -> MonotonicityResult:
     """Pass iff sign(tB - tC) = sign(C - B) outside the tie band, and the gap
@@ -186,11 +188,14 @@ def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool,
 def _gap_in_C(A: float, B: float):
     """g(C) = tB - tC for fixed (A, B): the equality-case kernel.
 
-    Returns the same floats and raises the same exceptions as
-    ``_sides_from_angles`` followed by ``_feet_and_lengths``: it keeps their
-    subexpressions and association order, but evaluates the C-free sines once
-    per pair, each sinh and exp of a side once per point, and never forms the
-    far segments U and V, which tB and tC do not use.
+    The one inline copy of the kernels that the scan and the public solvers
+    share, ``core._sides_from_angles``, ``cevian._adjacent_split`` and
+    ``core._cevian_length``: calling them per point made the equality case
+    17% slower. It keeps their subexpressions and association order,
+    so it returns the same floats and raises the same exceptions
+    (``test_gap_kernel_equals_per_triangle_path`` pins it bit for bit), but
+    evaluates the C-free sines once per pair, each sinh and exp of a side
+    once per point, and never forms the far segments U and V.
     """
     sin = math.sin
     sinh = math.sinh
@@ -213,7 +218,7 @@ def _gap_in_C(A: float, B: float):
         a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
         b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
         c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
-        # _feet_and_lengths: _adjacent_split for u and v, core._cevian_length
+        # _adjacent_split for u and v, then _cevian_length for tB and tC
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
@@ -289,7 +294,7 @@ def _count_sign_changes(g, lo, hi, points):
 def equal_bisector_report(
     A: float,
     B: float,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     sweep_points: int = 1000,
 ) -> EqualBisectorSolve:
     """Root-solve g(C) = tB - tC on the admissible interval and sweep it for
@@ -298,25 +303,24 @@ def equal_bisector_report(
     ``sign_changes=0``."""
     if sweep_points < 1:
         raise ValueError(f"sweep point count must be >= 1, got {sweep_points!r}")
-    t = tol if tol is not None else DEFAULT_TOL
     if not (math.isfinite(A) and 0.0 < A < math.pi):
         raise InvalidTriangle(f"angle A must lie in (0, pi), got {A!r}")
-    if not (math.isfinite(B) and B > t.eps_angle):
-        raise InvalidTriangle(f"angle B must exceed the margin {t.eps_angle}, got {B!r}")
-    hi = math.fsum((math.pi, -A, -B, -t.eps_angle))
-    if math.fsum((math.pi, -A, -2.0 * B)) <= 0.0 or hi <= t.eps_angle:
+    if not (math.isfinite(B) and B > tol.eps_angle):
+        raise InvalidTriangle(f"angle B must exceed the margin {tol.eps_angle}, got {B!r}")
+    hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
+    if math.fsum((math.pi, -A, -2.0 * B)) <= 0.0 or hi <= tol.eps_angle:
         raise InvalidTriangle(
             f"A + 2B = {A + 2 * B!r} leaves no room for an isosceles solution below pi"
         )
 
     g = _gap_in_C(A, B)
-    root, evals = _bracketed_hybrid(g, t.eps_angle, hi)
-    changes = _count_sign_changes(g, t.eps_angle, hi, sweep_points)
+    root, evals = _bracketed_hybrid(g, tol.eps_angle, hi)
+    changes = _count_sign_changes(g, tol.eps_angle, hi, sweep_points)
     return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
 
 
 def solve_equal_bisector_angle(
-    A: float, B: float, tol: ToleranceConfig | None = None
+    A: float, B: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> float:
     """The angle C at which both bisectors have equal length (equals B)."""
     return equal_bisector_report(A, B, tol).c
@@ -363,13 +367,10 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     sinh = math.sinh
     # solve_from_angles: TriangleAngles, the AAA side solve, TriangleSides
     half_defect = 0.5 * _check_angles(A, B, C, t)
-    sd = sin(half_defect)
     sin_A = sin(A)
     sin_B = sin(B)
     sin_C = sin(C)
-    a = 2.0 * math.asinh(math.sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
-    b = 2.0 * math.asinh(math.sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
-    c = 2.0 * math.asinh(math.sqrt(sd * sin(C + half_defect) / (sin_A * sin_B)))
+    a, b, c = _sides_from_angles(A, B, C, half_defect, sin_A, sin_B, sin_C)
     _check_sides(a, b, c, t)
     sinh_a = sinh(a)
     sinh_b = sinh(b)
@@ -387,10 +388,8 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     V = _adjacent_split(c, sinh_a / sinh_b)
     sinh_u = sinh(u)
     sinh_v = sinh(v)
-    h = sinh(0.5 * (c - u))
-    tB = 2.0 * math.asinh(math.sqrt(h * h + sinh_c * sinh_u * half_A * half_A))
-    h = sinh(0.5 * (b - v))
-    tC = 2.0 * math.asinh(math.sqrt(h * h + sinh_b * sinh_v * half_A * half_A))
+    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
+    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
     _check_feet(b, c, u, U, v, V, tB, tC, t)
     sinh_U = sinh(U)
     sinh_V = sinh(V)
@@ -417,13 +416,12 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     )
 
 
-def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanReport:
+def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
     """Solve ``n`` seeded random triangles and aggregate every identity
     residual, strict-sign check, and monotonicity verdict (ordered reduction,
     so reports are reproducible)."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n!r}")
-    t = tol if tol is not None else SCAN_TOL
     rng = SplitMix64(seed)
     max_sine = 0.0
     max_cevian = 0.0
@@ -433,8 +431,8 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanRe
     ties = 0
     max_side = 0.0
     for _ in range(n):
-        A, B, C = sample_angles(rng, t.eps_angle)
-        a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, t)
+        A, B, C = sample_angles(rng, tol.eps_angle)
+        a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, tol)
 
         # the running maxima by max's rule: replace only on >, nan included
         if sine > max_sine:
@@ -466,7 +464,7 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig | None = None) -> ScanRe
     return ScanReport(
         samples=n,
         seed=seed,
-        eps_angle=t.eps_angle,
+        eps_angle=tol.eps_angle,
         max_identity_residual=max(max_sine, max_cevian),
         max_sine_residual=max_sine,
         max_cevian_residual=max_cevian,

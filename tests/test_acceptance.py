@@ -19,7 +19,6 @@ from hyptri import (
     SplitMix64,
     TriangleAngles,
     TriangleSides,
-    bisector_foot_from_B,
     bisector_lengths,
     defect,
     disk_angle,
@@ -234,8 +233,8 @@ def test_criterion_8_euclidean_limit():
     shape = (2.0, 2.5, 3.0)
     scale = 1e-4
     tri = solve_from_sss(TriangleSides(*(s * scale for s in shape)))
-    u, U = bisector_foot_from_B(tri)
-    got = math.sinh(u) / math.sinh(U)
+    d = bisector_lengths(tri)
+    got = math.sinh(d.u) / math.sinh(d.U)
     expected = shape[2] / shape[0]  # euclidean bisector splits AC as c : a
     rel = abs(got - expected) / expected
     ok = rel < 1e-6

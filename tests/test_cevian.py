@@ -10,8 +10,6 @@ from hyptri import (
     Triangle,
     TriangleAngles,
     TriangleSides,
-    bisector_foot_from_B,
-    bisector_foot_from_C,
     bisector_lengths,
     disk_distance,
     embed_triangle,
@@ -31,50 +29,47 @@ EQUILATERAL_UNIT_BISECTOR = 0.8340252289813307  # acosh(cosh 1 / cosh 0.5)
 
 
 def test_equilateral_foot_is_midpoint():
-    t = solve_from_sss(TriangleSides(1.0, 1.0, 1.0))
-    u, U = bisector_foot_from_B(t)
-    assert u == pytest.approx(0.5, abs=1e-15)
-    assert U == pytest.approx(0.5, abs=1e-15)
+    d = bisector_lengths(solve_from_sss(TriangleSides(1.0, 1.0, 1.0)))
+    assert d.u == pytest.approx(0.5, abs=1e-15)
+    assert d.U == pytest.approx(0.5, abs=1e-15)
 
 
 def test_isosceles_feet_are_midpoints():
     # a = c forces the foot from B onto the midpoint of AC, and a = b the
     # foot from C onto the midpoint of AB
     t = solve_from_angles(TriangleAngles(0.7, 0.5, 0.7))  # A = C so a = c
-    u, U = bisector_foot_from_B(t)
-    assert u == pytest.approx(t.b / 2, rel=1e-14)
-    assert U == pytest.approx(t.b / 2, rel=1e-14)
+    d = bisector_lengths(t)
+    assert d.u == pytest.approx(t.b / 2, rel=1e-14)
+    assert d.U == pytest.approx(t.b / 2, rel=1e-14)
     t2 = solve_from_angles(TriangleAngles(0.7, 0.7, 0.5))  # A = B so a = b
-    v, V = bisector_foot_from_C(t2)
-    assert v == pytest.approx(t2.c / 2, rel=1e-14)
-    assert V == pytest.approx(t2.c / 2, rel=1e-14)
+    d2 = bisector_lengths(t2)
+    assert d2.v == pytest.approx(t2.c / 2, rel=1e-14)
+    assert d2.V == pytest.approx(t2.c / 2, rel=1e-14)
 
 
 def test_foot_ratio_matches_sinh_rule():
     for t in seeded_triangles(300, seed=11):
-        u, U = bisector_foot_from_B(t)
-        assert math.sinh(u) / math.sinh(U) == pytest.approx(
+        d = bisector_lengths(t)
+        assert math.sinh(d.u) / math.sinh(d.U) == pytest.approx(
             math.sinh(t.c) / math.sinh(t.a), rel=1e-12
         )
 
 
 def test_foot_segments_sum_to_side():
     for t in seeded_triangles(300, seed=12):
-        u, U = bisector_foot_from_B(t)
-        v, V = bisector_foot_from_C(t)
-        assert abs(u + U - t.b) <= 1e-12 * t.b
-        assert abs(v + V - t.c) <= 1e-12 * t.c
+        d = bisector_lengths(t)
+        assert abs(d.u + d.U - t.b) <= 1e-12 * t.b
+        assert abs(d.v + d.V - t.c) <= 1e-12 * t.c
 
 
 def test_foot_agrees_with_asa_subtriangle_solve():
     # independent oracle: solve triangle ABB' from angles A, B/2 and side c
     for t in seeded_triangles(300, seed=13):
-        u, _ = bisector_foot_from_B(t)
+        d = bisector_lengths(t)
         oracle = solve_from_asa(t.A, t.c, 0.5 * t.B, tol=ORACLE_TOL)
-        assert u == pytest.approx(oracle.sides.b, rel=1e-10)
-        v, _ = bisector_foot_from_C(t)
+        assert d.u == pytest.approx(oracle.sides.b, rel=1e-10)
         oracle2 = solve_from_asa(t.A, t.b, 0.5 * t.C, tol=ORACLE_TOL)
-        assert v == pytest.approx(oracle2.sides.b, rel=1e-10)
+        assert d.v == pytest.approx(oracle2.sides.b, rel=1e-10)
 
 
 def test_equilateral_bisector_length():

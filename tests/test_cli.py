@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from hyptri import scan_random
+from hyptri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -152,6 +153,13 @@ def test_scan_accepts_top_seed():
     assert json.loads(result.stdout)["seed"] == seed
 
 
+def test_scan_fails_on_inequality_failures(monkeypatch, capsys):
+    report = replace(scan_random(5, 0), inequality_failures=1)
+    monkeypatch.setattr("hyptri.steiner_lehmus.scan_random", lambda n, seed, tol: report)
+    assert main(["scan", "5"]) == 1
+    assert "inequality" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [str(2**64), "-1"])
 def test_scan_rejects_out_of_range_seed(seed):
     result = run_cli("scan", "5", f"--seed={seed}")
@@ -201,3 +209,73 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, csv, tmp_path):
         [sys.executable, "-c", LOADED, *argv], capture_output=True, env=env, check=True
     )
     assert json.loads(result.stdout) == {"code": code, "hyptri": sorted(modules), "csv": csv}
+
+
+# every float of these reports, so a kernel change that moves one bit shows;
+# the sas rows run core._cevian_length for the third side
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        ("solve aaa 0.6 0.5 0.9", (
+            '{"a": 1.9686361612886003, "b": 1.8123564987479055, '
+            '"c": 2.2866764859714035, "A": 0.6, "B": 0.5, "C": 0.9, '
+            '"defect": 1.1415926535897931, "residual": 1.4285285609045115e-16}\n'
+        )),
+        ("solve sss 1 1.2 1.5", (
+            '{"a": 1.0, "b": 1.2, "c": 1.5, "A": 0.5639762974158662, '
+            '"B": 0.7567914029036406, "C": 1.3192234352002792, '
+            '"defect": 0.5016015180700073, "residual": 2.019980072857119e-16}\n'
+        )),
+        ("solve sas 1 1.2 1.5", (
+            '{"a": 1.6594054303508725, "b": 1.0, "c": 1.5, "A": 1.1999999999999997, '
+            '"B": 0.447187278472703, "C": 0.9002737697108738, '
+            '"defect": 0.5941316054062167, "residual": 1.6340860692861745e-16}\n'
+        )),
+        ("solve sas 2 0.001 2.0001", (
+            '{"a": 0.003628424649793571, "b": 2.0, "c": 2.0001, '
+            '"A": 0.0009999999999999998, "B": 1.5413514988083867, '
+            '"C": 1.5964787818719508, "defect": 0.0027623729094554683, '
+            '"residual": 2.4478290401975496e-16}\n'
+        )),
+        ("solve asa 0.6 1.1 0.5", (
+            '{"a": 0.7200118629065693, "b": 0.6242195458891936, '
+            '"c": 1.0999999999999996, "A": 0.6, "B": 0.5, "C": 1.8469171349429723, '
+            '"defect": 0.19467551864682076, "residual": 0.0}\n'
+        )),
+        ("bisect aaa 0.6 0.5 0.9", (
+            '{"beta": 0.25, "gamma": 0.45, "u": 1.0234049723495697, '
+            '"U": 0.7889515263983358, "v": 1.07667561264952, '
+            '"V": 1.2100008733218832, "tB": 1.7414913190527046, '
+            '"tC": 1.2925742190915082, "res_u": 1.8135623442752637e-16, '
+            '"res_U": 3.7739248821015285e-16, "res_v": 2.9784129955335177e-16, '
+            '"res_V": 2.528905142370342e-16}\n'
+        )),
+        ("bisect aaa 0.01 0.02 3.0", (
+            '{"beta": 0.01, "gamma": 1.5, "u": 2.291521903658081, '
+            '"U": 0.34022040747141247, "v": 2.6292606119122706, '
+            '"V": 1.9513411036703747, "tB": 2.2915219036580794, '
+            '"tC": 0.06907399778277262, "res_u": 1.742054957920577e-15, '
+            '"res_U": 5.12172723049542e-15, "res_v": 1.9271891767805374e-15, '
+            '"res_V": 1.2847285454164611e-15}\n'
+        )),
+        ("bisect sas 1 1.2 1.5", (
+            '{"beta": 0.2235936392363515, "gamma": 0.4501368848554369, '
+            '"u": 0.45996558337809534, "U": 0.5400344166219045, '
+            '"v": 0.5131025302920125, "V": 0.9868974697079874, '
+            '"tB": 1.4446695107749514, "tC": 0.9822712562658082, '
+            '"res_u": 2.0671515936622786e-16, "res_U": 1.7377030823912308e-16, '
+            '"res_v": 3.605388157267153e-16, "res_V": 1.6727646146757237e-16}\n'
+        )),
+        ("bisect sas 0.3 2.5 4", (
+            '{"beta": 0.002589488219222375, "gamma": 0.24131904015219785, '
+            '"u": 0.13117264336924808, "U": 0.16882735663075193, '
+            '"v": 0.19339203314300094, "V": 3.806607966856999, '
+            '"tB": 4.107963504439914, "tC": 0.469845718523882, '
+            '"res_u": 9.790699252766825e-16, "res_U": 4.3387007083019847e-16, '
+            '"res_v": 4.090320424407505e-16, "res_V": 0.0}\n'
+        )),
+    ],
+)
+def test_solve_bisect_json_is_pinned(argv, stdout, capsys):
+    assert main([*argv.split(), "--format", "json"]) == 0
+    assert capsys.readouterr().out == stdout

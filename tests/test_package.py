@@ -21,9 +21,8 @@ PUBLIC = {
         "solve_from_asa", "solve_from_sas", "solve_from_sss",
     ],
     "cevian": [
-        "BisectorData", "CevianResiduals", "RatioResiduals", "bisector_foot_from_B",
-        "bisector_foot_from_C", "bisector_lengths", "subtriangle_residuals",
-        "unconditional_identities",
+        "BisectorData", "CevianResiduals", "RatioResiduals", "bisector_lengths",
+        "subtriangle_residuals", "unconditional_identities",
     ],
     "diskmodel": [
         "DiskPoint", "GeodesicArc", "disk_angle", "disk_distance", "embed_triangle",
@@ -49,7 +48,7 @@ def fresh(code):
 
 
 def test_public_names_are_pinned():
-    assert len(NAMES) == 54
+    assert len(NAMES) == 52
     assert sorted(hyptri.__all__) == NAMES
     assert sorted(n for n in dir(hyptri) if not n.startswith("__")) == NAMES
 

@@ -111,7 +111,10 @@ def test_sign_law_property(triple):
 
 def per_triangle_gap(A, B, C):
     """tB - tC through the per-triangle raw kernels the public path uses."""
-    u, U, v, V, tB, tC = _feet_and_lengths(*_sides_from_angles(A, B, C), A)
+    sides = _sides_from_angles(
+        A, B, C, 0.5 * (math.pi - math.fsum((A, B, C))), math.sin(A), math.sin(B), math.sin(C)
+    )
+    u, U, v, V, tB, tC = _feet_and_lengths(*sides, A)
     return tB - tC
 
 
