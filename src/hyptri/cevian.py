@@ -8,6 +8,8 @@ tB and tC are the bisector lengths BB' and CC'.
 The foot position and the cevian length are computed in closed form; the
 four sub-triangle sine-law identities are kept as residual checks so they
 stay independent evidence rather than part of the computation path.
+``_bisect`` holds the whole bisector stage (feet, lengths and checks) once;
+``bisector_lengths`` and the fused scan (``steiner_lehmus._evidence``) run it.
 """
 
 from __future__ import annotations
@@ -91,23 +93,6 @@ def _adjacent_split(side: float, k: float) -> float:
     return 0.5 * (math.log1p(k * math.exp(side)) - math.log1p(k * math.exp(-side)))
 
 
-def _feet_and_lengths(
-    a: float, b: float, c: float, A: float
-) -> tuple[float, float, float, float, float, float]:
-    """Raw kernel: (u, U, v, V, tB, tC) from plain side/angle floats."""
-    sinh_a = math.sinh(a)
-    sinh_b = math.sinh(b)
-    sinh_c = math.sinh(c)
-    u = _adjacent_split(b, sinh_c / sinh_a)
-    U = _adjacent_split(b, sinh_a / sinh_c)
-    v = _adjacent_split(c, sinh_b / sinh_a)
-    V = _adjacent_split(c, sinh_a / sinh_b)
-    half_A = math.sin(0.5 * A)
-    tB = _cevian_length(c, u, sinh_c, math.sinh(u), half_A)
-    tC = _cevian_length(b, v, sinh_b, math.sinh(v), half_A)
-    return u, U, v, V, tB, tC
-
-
 def _rel(x: float, y: float) -> float:
     """Relative difference of two same-signed quantities."""
     p = abs(x)
@@ -162,11 +147,41 @@ def _check_feet(
         raise NumericalFailure(f"foot segments do not sum to the side: v + V - c = {v + V - c!r}")
 
 
-def _check_subtriangles(worst: float, t: ToleranceConfig) -> None:
+def _bisect(
+    b: float, c: float, sinh_a: float, sinh_b: float, sinh_c: float, sin_A: float, sin_B: float,
+    sin_C: float, half_A: float, half_B: float, half_C: float, t: ToleranceConfig,
+) -> tuple:
+    """The bisector stage: feet in closed form, lengths by the law of cosines
+    in the A-side sub-triangles, then the foot and sub-triangle sine-law
+    checks, from precomputed sinh(side), sin(angle) and sin(angle/2). Returns
+    (u, U, v, V, tB, tC, sinh u, sinh U, sinh v, sinh V, worst residual)."""
+    sinh = math.sinh
+    u = _adjacent_split(b, sinh_c / sinh_a)
+    U = _adjacent_split(b, sinh_a / sinh_c)
+    v = _adjacent_split(c, sinh_b / sinh_a)
+    V = _adjacent_split(c, sinh_a / sinh_b)
+    sinh_u = sinh(u)
+    sinh_v = sinh(v)
+    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
+    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
+    _check_feet(b, c, u, U, v, V, tB, tC, t)
+    sinh_U = sinh(U)
+    sinh_V = sinh(V)
+    worst, res_U, res_v, res_V = _subtriangle_rels(
+        sin_A, sin_B, sin_C, half_B, half_C, sinh_u, sinh_U, sinh_v, sinh_V, sinh(tB), sinh(tC)
+    )
+    # max of the four by max's rule: replace only on >, nan included
+    if res_U > worst:
+        worst = res_U
+    if res_v > worst:
+        worst = res_v
+    if res_V > worst:
+        worst = res_V
     if worst > t.rtol_identity:
         raise NumericalFailure(
             f"sub-triangle sine-law residual {worst!r} exceeds {t.rtol_identity}"
         )
+    return u, U, v, V, tB, tC, sinh_u, sinh_U, sinh_v, sinh_V, worst
 
 
 def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
@@ -191,8 +206,9 @@ def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> Bisecto
     """Both bisectors of ``t``: feet in closed form, lengths by the law of
     cosines in the A-side sub-triangles; validates every identity before
     returning."""
-    u, U, v, V, tB, tC = _feet_and_lengths(t.a, t.b, t.c, t.A)
-    d = BisectorData(beta=0.5 * t.B, gamma=0.5 * t.C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)
-    _check_feet(t.b, t.c, u, U, v, V, tB, tC, tol)
-    _check_subtriangles(subtriangle_residuals(t, d).max(), tol)
-    return d
+    A, B, C = t.angles.as_tuple()
+    u, U, v, V, tB, tC = _bisect(
+        t.b, t.c, math.sinh(t.a), math.sinh(t.b), math.sinh(t.c), math.sin(A), math.sin(B),
+        math.sin(C), math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C), tol,
+    )[:6]
+    return BisectorData(beta=0.5 * B, gamma=0.5 * C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)

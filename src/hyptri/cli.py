@@ -113,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args: argparse.Namespace, base: ToleranceConfig) -> ToleranceConfig:
-    rtol = getattr(args, "rtol", None)
-    if rtol is None:
-        return base
-    return replace(base, rtol_identity=rtol)
+    return base if args.rtol is None else replace(base, rtol_identity=args.rtol)
 
 
 def _triangle_from_args(args: argparse.Namespace, tol: ToleranceConfig) -> Triangle:

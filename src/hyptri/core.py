@@ -95,6 +95,7 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+_SINE_UNDERFLOW = "angles too small for float sides: a product of two sines underflows to 0"
 
 
 def band_cmp(x: float, y: float, atol: float) -> int:
@@ -335,12 +336,16 @@ def _sides_from_angles(
     The dual law of cosines cosh a = (cos A + cos B cos C)/(sin B sin C) is
     evaluated as cosh a - 1 = 2 sin(d/2) sin(A + d/2)/(sin B sin C) with
     d the defect, which stays positive and cancellation-free even when the
-    defect is tiny or the angles are near the simplex corners.
+    defect is tiny or the angles are near the simplex corners. Angles so
+    small that two of their sines multiply to 0 raise ``DomainCap``.
     """
     sd = math.sin(half_defect)
-    a = 2.0 * math.asinh(math.sqrt(sd * math.sin(A + half_defect) / (sin_B * sin_C)))
-    b = 2.0 * math.asinh(math.sqrt(sd * math.sin(B + half_defect) / (sin_C * sin_A)))
-    c = 2.0 * math.asinh(math.sqrt(sd * math.sin(C + half_defect) / (sin_A * sin_B)))
+    try:
+        a = 2.0 * math.asinh(math.sqrt(sd * math.sin(A + half_defect) / (sin_B * sin_C)))
+        b = 2.0 * math.asinh(math.sqrt(sd * math.sin(B + half_defect) / (sin_C * sin_A)))
+        c = 2.0 * math.asinh(math.sqrt(sd * math.sin(C + half_defect) / (sin_A * sin_B)))
+    except ZeroDivisionError:
+        raise DomainCap(_SINE_UNDERFLOW) from None
     return a, b, c
 
 

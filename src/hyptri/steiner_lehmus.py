@@ -25,24 +25,22 @@ from .cevian import (
     BisectorData,
     bisector_lengths,
     unconditional_identities,
-    _adjacent_split,
-    _check_feet,
-    _check_subtriangles,
+    _bisect,
     _foot_ratio_rels,
-    _subtriangle_rels,
 )
 from .core import (
     DEFAULT_TOL,
+    DomainCap,
     InvalidTriangle,
     NoBracket,
     NonConvergence,
     NumericalFailure,
     ToleranceConfig,
     Triangle,
+    _SINE_UNDERFLOW,
     _check_angles,
     _check_sides,
     _check_solved,
-    _cevian_length,
     _sides_from_angles,
 )
 from .rng import SplitMix64
@@ -215,9 +213,12 @@ def _gap_in_C(A: float, B: float):
         half_defect = 0.5 * (pi - fsum((A, B, C)))
         sd = sin(half_defect)
         sin_C = sin(C)
-        a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
-        b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
-        c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
+        try:
+            a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
+            b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
+            c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
+        except ZeroDivisionError:
+            raise DomainCap(_SINE_UNDERFLOW) from None
         # _adjacent_split for u and v, then _cevian_length for tB and tC
         sinh_a = sinh(a)
         sinh_b = sinh(b)
@@ -351,17 +352,17 @@ def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, floa
 
 
 def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
-    """Every per-triangle quantity ``scan_random`` reduces, from raw floats.
+    """Every per-triangle quantity ``scan_random`` reduces, from raw floats:
+    (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, R2, R3,
+    tB - tC, in tie band, sign law passed).
 
     Fuses ``solve_from_angles``, ``bisector_lengths``, ``proof_trace``,
     ``check_monotonicity``, ``law_of_sines_residual`` and
     ``subtriangle_residuals`` into one pass that evaluates each sine and
-    hyperbolic sine once and builds no value object. It runs the same checks
-    through the same helpers, in the same order, so it accepts and rejects
-    exactly what those calls do and returns bit-identical floats.
-
-    Returns (a, b, c, sine spread, worst sub-triangle residual, idU, idV,
-    R1, R2, R3, tB - tC, in tie band, sign law passed).
+    hyperbolic sine once and builds no value object. Its bisector stage is
+    ``cevian._bisect``, the one ``bisector_lengths`` runs, and its other
+    checks are the public constructors' helpers in their order, so it accepts
+    and rejects exactly what those calls do and returns bit-identical floats.
     """
     sin = math.sin
     sinh = math.sinh
@@ -381,29 +382,10 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     spread = _check_solved(
         a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
     )
-    # bisector_lengths: feet and lengths (_feet_and_lengths), then its checks
-    u = _adjacent_split(b, sinh_c / sinh_a)
-    U = _adjacent_split(b, sinh_a / sinh_c)
-    v = _adjacent_split(c, sinh_b / sinh_a)
-    V = _adjacent_split(c, sinh_a / sinh_b)
-    sinh_u = sinh(u)
-    sinh_v = sinh(v)
-    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
-    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
-    _check_feet(b, c, u, U, v, V, tB, tC, t)
-    sinh_U = sinh(U)
-    sinh_V = sinh(V)
-    worst, res_U, res_v, res_V = _subtriangle_rels(
-        sin_A, sin_B, sin_C, half_B, half_C, sinh_u, sinh_U, sinh_v, sinh_V, sinh(tB), sinh(tC)
+    # bisector_lengths
+    _, _, _, _, tB, tC, sinh_u, sinh_U, sinh_v, sinh_V, worst = _bisect(
+        b, c, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
     )
-    # max of the four by max's rule: replace only on >, nan included
-    if res_U > worst:
-        worst = res_U
-    if res_v > worst:
-        worst = res_v
-    if res_V > worst:
-        worst = res_V
-    _check_subtriangles(worst, t)
     # proof_trace (without D) and check_monotonicity
     idU, idV = _foot_ratio_rels(sin_A, sin_B, sin_C, sinh_u, sinh_U, sinh_v, sinh_V)
     R2 = half_B / half_C

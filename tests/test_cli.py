@@ -105,6 +105,28 @@ def test_verify_nan_bracket_end_is_a_domain_rejection():
     assert result.stderr == b"error: g is nan at the bracket end lo = 1e-09\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "aaa", "1e-300", "1e-300", "1e-300"],
+        ["bisect", "aaa", "1e-200", "1e-200", "0.5"],
+        ["figure", "aaa", "1e-300", "1e-300", "1", "--out", "fig.svg"],
+        ["verify", "1e-320", "0.7"],
+        ["verify", "5e-324", "1.0000001e-9"],
+    ],
+)
+def test_sine_underflow_is_a_domain_rejection(argv, tmp_path):
+    # two angle sines whose product underflows to 0 leave no float sides
+    out = tmp_path / "fig.svg"
+    result = run_cli(*(str(out) if arg == "fig.svg" else arg for arg in argv))
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"error: angles too small for float sides: a product of two sines underflows to 0\n"
+    )
+    assert not out.exists()
+
+
 def test_scan_deterministic_and_passing():
     first = run_cli("scan", "3000", "--seed", "42")
     second = run_cli("scan", "3000", "--seed", "42")

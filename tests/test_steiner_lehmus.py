@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
 import struct
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 
 from hyptri import (
+    BisectorData,
     DEFAULT_TOL,
     DomainCap,
     EqualBisectorSolve,
@@ -32,8 +35,8 @@ from hyptri import (
     subtriangle_residuals,
     TriangleSides,
 )
-from hyptri.cevian import _feet_and_lengths
-from hyptri.core import _sides_from_angles
+from hyptri.cevian import _adjacent_split
+from hyptri.core import _cevian_length, _sides_from_angles
 from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap_in_C
 
 from conftest import angle_triples, seeded_triangles
@@ -110,11 +113,20 @@ def test_sign_law_property(triple):
 
 
 def per_triangle_gap(A, B, C):
-    """tB - tC through the per-triangle raw kernels the public path uses."""
-    sides = _sides_from_angles(
-        A, B, C, 0.5 * (math.pi - math.fsum((A, B, C))), math.sin(A), math.sin(B), math.sin(C)
+    """tB - tC through the raw kernels the public path shares, without its
+    checks: the AAA side solve, the foot split and the bisector length."""
+    sin_A = math.sin(A)
+    a, b, c = _sides_from_angles(
+        A, B, C, 0.5 * (math.pi - math.fsum((A, B, C))), sin_A, math.sin(B), math.sin(C)
     )
-    u, U, v, V, tB, tC = _feet_and_lengths(*sides, A)
+    sinh_a = math.sinh(a)
+    sinh_b = math.sinh(b)
+    sinh_c = math.sinh(c)
+    u = _adjacent_split(b, sinh_c / sinh_a)
+    v = _adjacent_split(c, sinh_b / sinh_a)
+    half_A = math.sin(0.5 * A)
+    tB = _cevian_length(c, u, sinh_c, math.sinh(u), half_A)
+    tC = _cevian_length(b, v, sinh_b, math.sinh(v), half_A)
     return tB - tC
 
 
@@ -156,9 +168,13 @@ def test_gap_kernel_equals_public_bisector_lengths():
 
 
 def test_gap_kernel_raises_like_per_triangle_path_off_the_simplex():
-    # angle sums of exactly pi (zero defect, all sides zero), then C at or
-    # below zero and past the rest of pi for sampled (A, B)
-    cases = [(1.0, 1.0, math.pi - 2.0), (0.5, 1.5, math.pi - 2.0), (2.0, 0.5, math.pi - 2.5)]
+    # angle sums of exactly pi (zero defect, all sides zero), a product of two
+    # sines that underflows, then C at or below zero and past the rest of pi
+    # for sampled (A, B)
+    cases = [
+        (1.0, 1.0, math.pi - 2.0), (0.5, 1.5, math.pi - 2.0), (2.0, 0.5, math.pi - 2.5),
+        (1e-320, 0.7, 1e-9),
+    ]
     for A, B, C in gap_triples()[::4]:
         rest = math.pi - A - B
         for off in (0.0, -1e-12, -C, rest * (1.0 + 1e-9), rest + 1e-9, rest + C, math.pi):
@@ -167,6 +183,49 @@ def test_gap_kernel_raises_like_per_triangle_path_off_the_simplex():
         expected = outcome(per_triangle_gap, A, B, C)
         assert isinstance(expected, tuple)  # every one of these raises
         assert outcome(_gap_in_C(A, B), C) == expected
+
+
+def solved_bisectors(A, B, C, tol):
+    """bisector_lengths' outcome on the solved triple, or ("solve", class,
+    message) when the solve rejects it."""
+    try:
+        tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
+    except Exception as exc:  # compared by class and message below
+        return "solve", type(exc), str(exc)
+    return outcome(bisector_lengths, tri, tol)
+
+
+@pytest.mark.parametrize(
+    "tol, counts, digest",
+    [
+        (
+            DEFAULT_TOL,
+            {"accepted": 1924, "foot": 3, "sub-triangle": 32, "solve": 41},
+            "36585403380b3960114057119795bfad47b86328fc11d1c29bea4bd5d4bfcf9c",
+        ),
+        (
+            SCAN_TOL,
+            {"accepted": 1690, "solve": 310},
+            "e5233cf456553675d7c18bf615241b16c11353d5214f9c0b743f4d0a7fcffb56",
+        ),
+    ],
+)
+def test_bisector_lengths_is_pinned_on_needle_grid(tol, counts, digest):
+    # values, check order and messages of the bisector stage on every triple,
+    # recorded independently of the fused scan that shares the stage
+    sha = hashlib.sha256()
+    seen = Counter()
+    for A, B, C in gap_triples():
+        result = solved_bisectors(A, B, C, tol)
+        sha.update(repr(result).encode() + b"\n")
+        if isinstance(result, BisectorData):
+            seen["accepted"] += 1
+        elif result[0] == "solve":
+            seen["solve"] += 1
+        else:
+            seen[result[1].split(" ")[0]] += 1
+    assert dict(seen) == counts
+    assert sha.hexdigest() == digest
 
 
 def test_solver_recovers_equal_angle():
@@ -383,7 +442,8 @@ def test_evidence_equals_public_path_in_tie_band(triple, tol):
 
 # Each triple trips a different check of the public path under some of the
 # tolerances below: angle range, defect margin, side cap, triangle
-# inequality, law of sines, law of cosines, foot sums, sub-triangle sines.
+# inequality, law of sines, law of cosines, foot sums, sub-triangle sines,
+# and sines too small for float sides.
 REJECTION_TRIPLES = [
     (0.0, 1.0, 1.0),
     (math.nan, 1.0, 1.0),
@@ -395,6 +455,7 @@ REJECTION_TRIPLES = [
     (0.6, 0.5, 0.9),
     (3e-9, 0.5, 2.0),
     (1e-4, 1e-4, 1e-4),
+    (1e-300, 1e-300, 1.0),
 ]
 REJECTION_TOLS = [
     DEFAULT_TOL,
