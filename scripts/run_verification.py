@@ -3,7 +3,8 @@
 a worked proof trace for one scalene example.
 
 Exits 1 when a printed criterion fails: a monotonicity or inequality failure
-in the scan, a recovered root with |C - B| >= 1e-10, or a non-unique sweep.
+or an identity residual of 1e-9 or more in the scan (the verdict of
+`hyptri scan`), a recovered root with |C - B| >= 1e-10, or a non-unique sweep.
 """
 
 import argparse
@@ -78,6 +79,7 @@ def main() -> int:
     failed = (
         scan.monotonicity_failures > 0
         or scan.inequality_failures > 0
+        or scan.max_identity_residual >= 1e-9
         or worst >= 1e-10
         or bad > 0
     )

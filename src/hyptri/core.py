@@ -105,14 +105,29 @@ def band_cmp(x: float, y: float, atol: float) -> int:
     return -1 if x < y else 1
 
 
+def _check_angle(name: str, value: float) -> None:
+    """The range rule of one angle: 0 < value < pi, which nan and +-inf fail."""
+    if not 0.0 < value < math.pi:
+        raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+
+
+def _check_side(name: str, value: float, cap: float) -> None:
+    """The range rule of one side: 0 < value <= cap. +inf (an overflowed
+    side) is over the cap; nan and non-positive values are invalid."""
+    if value > cap:
+        raise DomainCap(f"side {name} = {value!r} exceeds the cap {cap}")
+    if not value > 0.0:
+        raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
+
+
 def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
     """Range and angle-sum checks of an angle triple; returns the defect."""
     pi = math.pi
     # one chained comparison per angle accepts; it is false for nan and +-inf
     if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
-        for name, value in (("A", A), ("B", B), ("C", C)):
-            if not 0.0 < value < pi:
-                raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+        _check_angle("A", A)
+        _check_angle("B", B)
+        _check_angle("C", C)
     # fsum keeps the defect exact under relabeling of the angles
     gap = pi - math.fsum((A, B, C))
     if gap <= t.eps_angle:
@@ -126,11 +141,9 @@ def _check_sides(a: float, b: float, c: float, t: ToleranceConfig) -> None:
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
     cap = t.max_side  # finite, so the guard below is false for nan and +-inf
     if not (0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap):
-        for name, value in (("a", a), ("b", b), ("c", c)):
-            if not 0.0 < value < math.inf:
-                raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-            if value > cap:
-                raise DomainCap(f"side {name} = {value!r} exceeds the cap {cap}")
+        _check_side("a", a, cap)
+        _check_side("b", b, cap)
+        _check_side("c", c, cap)
     # rounding is monotone, so fl(y + z) > x implies y + z > x exactly, which
     # is what the fsum test decides; only a near tie reaches the fsum loop
     if b + c > a and c + a > b and a + b > c:
@@ -404,30 +417,20 @@ def _cevian_length(
 
 def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """SAS case: two sides and the included angle."""
-    for name, value in (("b", b), ("c", c)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-        if value > tol.max_side:
-            raise DomainCap(f"side {name} = {value!r} exceeds the cap {tol.max_side}")
-    if not (math.isfinite(A) and 0.0 < A < math.pi):
-        raise InvalidTriangle(f"included angle must lie in (0, pi), got {A!r}")
+    _check_side("b", b, tol.max_side)
+    _check_side("c", c, tol.max_side)
+    _check_angle("A", A)
     a = _cevian_length(b, c, math.sinh(b), math.sinh(c), math.sin(0.5 * A))
-    if a > tol.max_side:
-        raise DomainCap(f"computed side a = {a!r} exceeds the cap {tol.max_side}")
     return solve_from_sss(TriangleSides(a, b, c, tol=tol), tol=tol)
 
 
 def solve_from_asa(A: float, c: float, B: float, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """ASA case: the dual law of cosines gives the third angle, then AAA."""
-    for name, value in (("A", A), ("B", B)):
-        if not (math.isfinite(value) and 0.0 < value < math.pi):
-            raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
+    _check_angle("A", A)
+    _check_angle("B", B)
     if A + B >= math.pi:
         raise InvalidTriangle(f"angles A + B = {A + B!r} must stay below pi")
-    if not (math.isfinite(c) and c > 0.0):
-        raise InvalidTriangle(f"included side must be finite and positive, got {c!r}")
-    if c > tol.max_side:
-        raise DomainCap(f"side c = {c!r} exceeds the cap {tol.max_side}")
+    _check_side("c", c, tol.max_side)
     cos_C = math.sin(A) * math.sin(B) * math.cosh(c) - math.cos(A) * math.cos(B)
     if cos_C >= 1.0:
         raise InvalidTriangle(

@@ -278,11 +278,13 @@ def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
 
 
 def _count_sign_changes(g, lo, hi, points):
+    """Sign changes of g along lo, the midpoints of ``points`` equal steps,
+    and hi; the ends count, so a root within half a step of one is seen."""
     changes = 0
     prev = 0
     step = (hi - lo) / points
-    for i in range(points):
-        value = g(lo + (i + 0.5) * step)
+    for x in (lo, *[lo + (i + 0.5) * step for i in range(points)], hi):
+        value = g(x)
         sgn = (value > 0.0) - (value < 0.0)
         if sgn == 0:
             continue
@@ -299,20 +301,17 @@ def equal_bisector_report(
     sweep_points: int = 1000,
 ) -> EqualBisectorSolve:
     """Root-solve g(C) = tB - tC on the admissible interval and sweep it for
-    sign changes; the theorem predicts the unique root C = B. A one-point
-    sweep cannot see a sign change, so it solves the root alone and reports
-    ``sign_changes=0``."""
+    sign changes; the theorem predicts the unique root C = B. The pair is
+    admissible when the isosceles triangle (A, B, B) is valid under ``tol``
+    and B exceeds ``tol.eps_angle``, where the bracket starts. The sweep
+    evaluates both bracket ends and the midpoints of ``sweep_points`` equal
+    steps between them."""
     if sweep_points < 1:
         raise ValueError(f"sweep point count must be >= 1, got {sweep_points!r}")
-    if not (math.isfinite(A) and 0.0 < A < math.pi):
-        raise InvalidTriangle(f"angle A must lie in (0, pi), got {A!r}")
-    if not (math.isfinite(B) and B > tol.eps_angle):
+    _check_angles(A, B, B, tol)
+    if B <= tol.eps_angle:
         raise InvalidTriangle(f"angle B must exceed the margin {tol.eps_angle}, got {B!r}")
     hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
-    if math.fsum((math.pi, -A, -2.0 * B)) <= 0.0 or hi <= tol.eps_angle:
-        raise InvalidTriangle(
-            f"A + 2B = {A + 2 * B!r} leaves no room for an isosceles solution below pi"
-        )
 
     g = _gap_in_C(A, B)
     root, evals = _bracketed_hybrid(g, tol.eps_angle, hi)

@@ -98,6 +98,33 @@ def test_verify_rejects_wide_pair():
     assert result.returncode == 3
 
 
+def test_verify_sees_a_root_near_the_bracket_end():
+    # pi - A - 2B = 5e-4: the root C = B lies within half a sweep step of hi
+    result = run_cli("verify", "1.0", "1.0705463267948966", "--format", "json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["sign_changes"] == 1
+
+
+# each range rule has one message, whichever entry point applies it
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("solve sas 1 4 1", "angle A must lie in (0, pi), got 4.0"),
+        ("solve sas 49 3 49", "side a = 97.99498368761681 exceeds the cap 50.0"),
+        ("solve asa 0.5 0 0.5", "side c must be finite and positive, got 0.0"),
+        ("solve aaa 1e-155 1e-155 1e-155", "side a = inf exceeds the cap 50.0"),
+        # the isosceles triangle (1, B, B) has defect 5e-10, below eps_angle
+        ("verify 1.0 1.0707963265448965",
+         "angle sum must stay below pi by at least 1e-09 (defect 5.000000413701855e-10)"),
+    ],
+)
+def test_range_rejection_messages(argv, message):
+    result = run_cli(*argv.split())
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == f"error: {message}\n".encode()
+
+
 def test_verify_nan_bracket_end_is_a_domain_rejection():
     result = run_cli("verify", "1e-200", "0.7")
     assert result.returncode == 3
@@ -137,6 +164,8 @@ def test_scan_deterministic_and_passing():
 def test_scan_rejects_zero():
     result = run_cli("scan", "0")
     assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"error: sample count must be >= 1, got 0\n"
 
 
 def test_figure_matches_golden(tmp_path):
@@ -187,7 +216,8 @@ def test_scan_rejects_out_of_range_seed(seed):
     result = run_cli("scan", "5", f"--seed={seed}")
     assert result.returncode == 2
     assert result.stdout == b""
-    assert f"seed must be in [0, 2**64 - 1], got {seed}".encode() in result.stderr
+    message = f"seed must be an integer in [0, 2**64 - 1], got {seed}"
+    assert result.stderr == f"error: {message}\n".encode()
 
 
 LOADED = """

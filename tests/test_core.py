@@ -75,6 +75,11 @@ def test_sides_reject_triangle_inequality():
 def test_sides_reject_cap():
     with pytest.raises(DomainCap):
         TriangleSides(51.0, 51.0, 51.0)
+    # an infinite side is over the cap, whether given or overflowed in the AAA solve
+    with pytest.raises(DomainCap, match=r"^side b = inf exceeds the cap 50\.0$"):
+        TriangleSides(1.0, math.inf, 1.0)
+    with pytest.raises(DomainCap, match=r"^side a = inf exceeds the cap 50\.0$"):
+        solve_from_angles(TriangleAngles(1e-155, 1e-155, 1e-155))
 
 
 def test_tolerance_config_validation():
@@ -242,9 +247,9 @@ def _ref_check_angles(A, B, C, t):
 def _ref_check_sides(a, b, c, t):
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
     for name, value in (("a", a), ("b", b), ("c", c)):
-        if not (math.isfinite(value) and value > 0.0):
+        if math.isnan(value) or value <= 0.0:
             raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-        if value > t.max_side:
+        if value > t.max_side:  # +inf included
             raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
     for name, excess in (
         ("a", math.fsum((b, c, -a))),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import struct
 from collections import Counter
 from itertools import permutations, product
@@ -279,6 +280,32 @@ def test_bracketed_hybrid_rejects_nan_at_an_end():
         equal_bisector_report(1e-200, 0.7)
 
 
+def test_solver_requires_a_valid_isosceles_triangle():
+    # defect pi - A - 2B of 5e-10 is below eps_angle; 2e-9 is above it
+    message = "angle sum must stay below pi by at least 1e-09 (defect 5.000000413701855e-10)"
+    with pytest.raises(InvalidTriangle, match=f"^{re.escape(message)}$"):
+        equal_bisector_report(1.0, 1.0707963265448965)
+    B = (math.pi - 1.0 - 2e-9) / 2
+    result = equal_bisector_report(1.0, B)
+    assert abs(result.c - B) < 1e-10
+    assert result.sign_changes == 1
+
+
+def test_sweep_sees_roots_near_the_bracket_ends():
+    # a log-uniform defect puts C = B anywhere from the middle of the bracket
+    # to within half a sweep step of hi; B near 0 puts it near lo
+    rng = random.Random(5)
+    pairs = [(1.0, 1.0705463267948966), (2.9485124868180193, 5.566310896803148e-05)]
+    for _ in range(200):
+        A = rng.uniform(0.05, 3.0)
+        defect = math.exp(rng.uniform(math.log(1.3e-9), math.log(0.1)))
+        pairs.append((A, 0.5 * (math.pi - A - defect)))
+    for A, B in pairs:
+        result = equal_bisector_report(A, B)
+        assert abs(result.c - B) < 1e-10, (A, B)
+        assert result.sign_changes == 1, (A, B)
+
+
 @pytest.mark.parametrize("points", [0, -5])
 def test_equal_bisector_report_rejects_empty_sweep(points):
     with pytest.raises(ValueError, match=f"^sweep point count must be >= 1, got {points}$"):
@@ -287,8 +314,9 @@ def test_equal_bisector_report_rejects_empty_sweep(points):
 
 def test_equal_bisector_report_one_point_sweep_solves_root_only():
     full = equal_bisector_report(0.9, 0.7)
+    # the sweep's two ends bracket the root, so one midpoint still sees it
     assert equal_bisector_report(0.9, 0.7, sweep_points=1) == EqualBisectorSolve(
-        c=full.c, iterations=full.iterations, sign_changes=0
+        c=full.c, iterations=full.iterations, sign_changes=1
     )
     assert equal_bisector_report(0.9, 0.7, sweep_points=2).c == full.c
 
