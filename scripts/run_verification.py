@@ -2,9 +2,9 @@
 """End-to-end verification run: ensemble scan, equality-case root study, and
 a worked proof trace for one scalene example.
 
-Exits 1 when a printed criterion fails: a monotonicity or inequality failure
-or an identity residual of 1e-9 or more in the scan (the verdict of
-`hyptri scan`), a recovered root with |C - B| >= 1e-10, or a non-unique sweep.
+Exits 1, after printing FAIL and the failed criteria, when the scan fails a
+criterion of `ScanReport.failures` (the verdict of `hyptri scan`) or a pair
+fails one of `EqualBisectorSolve.failures` (the verdict of `hyptri verify`).
 """
 
 import argparse
@@ -41,6 +41,7 @@ def main() -> int:
     print(f"  monotonicity failures  {scan.monotonicity_failures}")
     print(f"  inequality failures    {scan.inequality_failures}")
     print(f"  largest side seen      {scan.max_side:.3f}")
+    failed = dict.fromkeys(scan.failures())
 
     print(f"\n== equality case ({args.pairs} random (A, B) pairs) ==")
     rng = SplitMix64(args.seed)
@@ -60,12 +61,14 @@ def main() -> int:
         if abs(result.c - B) > worst:
             worst, worst_pair = abs(result.c - B), (A, B)
         iterations += result.iterations
-        bad += result.sign_changes != 1
+        pair_failures = result.failures(B)
+        bad += bool(pair_failures)
+        failed.update(dict.fromkeys(pair_failures))
         solved += 1
     print(f"  elapsed                {time.perf_counter() - start:.2f}s")
     print(f"  worst |C - B|          {worst:.3e} at (A, B) = {worst_pair!r}")
     print(f"  root iterations        {iterations}")
-    print(f"  non-unique sweeps      {bad}")
+    print(f"  failing pairs          {bad}")
 
     print("\n== proof trace for angles (0.6, 0.5, 0.9) ==")
     t = solve_from_angles(TriangleAngles(0.6, 0.5, 0.9))
@@ -76,14 +79,7 @@ def main() -> int:
     print(f"  R1={trace.R1:.6f} R2={trace.R2:.6f} R3={trace.R3:.6f} D={trace.D:+.6f}")
     print(f"  identity residuals     idU={trace.idU:.3e} idV={trace.idV:.3e}")
 
-    failed = (
-        scan.monotonicity_failures > 0
-        or scan.inequality_failures > 0
-        or scan.max_identity_residual >= 1e-9
-        or worst >= 1e-10
-        or bad > 0
-    )
-    print(f"\n{'FAIL' if failed else 'PASS'}")
+    print(f"\n{'FAIL: ' + '; '.join(failed) if failed else 'PASS'}")
     return 1 if failed else 0
 
 

@@ -37,9 +37,6 @@ from .core import (
     solve_from_sss,
 )
 
-_VERIFY_GAP_TOL = 1e-10
-_SCAN_RESIDUAL_TOL = 1e-9
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -132,6 +129,13 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key} = {value!r}")
 
 
+def _verdict(study: str, failures: list[str]) -> int:
+    """Exit 0, or name the failed criteria on stderr and exit 1."""
+    if failures:
+        print(f"{study} failed: {'; '.join(failures)}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     tol = _tolerance(args, DEFAULT_TOL)
     t = _triangle_from_args(args, tol)
@@ -179,10 +183,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
     }
     _emit(payload, args.format)
-    ok = gap_to_b < _VERIFY_GAP_TOL and result.sign_changes == 1
-    if not ok:
-        print("verification failed: recovered angle does not match", file=sys.stderr)
-    return 0 if ok else 1
+    return _verdict("verification", result.failures(B))
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -191,14 +192,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     tol = _tolerance(args, SCAN_TOL)
     report = scan_random(args.n, args.seed, tol)
     _emit(asdict(report), args.format)
-    ok = (
-        report.monotonicity_failures == 0
-        and report.inequality_failures == 0
-        and report.max_identity_residual < _SCAN_RESIDUAL_TOL
-    )
-    if not ok:
-        print("scan failed: monotonicity, inequality or identity checks failed", file=sys.stderr)
-    return 0 if ok else 1
+    return _verdict("scan", report.failures())
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

@@ -96,6 +96,7 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 _SINE_UNDERFLOW = "angles too small for float sides: a product of two sines underflows to 0"
+_SINH_UNDERFLOW = "sides too small for float angles: a product of two sinh values underflows to 0"
 
 
 def band_cmp(x: float, y: float, atol: float) -> int:
@@ -270,11 +271,8 @@ class Triangle:
 
 
 def defect(angles: TriangleAngles) -> float:
-    """Angle defect pi - (A + B + C); strictly positive for valid triangles."""
-    d = math.pi - math.fsum((angles.A, angles.B, angles.C))
-    if d <= 0.0:
-        raise InvalidTriangle(f"angle sum {math.fsum(angles.as_tuple())!r} is not below pi")
-    return d
+    """Angle defect pi - (A + B + C); above ``eps_angle`` for valid triangles."""
+    return math.pi - math.fsum((angles.A, angles.B, angles.C))
 
 
 def _ratio_spread(ra: float, rb: float, rc: float) -> float:
@@ -368,17 +366,19 @@ def _angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, floa
     sin^2(A/2) = sinh(s-b) sinh(s-c) / (sinh b sinh c) and
     cos^2(A/2) = sinh(s) sinh(s-a) / (sinh b sinh c), s the semiperimeter;
     atan2 of the square roots avoids acos conditioning near 0 and pi.
+    Sides so small that two of sa, sb, sc multiply to 0 raise ``DomainCap``;
+    ss exceeds each of them, so ss * s? is positive when their products are.
     """
     s = 0.5 * math.fsum((a, b, c))
     ma = 0.5 * math.fsum((b, c, -a))
     mb = 0.5 * math.fsum((c, a, -b))
     mc = 0.5 * math.fsum((a, b, -c))
-    if min(ma, mb, mc) <= 0.0:
-        raise InvalidTriangle("triangle inequality violated")
     ss = math.sinh(s)
     sa = math.sinh(ma)
     sb = math.sinh(mb)
     sc = math.sinh(mc)
+    if not (sb * sc > 0.0 and sc * sa > 0.0 and sa * sb > 0.0):
+        raise DomainCap(_SINH_UNDERFLOW)
     A = 2.0 * math.atan2(math.sqrt(sb * sc), math.sqrt(ss * sa))
     B = 2.0 * math.atan2(math.sqrt(sc * sa), math.sqrt(ss * sb))
     C = 2.0 * math.atan2(math.sqrt(sa * sb), math.sqrt(ss * sc))
@@ -421,6 +421,8 @@ def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig = DEFAULT_
     _check_side("c", c, tol.max_side)
     _check_angle("A", A)
     a = _cevian_length(b, c, math.sinh(b), math.sinh(c), math.sin(0.5 * A))
+    if a == 0.0:
+        raise DomainCap(_SINH_UNDERFLOW)
     return solve_from_sss(TriangleSides(a, b, c, tol=tol), tol=tol)
 
 

@@ -108,6 +108,13 @@ class EqualBisectorSolve:
     iterations: int
     sign_changes: int
 
+    def failures(self, B: float) -> list[str]:
+        """The equality-case criteria that this solve for base angle B fails."""
+        return [name for name, ok in (
+            ("|c - B| not below 1e-10", abs(self.c - B) < 1e-10),
+            ("sign changes in the sweep not exactly 1", self.sign_changes == 1),
+        ) if not ok]
+
 
 @dataclass(frozen=True, slots=True)
 class ScanReport:
@@ -124,6 +131,15 @@ class ScanReport:
     inequality_failures: int
     tie_band_samples: int
     max_side: float
+
+    def failures(self) -> list[str]:
+        """The scan criteria that this report fails; a nan residual fails."""
+        return [name for name, ok in (
+            ("identity residual not below 1e-9", self.max_identity_residual < 1e-9),
+            ("foot-ratio residual not below 1e-10", self.max_ratio_residual < 1e-10),
+            ("monotonicity failures", self.monotonicity_failures == 0),
+            ("proof-step inequality failures", self.inequality_failures == 0),
+        ) if not ok]
 
 
 def proof_trace(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hyptri import scan_random
+from hyptri import EqualBisectorSolve, scan_random
 from hyptri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
@@ -105,6 +105,9 @@ def test_verify_sees_a_root_near_the_bracket_end():
     assert json.loads(result.stdout)["sign_changes"] == 1
 
 
+SINH_UNDERFLOW = "sides too small for float angles: a product of two sinh values underflows to 0"
+
+
 # each range rule has one message, whichever entry point applies it
 @pytest.mark.parametrize(
     "argv, message",
@@ -116,6 +119,10 @@ def test_verify_sees_a_root_near_the_bracket_end():
         # the isosceles triangle (1, B, B) has defect 5e-10, below eps_angle
         ("verify 1.0 1.0707963265448965",
          "angle sum must stay below pi by at least 1e-09 (defect 5.000000413701855e-10)"),
+        # sides whose hyperbolic sines multiply to an underflow leave no float angles
+        ("solve sss 1e-200 1e-200 1e-200", SINH_UNDERFLOW),
+        ("solve sss 5e-324 5e-324 5e-324", SINH_UNDERFLOW),
+        ("solve sas 1e-200 1.0 1e-200", SINH_UNDERFLOW),
     ],
 )
 def test_range_rejection_messages(argv, message):
@@ -209,6 +216,30 @@ def test_scan_fails_on_inequality_failures(monkeypatch, capsys):
     monkeypatch.setattr("hyptri.steiner_lehmus.scan_random", lambda n, seed, tol: report)
     assert main(["scan", "5"]) == 1
     assert "inequality" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, criterion",
+    [
+        ("max_ratio_residual", 1e-9, "foot-ratio residual not below 1e-10"),
+        ("max_identity_residual", 1e-9, "identity residual not below 1e-9"),
+    ],
+)
+def test_scan_names_the_failed_criterion(field, value, criterion, monkeypatch, capsys):
+    report = replace(scan_random(5, 0), **{field: value})
+    monkeypatch.setattr("hyptri.steiner_lehmus.scan_random", lambda n, seed, tol: report)
+    assert main(["scan", "5"]) == 1
+    assert capsys.readouterr().err == f"scan failed: {criterion}\n"
+
+
+def test_verify_names_the_sweep_criterion(monkeypatch, capsys):
+    # c = B, so only the sweep's sign-change count fails
+    stub = EqualBisectorSolve(c=0.7, iterations=20, sign_changes=2)
+    monkeypatch.setattr("hyptri.steiner_lehmus.equal_bisector_report", lambda A, B, tol: stub)
+    assert main(["verify", "0.9", "0.7"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failed: sign changes in the sweep not exactly 1\n"
+    )
 
 
 @pytest.mark.parametrize("seed", [str(2**64), "-1"])

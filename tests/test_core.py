@@ -150,6 +150,11 @@ def test_solve_from_asa_equilateral_roundtrip():
         assert side == pytest.approx(1.0, rel=1e-12)
 
 
+def test_solve_from_asa_rejects_an_angle_pair_summing_past_pi():
+    with pytest.raises(InvalidTriangle, match=r"^angles A \+ B = 3\.5 must stay below pi$"):
+        solve_from_asa(2.0, 1.0, 1.5)
+
+
 def test_solve_from_asa_divergent_rays():
     # near-right angles at both ends of a long side leave no intersection
     with pytest.raises(InvalidTriangle):

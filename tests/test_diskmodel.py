@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hyptri import (
     DiskPoint,
     DomainCap,
+    GeodesicArc,
     InvalidInput,
     InvalidPoint,
+    NumericalFailure,
     TriangleAngles,
     TriangleSides,
     disk_angle,
@@ -145,6 +147,18 @@ def test_point_toward_walks_correct_distance():
     # walking the full distance lands on q
     full = point_toward(p, q, disk_distance(p, q))
     assert disk_distance(full, q) < 1e-13
+
+
+def test_degenerate_geodesics_are_rejected():
+    p = DiskPoint(0.2, -0.3)
+    q = DiskPoint(-0.4, 0.1)
+    with pytest.raises(InvalidInput, match="^direction undefined for coincident points$"):
+        point_toward(p, p, 1.0)
+    with pytest.raises(InvalidInput, match="^unknown geodesic kind 'x'$"):
+        GeodesicArc(p, q, "x")
+    # the unit circle itself is not orthogonal to the boundary
+    with pytest.raises(NumericalFailure, match="^arc circle not orthogonal to the boundary"):
+        GeodesicArc(p, q, "arc", center=(0.0, 0.0), radius=1.0)
 
 
 def test_foot_placement_consistent_with_sides():

@@ -4,6 +4,7 @@ import random
 import re
 import struct
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -17,6 +18,7 @@ from hyptri import (
     HypTriError,
     InvalidTriangle,
     NoBracket,
+    NonConvergence,
     NumericalFailure,
     SCAN_TOL,
     ScanReport,
@@ -260,6 +262,45 @@ def test_bracketed_hybrid_solves_cosine():
     root, evals = _bracketed_hybrid(math.cos, 1.0, 2.0)
     assert root == pytest.approx(math.pi / 2, abs=1e-12)
     assert evals <= 200
+
+
+def test_solver_rejects_a_base_angle_inside_the_margin():
+    message = r"^angle B must exceed the margin 1e-09, got 1e-10$"
+    with pytest.raises(InvalidTriangle, match=message):
+        equal_bisector_report(0.9, 1e-10)
+
+
+def test_bracketed_hybrid_stops_at_its_evaluation_budget():
+    with pytest.raises(NonConvergence, match="^no convergence after 3 evaluations$"):
+        _bracketed_hybrid(math.cos, 0.0, 3.0, max_iter=3)
+
+
+def test_bracketed_hybrid_returns_an_exact_zero_at_an_end():
+    assert _bracketed_hybrid(lambda x: x, 0.0, 1.0) == (0.0, 1)
+    assert _bracketed_hybrid(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 2)
+
+
+def test_failures_name_each_failed_criterion():
+    passing = scan_random(5, 0)
+    assert passing.failures() == []
+    failing = replace(
+        passing, max_identity_residual=math.nan, max_ratio_residual=1e-10,
+        monotonicity_failures=1, inequality_failures=2,
+    )
+    assert failing.failures() == [
+        "identity residual not below 1e-9",
+        "foot-ratio residual not below 1e-10",
+        "monotonicity failures",
+        "proof-step inequality failures",
+    ]
+    assert EqualBisectorSolve(c=0.7, iterations=20, sign_changes=1).failures(0.7) == []
+    assert EqualBisectorSolve(c=0.7 + 1e-10, iterations=20, sign_changes=0).failures(0.7) == [
+        "|c - B| not below 1e-10",
+        "sign changes in the sweep not exactly 1",
+    ]
+    assert EqualBisectorSolve(c=math.nan, iterations=20, sign_changes=1).failures(0.7) == [
+        "|c - B| not below 1e-10",
+    ]
 
 
 def test_bracketed_hybrid_requires_sign_change():
