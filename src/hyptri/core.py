@@ -10,7 +10,7 @@ All angles are radians, all lengths are in curvature -1 units.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+import sys
 
 __all__ = [
     "HypTriError",
@@ -70,8 +70,54 @@ class NonConvergence(HypTriError):
     """Root refinement exceeded its iteration budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class ToleranceConfig:
+_set = object.__setattr__  # stores a field past the frozen __setattr__
+
+
+class _Frozen:
+    """Base of the value types below, whose fields are their ``__slots__``.
+    The triangle types' ``__match_args__`` also name ``tol``, as their
+    dataclass InitVar did.
+
+    It gives them what ``@dataclass(frozen=True, slots=True)`` would:
+    ``repr``, ``==`` (same class only) and ``hash`` over the fields in
+    order, ``AttributeError`` on assignment and deletion with the dataclass
+    messages, and pickling and copying that restore the fields without
+    validating them again. Importing ``dataclasses`` (with the ``inspect``
+    it pulls in) instead would be about a third of the CLI's import time.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._astuple()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+
+class ToleranceConfig(_Frozen):
     """Numerical policy: identity tolerances, tie bands, and domain caps.
 
     rtol_identity  relative tolerance for identity residuals
@@ -80,13 +126,24 @@ class ToleranceConfig:
     max_side       side-length cap; larger inputs are rejected outright
     """
 
-    rtol_identity: float = 1e-10
-    atol_equal: float = 1e-12
-    eps_angle: float = 1e-9
-    max_side: float = 50.0
+    __slots__ = __match_args__ = ("rtol_identity", "atol_equal", "eps_angle", "max_side")
+    rtol_identity: float
+    atol_equal: float
+    eps_angle: float
+    max_side: float
 
-    def __post_init__(self) -> None:
-        for name in ("rtol_identity", "atol_equal", "eps_angle", "max_side"):
+    def __init__(
+        self,
+        rtol_identity: float = 1e-10,
+        atol_equal: float = 1e-12,
+        eps_angle: float = 1e-9,
+        max_side: float = 50.0,
+    ) -> None:
+        _set(self, "rtol_identity", rtol_identity)
+        _set(self, "atol_equal", atol_equal)
+        _set(self, "eps_angle", eps_angle)
+        _set(self, "max_side", max_side)
+        for name in self.__slots__:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -96,7 +153,11 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 _SINE_UNDERFLOW = "angles too small for float sides: a product of two sines underflows to 0"
-_SINH_UNDERFLOW = "sides too small for float angles: a product of two sinh values underflows to 0"
+_SINH_UNDERFLOW = (
+    "sides too small for float angles: a product of two sinh values "
+    "is below the smallest normal float"
+)
+_MIN_NORMAL = sys.float_info.min  # 2.2250738585072014e-308
 
 
 def band_cmp(x: float, y: float, atol: float) -> int:
@@ -193,50 +254,58 @@ def _check_solved(
     return spread
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleAngles:
+class TriangleAngles(_Frozen):
     """Interior angles of a hyperbolic triangle; validates positivity and angle sum."""
 
+    __slots__ = ("A", "B", "C")
+    __match_args__ = ("A", "B", "C", "tol")
     A: float
     B: float
     C: float
-    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig) -> None:
-        _check_angles(self.A, self.B, self.C, tol)
+    def __init__(self, A: float, B: float, C: float, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+        _check_angles(A, B, C, tol)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "C", C)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.A, self.B, self.C)
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleSides:
+class TriangleSides(_Frozen):
     """Side lengths opposite A, B, C; validates positivity, the strict
     triangle inequality, and the side cap."""
 
+    __slots__ = ("a", "b", "c")
+    __match_args__ = ("a", "b", "c", "tol")
     a: float
     b: float
     c: float
-    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig) -> None:
-        _check_sides(self.a, self.b, self.c, tol)
+    def __init__(self, a: float, b: float, c: float, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+        _check_sides(a, b, c, tol)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
+class Triangle(_Frozen):
     """A fully solved triangle: sides and angles, mutually consistent."""
 
+    __slots__ = ("sides", "angles")
+    __match_args__ = ("sides", "angles", "tol")
     sides: TriangleSides
     angles: TriangleAngles
-    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self, tol: ToleranceConfig) -> None:
-        a, b, c = self.sides.as_tuple()
-        A, B, C = self.angles.as_tuple()
+    def __init__(
+        self, sides: TriangleSides, angles: TriangleAngles, tol: ToleranceConfig = DEFAULT_TOL
+    ) -> None:
+        a, b, c = sides.as_tuple()
+        A, B, C = angles.as_tuple()
         _check_solved(
             a, b, c, A, B, C,
             math.sinh(a), math.sinh(b), math.sinh(c),
@@ -244,6 +313,8 @@ class Triangle:
             math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C),
             tol,
         )
+        _set(self, "sides", sides)
+        _set(self, "angles", angles)
 
     @property
     def a(self) -> float:
@@ -366,8 +437,10 @@ def _angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, floa
     sin^2(A/2) = sinh(s-b) sinh(s-c) / (sinh b sinh c) and
     cos^2(A/2) = sinh(s) sinh(s-a) / (sinh b sinh c), s the semiperimeter;
     atan2 of the square roots avoids acos conditioning near 0 and pi.
-    Sides so small that two of sa, sb, sc multiply to 0 raise ``DomainCap``;
-    ss exceeds each of them, so ss * s? is positive when their products are.
+    Sides so small that two of sa, sb, sc multiply to less than the smallest
+    normal float raise ``DomainCap``: a subnormal product has lost most of
+    its bits. ss exceeds each of them, so ss * s? is normal when their
+    products are.
     """
     s = 0.5 * math.fsum((a, b, c))
     ma = 0.5 * math.fsum((b, c, -a))
@@ -377,7 +450,7 @@ def _angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, floa
     sa = math.sinh(ma)
     sb = math.sinh(mb)
     sc = math.sinh(mc)
-    if not (sb * sc > 0.0 and sc * sa > 0.0 and sa * sb > 0.0):
+    if not (sb * sc >= _MIN_NORMAL and sc * sa >= _MIN_NORMAL and sa * sb >= _MIN_NORMAL):
         raise DomainCap(_SINH_UNDERFLOW)
     A = 2.0 * math.atan2(math.sqrt(sb * sc), math.sqrt(ss * sa))
     B = 2.0 * math.atan2(math.sqrt(sc * sa), math.sqrt(ss * sb))

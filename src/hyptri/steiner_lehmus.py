@@ -8,9 +8,10 @@ Three layers of evidence:
   B < C, mirrored for B > C).
 * ``check_monotonicity`` tests the strict contrapositive
   sign(tB - tC) = sign(C - B), with a tie band around B = C.
-* ``solve_equal_bisector_angle`` realizes the equality case constructively:
+* ``equal_bisector_report`` realizes the equality case constructively:
   for admissible (A, B) the unique root of g(C) = tB - tC is C = B, found by
   a bracketed bisection/secant hybrid plus a sign-change uniqueness sweep.
+  ``solve_equal_bisector_angle`` returns only its root.
 
 The strict sign law was confirmed on a dense parameter grid before being
 relied on here.

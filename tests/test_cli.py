@@ -105,7 +105,10 @@ def test_verify_sees_a_root_near_the_bracket_end():
     assert json.loads(result.stdout)["sign_changes"] == 1
 
 
-SINH_UNDERFLOW = "sides too small for float angles: a product of two sinh values underflows to 0"
+SINH_UNDERFLOW = (
+    "sides too small for float angles: a product of two sinh values "
+    "is below the smallest normal float"
+)
 
 
 # each range rule has one message, whichever entry point applies it
@@ -123,6 +126,9 @@ SINH_UNDERFLOW = "sides too small for float angles: a product of two sinh values
         ("solve sss 1e-200 1e-200 1e-200", SINH_UNDERFLOW),
         ("solve sss 5e-324 5e-324 5e-324", SINH_UNDERFLOW),
         ("solve sas 1e-200 1.0 1e-200", SINH_UNDERFLOW),
+        # nor do products that are subnormal, not 0: they have lost most of their bits
+        ("solve sss 4e-162 4e-162 4e-162", SINH_UNDERFLOW),
+        ("solve sas 1e-160 1.0 1e-160", SINH_UNDERFLOW),
     ],
 )
 def test_range_rejection_messages(argv, message):
@@ -260,6 +266,7 @@ print(json.dumps({
     "code": code,
     "hyptri": sorted(m for m in sys.modules if m.split(".")[0] == "hyptri"),
     "csv": "csv" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
 }))
 """
 
@@ -268,7 +275,8 @@ SCAN_PATH = CORE + ["hyptri.cevian", "hyptri.rng", "hyptri.steiner_lehmus"]
 CSV = ["--format", "csv"]
 
 
-# csv loads only when a csv payload is written: never for figure or a rejection
+# csv loads only when a csv payload is written: never for figure or a rejection;
+# dataclasses loads with every subcommand but solve
 @pytest.mark.parametrize(
     "argv, modules, code, csv",
     [
@@ -291,7 +299,9 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, csv, tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", LOADED, *argv], capture_output=True, env=env, check=True
     )
-    assert json.loads(result.stdout) == {"code": code, "hyptri": sorted(modules), "csv": csv}
+    assert json.loads(result.stdout) == {
+        "code": code, "hyptri": sorted(modules), "csv": csv, "dataclasses": argv[0] != "solve",
+    }
 
 
 # every float of these reports, so a kernel change that moves one bit shows;

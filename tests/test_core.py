@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError, InitVar, make_dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -83,10 +86,119 @@ def test_sides_reject_cap():
 
 
 def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(rtol_identity=-1.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(rtol_identity=1e-6)  # must stay <= 1e-8
+    # fields are checked in order, each for finite and positive, then the bound
+    cases = [
+        ({"rtol_identity": -1.0}, "rtol_identity must be finite and positive, got -1.0"),
+        ({"atol_equal": math.nan, "eps_angle": 0.0}, "atol_equal must be finite and positive, got nan"),
+        ({"rtol_identity": 1e-6, "max_side": math.inf}, "max_side must be finite and positive, got inf"),
+        ({"rtol_identity": 1e-6}, "rtol_identity must be <= 1e-8"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as caught:
+            ToleranceConfig(**kwargs)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+
+# the fields of each core value type, in order, and a frozen slotted
+# dataclass of the same name and fields (with tol as an InitVar where the
+# constructor takes one) that the types must behave like
+CORE_FIELDS = {
+    ToleranceConfig: ("rtol_identity", "atol_equal", "eps_angle", "max_side"),
+    TriangleAngles: ("A", "B", "C"),
+    TriangleSides: ("a", "b", "c"),
+    Triangle: ("sides", "angles"),
+}
+REFERENCE = {
+    cls: make_dataclass(
+        cls.__name__,
+        [*fields, *([] if cls is ToleranceConfig else [("tol", InitVar, DEFAULT_TOL)])],
+        frozen=True,
+        slots=True,
+    )
+    for cls, fields in CORE_FIELDS.items()
+}
+LOW_EPS = ToleranceConfig(eps_angle=1e-12)
+
+
+def _reference(value):
+    """The reference dataclass value holding the same fields, nested ones included."""
+    if type(value) not in REFERENCE:
+        return value
+    fields = (_reference(getattr(value, name)) for name in CORE_FIELDS[type(value)])
+    return REFERENCE[type(value)](*fields)
+
+
+def _core_values():
+    return [
+        DEFAULT_TOL, ToleranceConfig(), SCAN_TOL, LOW_EPS,
+        # equal floats in two types
+        TriangleAngles(0.5, 0.5, 0.5), TriangleSides(0.5, 0.5, 0.5),
+        solve_from_angles(TriangleAngles(0.6, 0.5, 0.9)),
+        solve_from_angles(TriangleAngles(0.6, 0.5, 0.9)),
+        solve_from_sss(TriangleSides(1.0, 1.2, 1.5)),
+        # valid only under LOW_EPS: its defect 1e-11 is below DEFAULT_TOL's 1e-9
+        TriangleAngles(1.0, 1.0, math.pi - 2.0 - 1e-11, tol=LOW_EPS),
+    ]
+
+
+def test_core_types_behave_as_frozen_slotted_dataclasses():
+    values = _core_values()
+    refs = [_reference(v) for v in values]
+    for value, ref in zip(values, refs):
+        assert repr(value) == repr(ref)
+        assert hash(value) == hash(ref)
+        assert type(value).__match_args__ == type(ref).__match_args__
+        assert not hasattr(value, "__dict__")
+    assert [[x == y for y in values] for x in values] == [[x == y for y in refs] for x in refs]
+    assert [[x != y for y in values] for x in values] == [[x != y for y in refs] for x in refs]
+    assert TriangleAngles(0.5, 0.5, 0.5) != TriangleSides(0.5, 0.5, 0.5)
+    assert values[6] == values[7] and values[6] is not values[7]
+
+
+def test_core_types_are_frozen_with_the_dataclass_messages():
+    for value in _core_values():
+        ref = _reference(value)
+        for name in CORE_FIELDS[type(value)]:
+            for mutate in (lambda v: setattr(v, name, 1.0), lambda v: delattr(v, name)):
+                with pytest.raises(FrozenInstanceError) as expected:
+                    mutate(ref)
+                with pytest.raises(AttributeError) as caught:
+                    mutate(value)
+                assert str(caught.value) == str(expected.value)
+        # a name that is no field is refused too (3.10 and 3.11 dataclasses
+        # raise TypeError there, from a bug in their slots support)
+        with pytest.raises(AttributeError, match=r"^cannot assign to field 'other'$"):
+            value.other = 1.0
+        with pytest.raises(AttributeError, match=r"^cannot delete field 'other'$"):
+            del value.other
+        assert repr(value) == repr(ref)  # no refused change went through
+
+
+def test_core_types_take_keywords():
+    angles = TriangleAngles(A=0.6, B=0.5, C=0.9, tol=DEFAULT_TOL)
+    sides = solve_from_angles(angles).sides
+    assert angles == TriangleAngles(0.6, 0.5, 0.9)
+    assert TriangleSides(a=sides.a, b=sides.b, c=sides.c, tol=SCAN_TOL) == sides
+    assert Triangle(sides=sides, angles=angles, tol=DEFAULT_TOL) == solve_from_angles(angles)
+    tol = ToleranceConfig(rtol_identity=1e-9, atol_equal=1e-11, eps_angle=1e-3, max_side=20.0)
+    assert tol == ToleranceConfig(1e-9, 1e-11, 1e-3, 20.0)
+    assert ToleranceConfig(max_side=20.0).max_side == 20.0
+
+
+def test_core_types_pickle_and_copy_without_validating_again():
+    values = _core_values()
+    low = values[-1]
+    with pytest.raises(InvalidTriangle):
+        TriangleAngles(*low.as_tuple())  # DEFAULT_TOL rejects it
+    for value in values:
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for restored in copies:
+            assert type(restored) is type(value)
+            assert restored == value
+            assert repr(restored) == repr(value)
+            assert hash(restored) == hash(value)
 
 
 def test_band_cmp_tie_handling():
