@@ -65,7 +65,6 @@ _SUBMODULE = {
             "proof_trace",
             "sample_angles",
             "scan_random",
-            "solve_equal_bisector_angle",
         ),
     }.items()
     for name in (module, *names)

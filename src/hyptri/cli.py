@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _tolerance(args: argparse.Namespace, base: ToleranceConfig) -> ToleranceConfig:
     if args.rtol is None:
         return base
-    return ToleranceConfig(args.rtol, base.atol_equal, base.eps_angle, base.max_side)
+    return ToleranceConfig(args.rtol, base.eps_angle)
 
 
 def _triangle_from_args(args: argparse.Namespace, tol: ToleranceConfig) -> Triangle:

@@ -33,8 +33,6 @@ __all__ = [
     "solve_from_asa",
     "law_of_sines_residual",
     "law_of_cosines_residual",
-    "sine_ratio_spread",
-    "band_cmp",
 ]
 
 
@@ -82,8 +80,9 @@ class _Frozen:
     ``repr``, ``==`` (same class only) and ``hash`` over the fields in
     order, ``AttributeError`` on assignment and deletion with the dataclass
     messages, and pickling and copying that restore the fields without
-    validating them again. Importing ``dataclasses`` (with the ``inspect``
-    it pulls in) instead would be about a third of the CLI's import time.
+    validating them again (a state of another length raises ``ValueError``).
+    Importing ``dataclasses`` (with the ``inspect`` it pulls in) instead
+    would be about a third of the CLI's import time.
     """
 
     __slots__ = ()
@@ -113,36 +112,27 @@ class _Frozen:
         return self._astuple()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
+        for name, value in zip(self.__slots__, state, strict=True):
             _set(self, name, value)
 
 
 class ToleranceConfig(_Frozen):
-    """Numerical policy: identity tolerances, tie bands, and domain caps.
+    """Numerical policy: the identity tolerance and the angle-sum margin.
 
     rtol_identity  relative tolerance for identity residuals
-    atol_equal     absolute tie band for equality decisions
     eps_angle      required margin of the angle sum below pi
-    max_side       side-length cap; larger inputs are rejected outright
+
+    The side cap (50) and the tie band of the side/angle ordering check
+    (1e-12) are fixed rules of the domain, not settings.
     """
 
-    __slots__ = __match_args__ = ("rtol_identity", "atol_equal", "eps_angle", "max_side")
+    __slots__ = __match_args__ = ("rtol_identity", "eps_angle")
     rtol_identity: float
-    atol_equal: float
     eps_angle: float
-    max_side: float
 
-    def __init__(
-        self,
-        rtol_identity: float = 1e-10,
-        atol_equal: float = 1e-12,
-        eps_angle: float = 1e-9,
-        max_side: float = 50.0,
-    ) -> None:
+    def __init__(self, rtol_identity: float = 1e-10, eps_angle: float = 1e-9) -> None:
         _set(self, "rtol_identity", rtol_identity)
-        _set(self, "atol_equal", atol_equal)
         _set(self, "eps_angle", eps_angle)
-        _set(self, "max_side", max_side)
         for name in self.__slots__:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -152,6 +142,8 @@ class ToleranceConfig(_Frozen):
 
 
 DEFAULT_TOL = ToleranceConfig()
+_MAX_SIDE = 50.0  # side cap; larger inputs are rejected outright
+_ATOL_EQUAL = 1e-12  # absolute tie band of the side/angle ordering check
 _SINE_UNDERFLOW = "angles too small for float sides: a product of two sines underflows to 0"
 _SINH_UNDERFLOW = (
     "sides too small for float angles: a product of two sinh values "
@@ -173,11 +165,11 @@ def _check_angle(name: str, value: float) -> None:
         raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
 
 
-def _check_side(name: str, value: float, cap: float) -> None:
-    """The range rule of one side: 0 < value <= cap. +inf (an overflowed
+def _check_side(name: str, value: float) -> None:
+    """The range rule of one side: 0 < value <= the cap. +inf (an overflowed
     side) is over the cap; nan and non-positive values are invalid."""
-    if value > cap:
-        raise DomainCap(f"side {name} = {value!r} exceeds the cap {cap}")
+    if value > _MAX_SIDE:
+        raise DomainCap(f"side {name} = {value!r} exceeds the cap {_MAX_SIDE}")
     if not value > 0.0:
         raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
 
@@ -199,13 +191,13 @@ def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
     return gap
 
 
-def _check_sides(a: float, b: float, c: float, t: ToleranceConfig) -> None:
+def _check_sides(a: float, b: float, c: float) -> None:
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
-    cap = t.max_side  # finite, so the guard below is false for nan and +-inf
+    cap = _MAX_SIDE  # finite, so the guard below is false for nan and +-inf
     if not (0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap):
-        _check_side("a", a, cap)
-        _check_side("b", b, cap)
-        _check_side("c", c, cap)
+        _check_side("a", a)
+        _check_side("b", b)
+        _check_side("c", c)
     # rounding is monotone, so fl(y + z) > x implies y + z > x exactly, which
     # is what the fsum test decides; only a near tie reaches the fsum loop
     if b + c > a and c + a > b and a + b > c:
@@ -242,7 +234,7 @@ def _check_solved(
     # band_cmp(x, y) * band_cmp(X, Y) < 0 for each (side, angle) pair: ties
     # inside the atol band are fine, only strictly opposed orderings fail.
     # "not ... <= atol" keeps band_cmp's reading of nan as outside the band.
-    atol = t.atol_equal
+    atol = _ATOL_EQUAL
     if (
         (not abs(a - b) <= atol and not abs(A - B) <= atol and (a < b) != (A < B))
         or (not abs(b - c) <= atol and not abs(B - C) <= atol and (b < c) != (B < C))
@@ -275,7 +267,8 @@ class TriangleAngles(_Frozen):
 
 class TriangleSides(_Frozen):
     """Side lengths opposite A, B, C; validates positivity, the strict
-    triangle inequality, and the side cap."""
+    triangle inequality, and the side cap. None of these rules reads ``tol``;
+    the parameter stays so that the three triangle types are built alike."""
 
     __slots__ = ("a", "b", "c")
     __match_args__ = ("a", "b", "c", "tol")
@@ -284,7 +277,7 @@ class TriangleSides(_Frozen):
     c: float
 
     def __init__(self, a: float, b: float, c: float, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        _check_sides(a, b, c, tol)
+        _check_sides(a, b, c)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -490,8 +483,8 @@ def _cevian_length(
 
 def solve_from_sas(b: float, A: float, c: float, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """SAS case: two sides and the included angle."""
-    _check_side("b", b, tol.max_side)
-    _check_side("c", c, tol.max_side)
+    _check_side("b", b)
+    _check_side("c", c)
     _check_angle("A", A)
     a = _cevian_length(b, c, math.sinh(b), math.sinh(c), math.sin(0.5 * A))
     if a == 0.0:
@@ -505,7 +498,7 @@ def solve_from_asa(A: float, c: float, B: float, tol: ToleranceConfig = DEFAULT_
     _check_angle("B", B)
     if A + B >= math.pi:
         raise InvalidTriangle(f"angles A + B = {A + B!r} must stay below pi")
-    _check_side("c", c, tol.max_side)
+    _check_side("c", c)
     cos_C = math.sin(A) * math.sin(B) * math.cosh(c) - math.cos(A) * math.cos(B)
     if cos_C >= 1.0:
         raise InvalidTriangle(

@@ -10,8 +10,8 @@ Three layers of evidence:
   sign(tB - tC) = sign(C - B), with a tie band around B = C.
 * ``equal_bisector_report`` realizes the equality case constructively:
   for admissible (A, B) the unique root of g(C) = tB - tC is C = B, found by
-  a bracketed bisection/secant hybrid plus a sign-change uniqueness sweep.
-  ``solve_equal_bisector_angle`` returns only its root.
+  a bracketed bisection/secant hybrid plus a sign-change uniqueness sweep;
+  its ``c`` is the root.
 
 The strict sign law was confirmed on a dense parameter grid before being
 relied on here.
@@ -48,16 +48,14 @@ from .rng import SplitMix64
 
 __all__ = [
     "SCAN_TOL",
-    "TIE_BAND_ANGLE",
-    "TIE_BAND_GAP_RTOL",
     "ProofTrace",
     "MonotonicityResult",
     "EqualBisectorSolve",
     "ScanReport",
     "proof_trace",
     "check_monotonicity",
-    "solve_equal_bisector_angle",
     "equal_bisector_report",
+    "sample_angles",
     "scan_random",
 ]
 
@@ -336,13 +334,6 @@ def equal_bisector_report(
     return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
 
 
-def solve_equal_bisector_angle(
-    A: float, B: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """The angle C at which both bisectors have equal length (equals B)."""
-    return equal_bisector_report(A, B, tol).c
-
-
 def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, float]:
     """One triple, uniform on the open simplex {A,B,C > eps, A+B+C < pi - eps}.
 
@@ -388,7 +379,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     sin_B = sin(B)
     sin_C = sin(C)
     a, b, c = _sides_from_angles(A, B, C, half_defect, sin_A, sin_B, sin_C)
-    _check_sides(a, b, c, t)
+    _check_sides(a, b, c)
     sinh_a = sinh(a)
     sinh_b = sinh(b)
     sinh_c = sinh(c)

@@ -15,19 +15,20 @@ from hyptri import (  # noqa: E402
     TriangleAngles,
     solve_from_angles,
 )
+from hyptri.core import _MAX_SIDE  # noqa: E402
 from hyptri.steiner_lehmus import sample_angles  # noqa: E402
 
 # validation margin relaxed enough for oracle sub-triangle solves
 ORACLE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-300)
 
 
-def special_floats(cap):
+def special_floats():
     """Range ends, signed zeros, subnormals, the neighbours of pi and of the
-    side cap ``cap``, overflow-sized and non-finite floats."""
+    side cap, overflow-sized and non-finite floats."""
     return (
         -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5,
         math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0), 3.5,
-        cap, math.nextafter(cap, math.inf), 1e308, math.inf, math.nan,
+        _MAX_SIDE, math.nextafter(_MAX_SIDE, math.inf), 1e308, math.inf, math.nan,
     )
 
 

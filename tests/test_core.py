@@ -2,7 +2,6 @@ import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError, InitVar, make_dataclass
-from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -26,6 +25,8 @@ from hyptri import (
     solve_from_sss,
 )
 from hyptri.core import (
+    _ATOL_EQUAL,
+    _MAX_SIDE,
     _check_angles,
     _check_sides,
     _check_solved,
@@ -36,7 +37,7 @@ from hyptri.core import (
     sine_ratio_spread,
 )
 
-from conftest import angle_triples, outcome, seeded_triangles, special_floats
+from conftest import ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
 
 # frozen closed-form expectations, cross-checked against a disk-model
 # embedding before being relied on
@@ -89,8 +90,8 @@ def test_tolerance_config_validation():
     # fields are checked in order, each for finite and positive, then the bound
     cases = [
         ({"rtol_identity": -1.0}, "rtol_identity must be finite and positive, got -1.0"),
-        ({"atol_equal": math.nan, "eps_angle": 0.0}, "atol_equal must be finite and positive, got nan"),
-        ({"rtol_identity": 1e-6, "max_side": math.inf}, "max_side must be finite and positive, got inf"),
+        ({"rtol_identity": math.nan, "eps_angle": 0.0}, "rtol_identity must be finite and positive, got nan"),
+        ({"rtol_identity": 1e-6, "eps_angle": math.inf}, "eps_angle must be finite and positive, got inf"),
         ({"rtol_identity": 1e-6}, "rtol_identity must be <= 1e-8"),
     ]
     for kwargs, message in cases:
@@ -104,7 +105,7 @@ def test_tolerance_config_validation():
 # dataclass of the same name and fields (with tol as an InitVar where the
 # constructor takes one) that the types must behave like
 CORE_FIELDS = {
-    ToleranceConfig: ("rtol_identity", "atol_equal", "eps_angle", "max_side"),
+    ToleranceConfig: ("rtol_identity", "eps_angle"),
     TriangleAngles: ("A", "B", "C"),
     TriangleSides: ("a", "b", "c"),
     Triangle: ("sides", "angles"),
@@ -181,9 +182,15 @@ def test_core_types_take_keywords():
     assert angles == TriangleAngles(0.6, 0.5, 0.9)
     assert TriangleSides(a=sides.a, b=sides.b, c=sides.c, tol=SCAN_TOL) == sides
     assert Triangle(sides=sides, angles=angles, tol=DEFAULT_TOL) == solve_from_angles(angles)
-    tol = ToleranceConfig(rtol_identity=1e-9, atol_equal=1e-11, eps_angle=1e-3, max_side=20.0)
-    assert tol == ToleranceConfig(1e-9, 1e-11, 1e-3, 20.0)
-    assert ToleranceConfig(max_side=20.0).max_side == 20.0
+    tol = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
+    assert tol == ToleranceConfig(1e-9, 1e-3) == SCAN_TOL
+    assert ToleranceConfig(eps_angle=1e-3).eps_angle == 1e-3
+    # the side cap and the ordering tie band are constants, not fields
+    for kwargs in ({"atol_equal": 1e-12}, {"max_side": 50.0}):
+        with pytest.raises(TypeError):
+            ToleranceConfig(**kwargs)
+    with pytest.raises(TypeError):
+        ToleranceConfig(1e-10, 1e-12, 1e-9, 50.0)
 
 
 def test_core_types_pickle_and_copy_without_validating_again():
@@ -199,6 +206,27 @@ def test_core_types_pickle_and_copy_without_validating_again():
             assert restored == value
             assert repr(restored) == repr(value)
             assert hash(restored) == hash(value)
+
+
+# ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3) pickled at protocol 2
+# when the type had four fields: (rtol_identity, atol_equal, eps_angle, max_side)
+FOUR_FIELD_PICKLE = (
+    b"\x80\x02chyptri.core\nToleranceConfig\nq\x00)\x81q\x01(G>\x11.\x0b\xe8&\xd6\x95"
+    b"G=q\x97\x99\x81-\xea\x11G?PbM\xd2\xf1\xa9\xfcG@I\x00\x00\x00\x00\x00\x00tq\x02b."
+)
+
+
+def test_core_types_refuse_a_state_of_another_length():
+    # a state that names fewer or more fields than the type has raises rather
+    # than filling the slots in order, which would load the old pickle's
+    # atol_equal 1e-12 as eps_angle
+    with pytest.raises(ValueError):
+        pickle.loads(FOUR_FIELD_PICKLE)
+    for value in _core_values():
+        blank = object.__new__(type(value))
+        for state in ((1.0,), (1e-9, 1e-12, 1e-3, 50.0)):
+            with pytest.raises(ValueError):
+                blank.__setstate__(state)
 
 
 def test_band_cmp_tie_handling():
@@ -361,13 +389,13 @@ def _ref_check_angles(A, B, C, t):
     return gap
 
 
-def _ref_check_sides(a, b, c, t):
+def _ref_check_sides(a, b, c):
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if math.isnan(value) or value <= 0.0:
             raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
-        if value > t.max_side:  # +inf included
-            raise DomainCap(f"side {name} = {value!r} exceeds the cap {t.max_side}")
+        if value > _MAX_SIDE:  # +inf included
+            raise DomainCap(f"side {name} = {value!r} exceeds the cap {_MAX_SIDE}")
     for name, excess in (
         ("a", math.fsum((b, c, -a))),
         ("b", math.fsum((c, a, -b))),
@@ -411,7 +439,7 @@ def _ref_check_solved(
         raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
     for x, y, X, Y in ((a, b, A, B), (b, c, B, C), (c, a, C, A)):
         # ties inside the atol band are fine; only strictly opposed orderings fail
-        if band_cmp(x, y, t.atol_equal) * band_cmp(X, Y, t.atol_equal) < 0:
+        if band_cmp(x, y, _ATOL_EQUAL) * band_cmp(X, Y, _ATOL_EQUAL) < 0:
             raise InvalidTriangle(
                 "side/angle ordering violated: larger angle must face larger side"
             )
@@ -433,7 +461,7 @@ def _mismatches(fn, ref, grid):
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL])
 def test_check_angles_matches_loop_form(tol):
-    grid = [(*abc, tol) for abc in product(special_floats(tol.max_side), repeat=3)]
+    grid = [(*abc, tol) for abc in product(special_floats(), repeat=3)]
     bad, seen = _mismatches(_check_angles, _ref_check_angles, grid)
     assert not bad, bad[:5]
     assert seen == {"ok", InvalidTriangle}
@@ -447,26 +475,19 @@ NEAR_TIES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "tol", [DEFAULT_TOL, ToleranceConfig(max_side=1.0), ToleranceConfig(max_side=1e308)]
-)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL, ORACLE_TOL])
 def test_check_sides_matches_loop_form(tol):
-    triples = [*product(special_floats(tol.max_side), repeat=3), *NEAR_TIES]
-    grid = [(*abc, tol) for abc in triples]
-    bad, seen = _mismatches(_check_sides, _ref_check_sides, grid)
-    # the float-sum accept differs from the loop form only where fsum
-    # overflows, on triples that satisfy the triangle inequality exactly
-    for args in bad:
-        assert outcome(_ref_check_sides, *args) == (
-            OverflowError, "intermediate overflow in fsum"
-        )
-        assert outcome(_check_sides, *args) is None
-        a, b, c = map(Fraction, args[:3])
-        assert b + c > a and c + a > b and a + b > c
-    near_limit = tol.max_side == 1e308
-    assert bool(bad) == near_limit
-    # a near tie such as (5e-324, 1e308, 1e308) still overflows fsum on both
-    assert seen == {"ok", InvalidTriangle, DomainCap} | ({OverflowError} if near_limit else set())
+    # the side rule reads no field of tol: TriangleSides decides every triple
+    # alike under each ToleranceConfig in use. The cap keeps every side that
+    # reaches the loop form's fsum at most 50, so fsum never overflows and
+    # the float-sum accept agrees with it everywhere
+    def rule(a, b, c):
+        TriangleSides(a, b, c, tol=tol)
+
+    grid = [*product(special_floats(), repeat=3), *NEAR_TIES]
+    bad, seen = _mismatches(rule, _ref_check_sides, grid)
+    assert not bad, bad[:5]
+    assert seen == {"ok", InvalidTriangle, DomainCap}
     for abc in NEAR_TIES:
         x, y, z = sorted(abc)
         assert x + y == z  # the float sum ties the long side
@@ -475,18 +496,18 @@ def test_check_sides_matches_loop_form(tol):
             f"triangle inequality violated: side {'abc'[abc.index(1.0)]} is not "
             f"shorter than the other two combined",
         )
-        assert outcome(_check_sides, *abc, tol) == expected
+        assert outcome(_check_sides, *abc) == expected
 
 
 def test_ratio_spread_matches_max_min():
-    grid = list(product(special_floats(DEFAULT_TOL.max_side), repeat=3))
+    grid = list(product(special_floats(), repeat=3))
     bad, seen = _mismatches(_ratio_spread, _ref_ratio_spread, grid)
     assert not bad, bad[:5]
     assert seen == {"ok", ZeroDivisionError}
 
 
 def test_cosines_residual_matches_max():
-    values = special_floats(DEFAULT_TOL.max_side)
+    values = special_floats()
     # zero sides with unit sinh make vertex X's residual a function of half_X
     # alone: 0 for tiny half_X, nan for half_X = nan, +-inf or 1e308, so every
     # slot of the max sees nan, ties and each ordering; real sides next, where
@@ -499,7 +520,7 @@ def test_cosines_residual_matches_max():
 
 
 def test_loc_vertex_residual_matches_max():
-    values = special_floats(DEFAULT_TOL.max_side)
+    values = special_floats()
     # lhs = cosh(opp) against rhs = 1 + 2 sinh_adj1 half^2, then against
     # cosh(adj1 - adj2); sinh_adj1 = -0.5 with half = 1 makes rhs exactly 0,
     # where max's rule decides between nan / nan and a division by zero
@@ -510,13 +531,12 @@ def test_loc_vertex_residual_matches_max():
     assert seen == {"ok", OverflowError}
 
 
-@pytest.mark.parametrize("atol", [DEFAULT_TOL.atol_equal, 0.5])
-def test_check_solved_ordering_matches_band_cmp(atol):
+def test_check_solved_ordering_matches_band_cmp():
     # nan sines pass the sine and cosine checks (nan > rtol is false), so every
     # side/angle pairing reaches the ordering rule unless cosh overflows
-    t = ToleranceConfig(atol_equal=atol)
+    t = DEFAULT_TOL
     nan = math.nan
-    values = special_floats(t.max_side) + (0.5 + 0.5 * atol, 0.5 + 2.0 * atol)
+    values = special_floats() + (0.5 + 0.5 * _ATOL_EQUAL, 0.5 + 2.0 * _ATOL_EQUAL)
     grid = []
     for i, (x, y, X, Y) in enumerate(product(values, repeat=4)):
         # the pair under test takes each of the three (side, angle) slots in turn

@@ -32,14 +32,13 @@ from hyptri import (
     proof_trace,
     sample_angles,
     scan_random,
-    solve_equal_bisector_angle,
     solve_from_angles,
     solve_from_sss,
     subtriangle_residuals,
     TriangleSides,
 )
 from hyptri.cevian import _adjacent_split
-from hyptri.core import _cevian_length, _sides_from_angles
+from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
 from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap_in_C
 
 from conftest import angle_triples, seeded_triangles
@@ -232,8 +231,8 @@ def test_bisector_lengths_is_pinned_on_needle_grid(tol, counts, digest):
 
 
 def test_solver_recovers_equal_angle():
-    assert solve_equal_bisector_angle(0.9, 0.7) == pytest.approx(0.7, abs=1e-10)
-    assert solve_equal_bisector_angle(0.3, 0.4) == pytest.approx(0.4, abs=1e-10)
+    assert equal_bisector_report(0.9, 0.7).c == pytest.approx(0.7, abs=1e-10)
+    assert equal_bisector_report(0.3, 0.4).c == pytest.approx(0.4, abs=1e-10)
 
 
 def test_solver_reports_unique_sign_change():
@@ -253,9 +252,9 @@ def test_solver_outputs_are_pinned():
 
 def test_solver_rejects_inadmissible_pair():
     with pytest.raises(InvalidTriangle):
-        solve_equal_bisector_angle(2.0, 0.7)  # A + 2B >= pi
+        equal_bisector_report(2.0, 0.7)  # A + 2B >= pi
     with pytest.raises(InvalidTriangle):
-        solve_equal_bisector_angle(math.pi - 0.4, 0.2)
+        equal_bisector_report(math.pi - 0.4, 0.2)
 
 
 def test_bracketed_hybrid_solves_cosine():
@@ -377,7 +376,7 @@ def test_scan_small_ensemble_clean():
     assert report.inequality_failures == 0
     assert report.max_identity_residual < 1e-9
     assert report.max_ratio_residual < 1e-10
-    assert report.max_side < SCAN_TOL.max_side
+    assert report.max_side < _MAX_SIDE
 
 
 def test_euclidean_limit_gap():
@@ -525,12 +524,12 @@ REJECTION_TRIPLES = [
     (3e-9, 0.5, 2.0),
     (1e-4, 1e-4, 1e-4),
     (1e-300, 1e-300, 1.0),
+    (math.pi - 1e-6, 1e-18, 1e-18),
 ]
 REJECTION_TOLS = [
     DEFAULT_TOL,
     SCAN_TOL,
     ToleranceConfig(rtol_identity=1e-15),
-    ToleranceConfig(max_side=2.0),
     ToleranceConfig(rtol_identity=3e-16, eps_angle=1e-3),
 ]
 
@@ -539,6 +538,13 @@ REJECTION_TOLS = [
 def test_evidence_rejects_like_public_path(tol):
     for triple in REJECTION_TRIPLES:
         assert outcome(_evidence, *triple, tol) == outcome(public_evidence, *triple, tol)
+
+
+def test_evidence_rejects_a_side_over_the_cap():
+    # a needle with a defect of 1e-6: the AAA side a exceeds the cap on both paths
+    message = "side a = 55.262042232381496 exceeds the cap 50.0"
+    for evidence in (_evidence, public_evidence):
+        assert outcome(evidence, math.pi - 1e-6, 1e-18, 1e-18, DEFAULT_TOL) == (DomainCap, message)
 
 
 def public_scan(n, seed, tol=SCAN_TOL):
@@ -580,24 +586,10 @@ def test_scan_equals_public_reduction():
     assert scan_random(1500, 31) == public_scan(1500, 31)
 
 
-@pytest.mark.parametrize(
-    "tol, error, message",
-    [
-        (
-            ToleranceConfig(eps_angle=1e-3, max_side=5.0),
-            DomainCap,
-            "side a = 5.185103049674512 exceeds the cap 5.0",
-        ),
-        (
-            # passes every earlier check on all 2000 triangles
-            ToleranceConfig(rtol_identity=8.7e-15, eps_angle=1e-3),
-            NumericalFailure,
-            "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15",
-        ),
-    ],
-)
-def test_scan_rejection_is_pinned(tol, error, message):
-    with pytest.raises(error) as info:
+def test_scan_rejection_is_pinned():
+    # passes every earlier check on all 2000 triangles
+    tol = ToleranceConfig(rtol_identity=8.7e-15, eps_angle=1e-3)
+    with pytest.raises(NumericalFailure) as info:
         scan_random(2000, 42, tol)
-    assert type(info.value) is error
-    assert str(info.value) == message
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
