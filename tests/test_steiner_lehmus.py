@@ -530,6 +530,7 @@ REJECTION_TOLS = [
     DEFAULT_TOL,
     SCAN_TOL,
     ToleranceConfig(rtol_identity=1e-15),
+    ToleranceConfig(rtol_identity=1e-8, eps_angle=1e-6),  # loosest identity tolerance
     ToleranceConfig(rtol_identity=3e-16, eps_angle=1e-3),
 ]
 
