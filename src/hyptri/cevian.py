@@ -12,8 +12,6 @@ stay independent evidence rather than part of the computation path.
 ``bisector_lengths`` and the fused scan (``steiner_lehmus._evidence``) run it.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BisectorData:
     """Half-angles, foot segments, and lengths of both internal bisectors.
 
@@ -52,7 +50,7 @@ class BisectorData:
     tC: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CevianResiduals:
     """Relative residuals of the four sub-triangle sine laws.
 
@@ -71,15 +69,12 @@ class CevianResiduals:
         return max(self.res_u, self.res_U, self.res_v, self.res_V)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RatioResiduals:
     """Residuals of sinh U/sinh u = sin A/sin C and sinh V/sinh v = sin A/sin B."""
 
     idU: float
     idV: float
-
-    def max(self) -> float:
-        return max(self.idU, self.idV)
 
 
 def _adjacent_split(side: float, k: float) -> float:

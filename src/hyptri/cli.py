@@ -13,18 +13,16 @@ of a repeated option, `--` to end the options, and `-h`/`--help`, which
 prints help to stdout. An argument that starts with `-` is a value when
 `float()` accepts it, so `-1e-5` and `-inf` reach the library's range
 rules. A usage error prints a `usage: hyptri ...` line and a `hyptri <cmd>:
-error: ...` line on stderr and exits 2. `--format json` writes the flat
-payload of numbers itself, byte for byte as `json.dumps` would.
+error: ...` line on stderr and exits 2. `--format json` and `--format csv`
+write the flat payload of numbers themselves, byte for byte as `json.dumps`
+and `csv.writer` would.
 
 Each subcommand imports only the modules it runs. None imports `argparse`
-(with `gettext` and `locale`) or `json`, whose imports and per-call parser
-build would cost more than the rest of the CLI's start, and `solve` never
-imports `dataclasses` (with `inspect`).
+(with `gettext` and `locale`), `json` or `csv`, whose imports and per-call
+parser build would cost more than the rest of the CLI's start, and `solve`
+never imports `dataclasses` (with `inspect`).
 """
 
-from __future__ import annotations
-
-import io
 import math
 import sys
 from types import SimpleNamespace
@@ -88,13 +86,8 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(_json_object(payload))
     elif fmt == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(payload.keys())
-        writer.writerow(payload.values())
-        sys.stdout.write(buffer.getvalue())
+        print(",".join(payload))
+        print(",".join(map(repr, payload.values())))
     else:
         for key, value in payload.items():
             print(f"{key} = {value!r}")

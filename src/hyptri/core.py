@@ -7,8 +7,6 @@ ordering. There is no partially-solved triangle value anywhere.
 All angles are radians, all lengths are in curvature -1 units.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -76,7 +74,7 @@ class _Frozen:
     The triangle types' ``__match_args__`` also name ``tol``, as their
     dataclass InitVar did.
 
-    It gives them what ``@dataclass(frozen=True, slots=True)`` would:
+    It gives them what a frozen ``@dataclass`` with slots would:
     ``repr``, ``==`` (same class only) and ``hash`` over the fields in
     order, ``AttributeError`` on assignment and deletion with the dataclass
     messages, and pickling and copying that restore the fields without
@@ -348,16 +346,13 @@ def _ratio_spread(ra: float, rb: float, rc: float) -> float:
     return (hi - lo) / hi
 
 
-def sine_ratio_spread(a: float, b: float, c: float, A: float, B: float, C: float) -> float:
-    """Largest pairwise relative difference of sinh(side)/sin(angle) ratios."""
-    return _ratio_spread(
-        math.sinh(a) / math.sin(A), math.sinh(b) / math.sin(B), math.sinh(c) / math.sin(C)
-    )
-
-
 def law_of_sines_residual(t: Triangle) -> float:
-    """Residual of sinh a / sin A = sinh b / sin B = sinh c / sin C; 0 means exact."""
-    return sine_ratio_spread(t.a, t.b, t.c, t.A, t.B, t.C)
+    """Residual of sinh a / sin A = sinh b / sin B = sinh c / sin C: the largest
+    pairwise relative difference of the three ratios; 0 means exact."""
+    return _ratio_spread(
+        math.sinh(t.a) / math.sin(t.A), math.sinh(t.b) / math.sin(t.B),
+        math.sinh(t.c) / math.sin(t.C),
+    )
 
 
 def _loc_vertex_residual(

@@ -12,8 +12,6 @@ conformal).
 digits; output bytes are a pure function of the input.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from dataclasses import dataclass
@@ -43,7 +41,7 @@ _COLLINEAR_TOL = 1e-12
 _ORTHO_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DiskPoint:
     """A point strictly inside the unit disk."""
 
@@ -60,7 +58,7 @@ class DiskPoint:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GeodesicArc:
     """The geodesic through two disk points: a diameter segment when they are
     collinear with the origin, otherwise an arc of the unique circle through
@@ -168,14 +166,14 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _to_screen(p: DiskPoint) -> tuple[float, float]:
-    return (_CENTER + _SCALE * p.x, _CENTER - _SCALE * p.y)
+def _to_screen(x: float, y: float) -> tuple[float, float]:
+    return (_CENTER + _SCALE * x, _CENTER - _SCALE * y)
 
 
 def _path_for(p: DiskPoint, q: DiskPoint) -> str:
     arc = geodesic_arc(p, q)
-    x1, y1 = _to_screen(p)
-    x2, y2 = _to_screen(q)
+    x1, y1 = _to_screen(p.x, p.y)
+    x2, y2 = _to_screen(q.x, q.y)
     if arc.kind == "segment":
         return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
     cx, cy = arc.center
@@ -195,8 +193,7 @@ def _offset_from(p: DiskPoint, anchor: tuple[float, float], amount: float) -> tu
 
 
 def _text(position: tuple[float, float], label: str) -> str:
-    x = _CENTER + _SCALE * position[0]
-    y = _CENTER - _SCALE * position[1]
+    x, y = _to_screen(*position)
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="serif" font-size="30" '
         f'font-style="italic" text-anchor="middle" dominant-baseline="middle">{label}</text>'
@@ -204,7 +201,7 @@ def _text(position: tuple[float, float], label: str) -> str:
 
 
 def _dot(p: DiskPoint, radius: float, fill: str) -> str:
-    x, y = _to_screen(p)
+    x, y = _to_screen(p.x, p.y)
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{fill}"/>'
 
 

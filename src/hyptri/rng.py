@@ -6,8 +6,6 @@ update: x += 0x9E3779B97F4A7C15; output: two xor-shift-multiply rounds.
 Doubles take the top 53 bits scaled by 2^-53.
 """
 
-from __future__ import annotations
-
 __all__ = ["SplitMix64"]
 
 _MASK64 = (1 << 64) - 1

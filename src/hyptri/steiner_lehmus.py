@@ -17,8 +17,6 @@ The strict sign law was confirmed on a dense parameter grid before being
 relied on here.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -69,7 +67,7 @@ TIE_BAND_ANGLE = 1e-9
 TIE_BAND_GAP_RTOL = 1e-7
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ProofTrace:
     """Per-step quantities of the equal-bisector inequality chain.
 
@@ -91,7 +89,7 @@ class ProofTrace:
     gap: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MonotonicityResult:
     passed: bool
     gap: float
@@ -101,7 +99,7 @@ class MonotonicityResult:
     in_tie_band: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EqualBisectorSolve:
     c: float
     iterations: int
@@ -115,7 +113,7 @@ class EqualBisectorSolve:
         ) if not ok]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ScanReport:
     """Aggregates over a seeded random triangle ensemble."""
 

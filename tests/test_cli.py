@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hyptri import EqualBisectorSolve, scan_random
-from hyptri.cli import _json_object, main
+from hyptri.cli import _emit, _json_object, main
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -268,12 +270,13 @@ def test_scan_rejects_out_of_range_seed(seed):
 LOADED = """
 import contextlib, io, sys
 from hyptri.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
 loaded = set(sys.modules)
 import json
 print(json.dumps({
     "code": code,
+    "stdout": out.getvalue(),
     "hyptri": sorted(m for m in loaded if m.split(".")[0] == "hyptri"),
     **{name: name in loaded for name in ("csv", "dataclasses", "argparse", "json")},
 }))
@@ -284,10 +287,10 @@ SCAN_PATH = CORE + ["hyptri.cevian", "hyptri.rng", "hyptri.steiner_lehmus"]
 CSV = ["--format", "csv"]
 
 
-# csv loads only when a csv payload is written: never for figure or a rejection;
-# dataclasses loads with every subcommand but solve; argparse and json never load
+# dataclasses loads with every subcommand but solve; argparse, json and csv
+# never load, not even for the rows that write a csv payload (writes_csv)
 @pytest.mark.parametrize(
-    "argv, modules, code, csv",
+    "argv, modules, code, writes_csv",
     [
         (["solve", "sss", "1", "1", "1"], CORE, 0, False),
         (["solve", "sss", "1", "1", "1", *CSV], CORE, 0, True),
@@ -302,14 +305,18 @@ CSV = ["--format", "csv"]
         (["scan", "5", *CSV], SCAN_PATH, 0, True),
     ],
 )
-def test_subcommand_loads_only_its_modules(argv, modules, code, csv, tmp_path):
+def test_subcommand_loads_only_its_modules(argv, modules, code, writes_csv, tmp_path):
     argv = [a.format(tmp=tmp_path / "fig.svg") for a in argv]
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, "-c", LOADED, *argv], capture_output=True, env=env, check=True
     )
-    assert json.loads(result.stdout) == {
-        "code": code, "hyptri": sorted(modules), "csv": csv, "dataclasses": argv[0] != "solve",
+    seen = json.loads(result.stdout)
+    lines = seen.pop("stdout").splitlines()
+    # a csv payload is a header of identifiers and one row
+    assert writes_csv == (len(lines) == 2 and lines[0].replace(",", "").isidentifier())
+    assert seen == {
+        "code": code, "hyptri": sorted(modules), "csv": False, "dataclasses": argv[0] != "solve",
         "argparse": False, "json": False,
     }
 
@@ -384,9 +391,9 @@ def test_solve_bisect_json_is_pinned(argv, stdout, capsys):
     assert capsys.readouterr().out == stdout
 
 
-def test_json_writer_matches_json_dumps():
-    # json.dumps is the reference for every payload kind the CLI writes, and
-    # for the floats and ints at the edges of what a payload can hold
+def _payloads():
+    """Every payload kind the CLI writes, and one with the floats and ints at
+    the edges of what a payload can hold."""
     payloads = [json.loads(stdout) for _, stdout in PINNED_JSON]
     payloads.append(json.loads(VERIFY_JSON))
     payloads.append(asdict(scan_random(5, 2**64 - 1)))
@@ -395,8 +402,22 @@ def test_json_writer_matches_json_dumps():
         "neg_zero": -0.0, "subnormal": 5e-324, "max": 1.7976931348623157e308,
         "top_seed": 2**64 - 1, "zero": 0, "negative": -3,
     })
-    for payload in payloads:
+    return payloads
+
+
+def test_json_writer_matches_json_dumps():
+    for payload in _payloads():
         assert _json_object(payload) == json.dumps(payload)
+
+
+def test_csv_writer_matches_csv_writer(capsys):
+    for payload in _payloads():
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(payload.keys())
+        writer.writerow(payload.values())
+        _emit(payload, "csv")
+        assert capsys.readouterr().out == expected.getvalue()
 
 
 # each accepted spelling prints the bytes of the canonical form, and exits alike

@@ -33,7 +33,6 @@ from hyptri.core import (
     _cosines_residual,
     _loc_vertex_residual,
     _ratio_spread,
-    sine_ratio_spread,
 )
 
 from conftest import ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
@@ -315,7 +314,10 @@ def test_law_of_sines_zero_for_equilateral():
 
 def test_sine_ratio_spread_detects_perturbation():
     t = solve_from_angles(TriangleAngles(0.6, 0.5, 0.9))
-    spread = sine_ratio_spread(t.a + 1e-3, t.b, t.c, t.A, t.B, t.C)
+    spread = _ratio_spread(
+        math.sinh(t.a + 1e-3) / math.sin(t.A), math.sinh(t.b) / math.sin(t.B),
+        math.sinh(t.c) / math.sin(t.C),
+    )
     assert spread > 1e-4
 
 

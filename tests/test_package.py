@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +96,38 @@ def test_no_other_attribute(name):
     assert not hasattr(hyptri, name)
     with pytest.raises(AttributeError, match=rf"^module 'hyptri' has no attribute '{name}'$"):
         getattr(hyptri, name)
+
+
+def test_report_types_are_frozen_dataclasses_without_slots():
+    # one value of each public dataclass: the nine report types of cevian,
+    # diskmodel and steiner_lehmus
+    t = hyptri.solve_from_sss(hyptri.TriangleSides(1.0, 1.2, 1.5))
+    d = hyptri.bisector_lengths(t)
+    _, pB, pC = hyptri.embed_triangle(t)
+    values = [
+        d, hyptri.subtriangle_residuals(t, d), hyptri.unconditional_identities(d, t),
+        pC, hyptri.geodesic_arc(pB, pC), hyptri.proof_trace(t), hyptri.check_monotonicity(t),
+        hyptri.equal_bisector_report(0.9, 0.7), hyptri.scan_random(5, 0),
+    ]
+    assert sorted(type(v).__name__ for v in values) == [
+        n for n in NAMES
+        if isinstance(getattr(hyptri, n), type) and dataclasses.is_dataclass(getattr(hyptri, n))
+    ]
+    for value in values:
+        before = repr(value)
+        # a name that is no field is refused too; with slots=True the 3.10 and
+        # 3.11 dataclasses raised TypeError there
+        for name in [f.name for f in dataclasses.fields(value)] + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=rf"^cannot assign to field '{name}'$"):
+                setattr(value, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=rf"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == before
+        assert not hasattr(type(value), "__slots__")
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for restored in copies:
+            assert type(restored) is type(value)
+            assert restored == value
