@@ -19,6 +19,7 @@ relied on here.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .cevian import (
     BisectorData,
@@ -42,7 +43,7 @@ from .core import (
     _check_solved,
     _sides_from_angles,
 )
-from .rng import SplitMix64
+from .rng import _LANES, SplitMix64
 
 __all__ = [
     "SCAN_TOL",
@@ -65,6 +66,10 @@ SCAN_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
 # must vanish to TIE_BAND_GAP_RTOL * max(tB, tC) instead.
 TIE_BAND_ANGLE = 1e-9
 TIE_BAND_GAP_RTOL = 1e-7
+
+# Triangles per block of scan_random, 128: their 3 * 128 uniforms fill one
+# full wide-integer pass of SplitMix64.randoms.
+_SCAN_BLOCK = _LANES // 3
 
 
 @dataclass(frozen=True)
@@ -335,12 +340,20 @@ def equal_bisector_report(
 def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, float]:
     """One triple, uniform on the open simplex {A,B,C > eps, A+B+C < pi - eps}.
 
-    Three draws per triple: sorted-uniform spacings give a uniform point of
-    the solid simplex, then an affine map into the margin region.
+    Three sequential ``rng.random()`` draws per triple, mapped by
+    ``_angles_from_draws``. ``scan_random`` takes the same draws from
+    ``rng.randoms`` in blocks of 128 triangles, one wide-integer pass of
+    128-bit lanes per block, and maps each triple through the same step, so
+    triangle i of ``scan_random(n, seed)`` is
+    ``sample_angles(SplitMix64((seed + 3 * i * 0x9E3779B97F4A7C15) % 2**64), eps_angle)``.
     """
-    r1 = rng.random()
-    r2 = rng.random()
-    r3 = rng.random()
+    return _angles_from_draws(rng.random(), rng.random(), rng.random(), eps_angle)
+
+
+def _angles_from_draws(r1: float, r2: float, r3: float, eps_angle: float) -> tuple[float, float, float]:
+    """The angle triple of three uniform draws: sorted-uniform spacings give a
+    uniform point of the solid simplex, then an affine map into the margin
+    region."""
     # insertion sort on <, stable like sorted((r1, r2, r3))
     if r2 < r1:
         r1, r2 = r2, r1
@@ -406,7 +419,16 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
 def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
     """Solve ``n`` seeded random triangles and aggregate every identity
     residual, strict-sign check, and monotonicity verdict (ordered reduction,
-    so reports are reproducible)."""
+    so reports are reproducible).
+
+    The triangles are those of ``n`` calls of ``sample_angles`` on
+    ``SplitMix64(seed)``, bit for bit, but their uniforms come from
+    ``SplitMix64.randoms`` for a fixed block of ``_SCAN_BLOCK`` (128)
+    triangles at a time, the last block shorter: one wide-integer pass per
+    block, one 128-bit lane per draw, decoded from little-endian bytes (see
+    ``hyptri.rng``). The scan holds one block of draws at a time, whatever
+    ``n``.
+    """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n!r}")
     rng = SplitMix64(seed)
@@ -417,8 +439,13 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     ineq_failures = 0
     ties = 0
     max_side = 0.0
-    for _ in range(n):
-        A, B, C = sample_angles(rng, tol.eps_angle)
+    # one block of draws at a time; range raises TypeError for a float n
+    # before the first draw
+    draws = chain.from_iterable(
+        rng.randoms(3 * min(n - start, _SCAN_BLOCK)) for start in range(0, n, _SCAN_BLOCK)
+    )
+    for r1, r2, r3 in zip(draws, draws, draws):
+        A, B, C = _angles_from_draws(r1, r2, r3, tol.eps_angle)
         a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, tol)
 
         # the running maxima by max's rule: replace only on >, nan included

@@ -8,7 +8,7 @@ from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from hyptri import (
     BisectorData,
@@ -37,8 +37,10 @@ from hyptri import (
     subtriangle_residuals,
     TriangleSides,
 )
+import hyptri.steiner_lehmus as steiner_lehmus
 from hyptri.cevian import _adjacent_split
 from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
+from hyptri.rng import _LANES
 from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap_in_C
 
 from conftest import angle_triples, seeded_triangles
@@ -430,6 +432,46 @@ def test_splitmix64_seed_bounds():
         SplitMix64(1.0)
 
 
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+
+
+def assert_same_state(batch, single):
+    assert batch.random() == single.random()
+    assert batch.next_uint64() == single.next_uint64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 1000))
+def test_randoms_equals_sequential_draws(seed, count):
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    assert batch.randoms(count) == [single.random() for _ in range(count)]
+    assert_same_state(batch, single)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 2])
+@pytest.mark.parametrize("seed", [2**64 - 1, (2**64 - 2 * GAMMA) % 2**64])
+def test_randoms_equals_sequential_draws_where_lanes_wrap(seed, count):
+    # the counter states seed + (j + 1) * GAMMA pass 2**64 in the first lanes
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    assert batch.randoms(count) == [single.random() for _ in range(count)]
+    assert_same_state(batch, single)
+
+
+def test_randoms_interleaves_with_single_draws():
+    batch, single = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    for count in (2, 0, _LANES + 1, 1, 3, 2 * _LANES, 5):
+        assert batch.randoms(count) == [single.random() for _ in range(count)]
+        assert_same_state(batch, single)
+
+
+def test_randoms_rejects_a_bad_count():
+    rng = SplitMix64(3)
+    with pytest.raises(ValueError, match="draw count must be >= 0, got -1"):
+        rng.randoms(-1)
+    with pytest.raises(TypeError):
+        rng.randoms(2.0)
+    assert_same_state(rng, SplitMix64(3))
+
+
 class PresetDraws:
     """Stands in for SplitMix64: ``random()`` returns preset values in turn."""
 
@@ -585,6 +627,52 @@ def public_scan(n, seed, tol=SCAN_TOL):
 
 def test_scan_equals_public_reduction():
     assert scan_random(1500, 31) == public_scan(1500, 31)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 385])
+@pytest.mark.parametrize("seed", [31, 2**64 - 1])
+def test_scan_equals_public_reduction_at_block_edges(seed, n):
+    assert scan_random(n, seed) == public_scan(n, seed)
+
+
+def test_scan_draws_one_block_at_a_time(monkeypatch):
+    counts = []
+    randoms = SplitMix64.randoms
+
+    def spy(self, count):
+        counts.append(count)
+        return randoms(self, count)
+
+    monkeypatch.setattr(SplitMix64, "randoms", spy)
+    scan_random(385, 5)
+    assert counts == [384, 384, 384, 3]
+
+
+def test_scan_rejects_a_float_count_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the scan drew before rejecting its count")
+
+    for name in ("random", "next_uint64", "randoms"):
+        monkeypatch.setattr(SplitMix64, name, no_draw)
+    for n in (2.5, 2000.0):
+        with pytest.raises(TypeError):
+            scan_random(n, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_scan_triangle_replays_from_the_counter_state(seed, monkeypatch):
+    # triangle i starts at draw 3i, so at the counter state seed + 3 i GAMMA
+    seen = []
+
+    def recording(A, B, C, tol):
+        seen.append((A, B, C))
+        return _evidence(A, B, C, tol)
+
+    monkeypatch.setattr(steiner_lehmus, "_evidence", recording)
+    scan_random(400, seed)
+    for i in (0, 1, 127, 128, 129, 399):
+        rng = SplitMix64((seed + 3 * i * GAMMA) % 2**64)
+        assert seen[i] == sample_angles(rng, SCAN_TOL.eps_angle)
 
 
 def test_scan_rejection_is_pinned():
