@@ -57,11 +57,13 @@ _SUBMODULE = {
         "steiner_lehmus": (
             "SCAN_TOL",
             "EqualBisectorSolve",
+            "EqualityStudy",
             "MonotonicityResult",
             "ProofTrace",
             "ScanReport",
             "check_monotonicity",
             "equal_bisector_report",
+            "equality_study",
             "proof_trace",
             "sample_angles",
             "scan_random",

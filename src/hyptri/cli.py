@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: solve, bisect, verify, scan, figure. Output goes to stdout in
-text, json, or csv; diagnostics go to stderr. Exit codes: 0 success,
-1 verification failure, 2 usage/parse error, 3 domain rejection, 4 output
-failure. Nothing is read from the environment; all behavior comes from
-flags, so equal invocations produce byte-identical reports.
+Subcommands: solve, bisect, verify, scan, study, figure. Output goes to
+stdout in text, json, or csv; diagnostics go to stderr. Exit codes:
+0 success, 1 verification failure, 2 usage/parse error, 3 domain rejection,
+4 output failure. Nothing is read from the environment; all behavior comes
+from flags, so equal invocations produce byte-identical reports.
 
 The command line is read against one grammar table, `_COMMANDS`, in the
 forms argparse accepts: options anywhere after the subcommand, `--name
@@ -150,15 +150,16 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     return _verdict("verification", result.failures(B))
 
 
-def _cmd_scan(args: SimpleNamespace) -> int:
+def _cmd_ensemble(args: SimpleNamespace) -> int:
+    """scan or study: a seeded ensemble's report and its verdict."""
     from dataclasses import asdict
 
-    from .steiner_lehmus import SCAN_TOL, scan_random
+    from . import steiner_lehmus
 
-    tol = _tolerance(args, SCAN_TOL)
-    report = scan_random(args.n, args.seed, tol)
+    run = steiner_lehmus.scan_random if args.command == "scan" else steiner_lehmus.equality_study
+    report = run(args.n, args.seed, _tolerance(args, steiner_lehmus.SCAN_TOL))
     _emit(asdict(report), args.format)
-    return _verdict("scan", report.failures())
+    return _verdict(args.command, report.failures())
 
 
 def _cmd_figure(args: SimpleNamespace) -> int:
@@ -188,6 +189,7 @@ _COMMON = {
     "--format": (("text", "json", "csv"), "text", "output format (default: text)"),
     "--rtol": (float, None, "override the identity-residual tolerance"),
 }
+_SEEDED = {"--seed": (int, 0, "generator seed (default 0)"), **_COMMON}
 # a command: (handler, help, positionals, options)
 _COMMANDS = {
     "solve": (_cmd_solve, "solve a triangle and report all six elements",
@@ -198,9 +200,10 @@ _COMMANDS = {
         ("A", "A", float, 1, "apex angle A (radians)"),
         ("B", "B", float, 1, "base angle B (radians)"),
     ), {**_DEGREES, **_COMMON}),
-    "scan": (_cmd_scan, "randomized ensemble scan of every identity and sign law",
-             (("n", "n", int, 1, "number of sampled triangles"),),
-             {"--seed": (int, 0, "generator seed (default 0)"), **_COMMON}),
+    "scan": (_cmd_ensemble, "randomized ensemble scan of every identity and sign law",
+             (("n", "n", int, 1, "number of sampled triangles"),), _SEEDED),
+    "study": (_cmd_ensemble, "equality-case study: verify on seeded random (A, B) pairs",
+              (("n", "n", int, 1, "number of (A, B) pairs"),), _SEEDED),
     "figure": (_cmd_figure, "render the triangle with both bisectors as SVG", _TRIANGLE,
                {**_DEGREES, "--out": (str, _REQUIRED, "output SVG path"), **_COMMON}),
 }

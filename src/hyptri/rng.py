@@ -52,6 +52,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if type(seed) is bool:
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
         self._state = seed & _MASK64  # `&` raises TypeError for a non-integer

@@ -13,6 +13,9 @@ Three layers of evidence:
   a bracketed bisection/secant hybrid plus a sign-change uniqueness sweep;
   its ``c`` is the root.
 
+``scan_random`` gathers the first two over a seeded random triangle ensemble,
+and ``equality_study`` the third over seeded random (A, B) pairs.
+
 The strict sign law was confirmed on a dense parameter grid before being
 relied on here.
 """
@@ -51,11 +54,13 @@ __all__ = [
     "MonotonicityResult",
     "EqualBisectorSolve",
     "ScanReport",
+    "EqualityStudy",
     "proof_trace",
     "check_monotonicity",
     "equal_bisector_report",
     "sample_angles",
     "scan_random",
+    "equality_study",
 ]
 
 # The scan harness samples with a wider angle margin and accepts identity
@@ -142,6 +147,36 @@ class ScanReport:
             ("monotonicity failures", self.monotonicity_failures == 0),
             ("proof-step inequality failures", self.inequality_failures == 0),
         ) if not ok]
+
+
+@dataclass(frozen=True)
+class EqualityStudy:
+    """Aggregates over seeded random equality-case pairs (A, B); the worst
+    pair is the first with the largest |c - B|."""
+
+    pairs: int
+    seed: int
+    eps_angle: float
+    max_root_gap: float
+    worst_A: float
+    worst_B: float
+    root_iterations: int
+    failing_pairs: int
+
+    def failures(self) -> list[str]:
+        """The study criterion that this report fails: no pair may fail
+        ``EqualBisectorSolve.failures(B)``."""
+        if self.failing_pairs:
+            return [f"{self.failing_pairs} of {self.pairs} pairs fail the equality-case criteria"]
+        return []
+
+
+def _check_count(what: str, n: int) -> None:
+    """A study size: an int, not a bool, of at least 1."""
+    if type(n) is bool or not isinstance(n, int):
+        raise TypeError(f"{what} count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} count must be >= 1, got {n!r}")
 
 
 def proof_trace(
@@ -429,8 +464,7 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     ``hyptri.rng``). The scan holds one block of draws at a time, whatever
     ``n``.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n!r}")
+    _check_count("sample", n)
     rng = SplitMix64(seed)
     max_sine = 0.0
     max_cevian = 0.0
@@ -439,8 +473,7 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     ineq_failures = 0
     ties = 0
     max_side = 0.0
-    # one block of draws at a time; range raises TypeError for a float n
-    # before the first draw
+    # one block of draws at a time
     draws = chain.from_iterable(
         rng.randoms(3 * min(n - start, _SCAN_BLOCK)) for start in range(0, n, _SCAN_BLOCK)
     )
@@ -487,4 +520,48 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
         inequality_failures=ineq_failures,
         tie_band_samples=ties,
         max_side=max_side,
+    )
+
+
+def equality_study(pairs: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> EqualityStudy:
+    """Run ``equal_bisector_report(A, B, tol)`` on ``pairs`` seeded random
+    admissible pairs and aggregate the gaps |c - B|, the root iterations and
+    the pairs that fail ``EqualBisectorSolve.failures(B)``.
+
+    The pairs come from sequential ``random()`` draws r of
+    ``SplitMix64(seed)``: A = 0.05 + 2.55 r, then, only when
+    b_max = (pi - A - 0.1) / 2 exceeds 0.06, B = 0.05 + r (b_max - 0.05);
+    an A without room for B is skipped. The worst pair replays as
+    ``equal_bisector_report(worst_A, worst_B, tol)``, bit for bit.
+    """
+    _check_count("pair", pairs)
+    rng = SplitMix64(seed)
+    max_gap = worst_A = worst_B = math.nan
+    iterations = 0
+    failing = 0
+    solved = 0
+    while solved < pairs:
+        A = 0.05 + rng.random() * 2.55
+        b_max = (math.pi - A - 0.1) / 2.0
+        if b_max <= 0.06:
+            continue
+        B = 0.05 + rng.random() * (b_max - 0.05)
+        result = equal_bisector_report(A, B, tol)
+        gap = abs(result.c - B)
+        # the first pair, then max's rule: replace only on >, nan included
+        if solved == 0 or gap > max_gap:
+            max_gap, worst_A, worst_B = gap, A, B
+        iterations += result.iterations
+        if result.failures(B):
+            failing += 1
+        solved += 1
+    return EqualityStudy(
+        pairs=pairs,
+        seed=seed,
+        eps_angle=tol.eps_angle,
+        max_root_gap=max_gap,
+        worst_A=worst_A,
+        worst_B=worst_B,
+        root_iterations=iterations,
+        failing_pairs=failing,
     )

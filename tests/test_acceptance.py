@@ -26,6 +26,7 @@ from hyptri import (
     DiskPoint,
     embed_triangle,
     equal_bisector_report,
+    equality_study,
     scan_random,
     solve_from_angles,
     solve_from_asa,
@@ -110,40 +111,34 @@ def test_seed_42_report_is_pinned(full_scan):
     )
 
 
-def test_criterion_4_equality_case():
+@pytest.fixture(scope="module")
+def equality():
     start = time.perf_counter()
-    rng = SplitMix64(777)
-    worst = 0.0
-    worst_pair = None
-    iterations = 0
-    bad_sweeps = 0
-    solved = 0
-    while solved < N_PAIRS:
-        A = 0.05 + rng.random() * 2.55
-        b_max = (math.pi - A - 0.1) / 2.0
-        if b_max <= 0.06:
-            continue
-        B = 0.05 + rng.random() * (b_max - 0.05)
-        result = equal_bisector_report(A, B, SCAN_TOL)
-        if abs(result.c - B) > worst:
-            worst, worst_pair = abs(result.c - B), (A, B)
-        iterations += result.iterations
-        if result.sign_changes != 1:
-            bad_sweeps += 1
-        solved += 1
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and bad_sweeps == 0
+    result = equality_study(N_PAIRS, 777)
+    return result, time.perf_counter() - start
+
+
+def test_criterion_4_equality_case(equality):
+    study, elapsed = equality
+    ok = not study.failures()
     report(
         "criterion 4 (theorem, equality case)",
         ok,
-        f"{solved} pairs, worst |C - B| = {worst:.3e} < 1e-10 at (A, B) = {worst_pair!r}, "
-        f"{iterations} root iterations, {bad_sweeps} non-unique sweeps, {elapsed:.1f}s",
+        f"{study.pairs} pairs, worst |C - B| = {study.max_root_gap:.3e} at (A, B) = "
+        f"{(study.worst_A, study.worst_B)!r}, {study.root_iterations} root iterations, "
+        f"{study.failing_pairs} failing pairs, {elapsed:.1f}s",
     )
     assert ok
     # the study's outputs, pinned bit for bit
-    assert worst == 4.8405723873656825e-14
-    assert worst_pair == (0.5505036935841044, 0.9078819292038043)
-    assert iterations == 24194
+    assert study.max_root_gap == 4.8405723873656825e-14
+    assert (study.worst_A, study.worst_B) == (0.5505036935841044, 0.9078819292038043)
+    assert study.root_iterations == 24194
+
+
+def test_worst_pair_replays_under_scan_tol(equality):
+    study, _ = equality
+    result = equal_bisector_report(study.worst_A, study.worst_B, SCAN_TOL)
+    assert abs(result.c - study.worst_B) == study.max_root_gap
 
 
 def test_criterion_5_proof_step_inequalities(full_scan):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hyptri import EqualBisectorSolve, scan_random
+from hyptri import EqualBisectorSolve, equality_study, scan_random
 from hyptri.cli import _emit, _json_object, main
 
 GOLDEN = Path(__file__).parent / "golden" / "equilateral.svg"
@@ -191,6 +191,41 @@ def test_scan_rejects_zero():
     assert result.stderr == b"error: sample count must be >= 1, got 0\n"
 
 
+def test_study_passes_and_prints_its_report():
+    result = run_cli("study", "20", "--seed", "42")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout.decode() == (
+        "pairs = 20\nseed = 42\neps_angle = 0.001\nmax_root_gap = 3.8191672047105385e-14\n"
+        "worst_A = 1.359160096621481\nworst_B = 0.4614429876743421\n"
+        "root_iterations = 480\nfailing_pairs = 0\n"
+    )
+
+
+def test_study_rejects_zero():
+    result = run_cli("study", "0")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"error: pair count must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_study_emits_its_report(fmt, capsys):
+    assert main(["study", "3", "--seed", "5", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    _emit(asdict(equality_study(3, 5)), fmt)
+    assert out == capsys.readouterr().out
+
+
+def test_study_names_its_failed_criterion(monkeypatch, capsys):
+    report = replace(equality_study(3, 0), failing_pairs=1)
+    monkeypatch.setattr("hyptri.steiner_lehmus.equality_study", lambda n, seed, tol: report)
+    assert main(["study", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "study failed: 1 of 3 pairs fail the equality-case criteria\n"
+    )
+
+
 def test_figure_matches_golden(tmp_path):
     out = tmp_path / "fig.svg"
     result = run_cli("figure", "sss", "1", "1", "1", "--out", str(out))
@@ -303,6 +338,8 @@ CSV = ["--format", "csv"]
         (["verify", "0.9", "0.7", *CSV], SCAN_PATH, 0, True),
         (["scan", "5"], SCAN_PATH, 0, False),
         (["scan", "5", *CSV], SCAN_PATH, 0, True),
+        (["study", "3"], SCAN_PATH, 0, False),
+        (["study", "3", *CSV], SCAN_PATH, 0, True),
     ],
 )
 def test_subcommand_loads_only_its_modules(argv, modules, code, writes_csv, tmp_path):
@@ -397,6 +434,7 @@ def _payloads():
     payloads = [json.loads(stdout) for _, stdout in PINNED_JSON]
     payloads.append(json.loads(VERIFY_JSON))
     payloads.append(asdict(scan_random(5, 2**64 - 1)))
+    payloads.append(asdict(equality_study(3, 2**64 - 1)))
     payloads.append({
         "nan": math.nan, "neg_nan": -math.nan, "inf": math.inf, "neg_inf": -math.inf,
         "neg_zero": -0.0, "subnormal": 5e-324, "max": 1.7976931348623157e308,
@@ -430,6 +468,7 @@ def test_csv_writer_matches_csv_writer(capsys):
         ("solve sss 1 1 1 --format csv --format json", "solve sss 1 1 1 --format json", 0),
         ("solve sss 1 --degrees 1 1", "solve sss 1 1 1 --degrees", 0),
         ("scan 5 --seed=7 --format=csv", "scan 5 --seed 7 --format csv", 0),
+        ("study 3 --form=json --s 7", "study 3 --seed 7 --format json", 0),
         ("verify -- -0.5 0.7", "verify -0.5 0.7", 3),
     ],
 )
@@ -444,8 +483,8 @@ def test_option_spellings_match_the_canonical_form(argv, canonical, code, capsys
 def test_help_names_every_subcommand(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert out.startswith("usage: hyptri [-h] {solve,bisect,verify,scan,figure} ...\n")
-    for command in ("solve", "bisect", "verify", "scan", "figure"):
+    assert out.startswith("usage: hyptri [-h] {solve,bisect,verify,scan,study,figure} ...\n")
+    for command in ("solve", "bisect", "verify", "scan", "study", "figure"):
         assert f"\n  {command} " in out
 
 
@@ -473,9 +512,9 @@ def test_help_exits_0_from_the_command_line():
     [
         ("", "hyptri: error: the following arguments are required: command"),
         ("frobnicate 1", "hyptri: error: argument command: invalid choice: 'frobnicate' "
-         "(choose from 'solve', 'bisect', 'verify', 'scan', 'figure')"),
+         "(choose from 'solve', 'bisect', 'verify', 'scan', 'study', 'figure')"),
         ("--format json solve sss 1 1 1", "hyptri: error: argument command: invalid choice: "
-         "'--format' (choose from 'solve', 'bisect', 'verify', 'scan', 'figure')"),
+         "'--format' (choose from 'solve', 'bisect', 'verify', 'scan', 'study', 'figure')"),
         ("solve xyz 1 1 1", "hyptri solve: error: argument case: invalid choice: 'xyz' "
          "(choose from 'aaa', 'sss', 'sas', 'asa')"),
         ("solve sss 1 1 1 --format xml", "hyptri solve: error: argument --format: "
@@ -484,6 +523,7 @@ def test_help_exits_0_from_the_command_line():
         ("solve sss 1 1 1 1", "hyptri solve: error: unrecognized arguments: 1"),
         ("solve sss 1 1 zzz", "hyptri solve: error: argument VALUE: invalid float value: 'zzz'"),
         ("scan 5 --seed 1.5", "hyptri scan: error: argument --seed: invalid int value: '1.5'"),
+        ("study 1.5", "hyptri study: error: argument n: invalid int value: '1.5'"),
         ("figure sss 1 1 1", "hyptri figure: error: the following arguments are required: --out"),
         ("solve sss 1 1 1 -x", "hyptri solve: error: unrecognized arguments: -x"),
         ("solve sss 1 1 1 --rtol", "hyptri solve: error: argument --rtol: expected one argument"),

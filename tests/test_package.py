@@ -33,9 +33,9 @@ PUBLIC = {
     ],
     "rng": ["SplitMix64"],
     "steiner_lehmus": [
-        "SCAN_TOL", "EqualBisectorSolve", "MonotonicityResult", "ProofTrace", "ScanReport",
-        "check_monotonicity", "equal_bisector_report", "proof_trace", "sample_angles",
-        "scan_random",
+        "SCAN_TOL", "EqualBisectorSolve", "EqualityStudy", "MonotonicityResult", "ProofTrace",
+        "ScanReport", "check_monotonicity", "equal_bisector_report", "equality_study",
+        "proof_trace", "sample_angles", "scan_random",
     ],
 }
 NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
@@ -51,7 +51,7 @@ def fresh(code):
 
 
 def test_public_names_are_pinned():
-    assert len(NAMES) == 51
+    assert len(NAMES) == 53
     assert sorted(hyptri.__all__) == NAMES
     assert sorted(n for n in dir(hyptri) if not n.startswith("__")) == NAMES
 
@@ -99,7 +99,7 @@ def test_no_other_attribute(name):
 
 
 def test_report_types_are_frozen_dataclasses_without_slots():
-    # one value of each public dataclass: the nine report types of cevian,
+    # one value of each public dataclass: the ten report types of cevian,
     # diskmodel and steiner_lehmus
     t = hyptri.solve_from_sss(hyptri.TriangleSides(1.0, 1.2, 1.5))
     d = hyptri.bisector_lengths(t)
@@ -108,6 +108,7 @@ def test_report_types_are_frozen_dataclasses_without_slots():
         d, hyptri.subtriangle_residuals(t, d), hyptri.unconditional_identities(d, t),
         pC, hyptri.geodesic_arc(pB, pC), hyptri.proof_trace(t), hyptri.check_monotonicity(t),
         hyptri.equal_bisector_report(0.9, 0.7), hyptri.scan_random(5, 0),
+        hyptri.equality_study(2, 0),
     ]
     assert sorted(type(v).__name__ for v in values) == [
         n for n in NAMES

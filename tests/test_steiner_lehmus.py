@@ -28,6 +28,7 @@ from hyptri import (
     bisector_lengths,
     check_monotonicity,
     equal_bisector_report,
+    equality_study,
     law_of_sines_residual,
     proof_trace,
     sample_angles,
@@ -430,6 +431,10 @@ def test_splitmix64_seed_bounds():
             SplitMix64(seed)
     with pytest.raises(TypeError):
         SplitMix64(1.0)
+    # a bool is an int, but no seed: SplitMix64(True) would be SplitMix64(1)
+    for seed in (True, False):
+        with pytest.raises(TypeError, match=rf"^seed must be an integer, got {seed}$"):
+            SplitMix64(seed)
 
 
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -657,6 +662,66 @@ def test_scan_rejects_a_float_count_before_drawing(monkeypatch):
     for n in (2.5, 2000.0):
         with pytest.raises(TypeError):
             scan_random(n, 1)
+
+
+@pytest.mark.parametrize("study, what", [(scan_random, "sample"), (equality_study, "pair")])
+def test_studies_share_one_count_rule(study, what):
+    for n in (True, False, 2.0, 0.5):
+        with pytest.raises(TypeError, match=rf"^{what} count must be an integer, got {n!r}$"):
+            study(n, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^{what} count must be >= 1, got {n}$"):
+            study(n, 1)
+    for seed in (True, False):
+        with pytest.raises(TypeError, match=rf"^seed must be an integer, got {seed}$"):
+            study(3, seed)
+
+
+def reference_pairs(n, seed):
+    """The equality study's pairs, drawn as its docstring states."""
+    rng = SplitMix64(seed)
+    pairs = []
+    while len(pairs) < n:
+        A = 0.05 + rng.random() * 2.55
+        b_max = (math.pi - A - 0.1) / 2.0
+        if b_max > 0.06:
+            pairs.append((A, 0.05 + rng.random() * (b_max - 0.05)))
+    return pairs
+
+
+def test_equality_study_aggregates_the_pair_verdicts(monkeypatch):
+    # every pair solves to c = B exactly but pair 1's sweep and pair 2's nan
+    # root fail EqualBisectorSolve.failures(B); the nan gap never replaces
+    # the first pair's 0.0 as the worst, by max's rule
+    seen = []
+
+    def stub(A, B, tol):
+        seen.append((A, B))
+        c = math.nan if len(seen) == 3 else B
+        changes = 2 if len(seen) == 2 else 1
+        return EqualBisectorSolve(c=c, iterations=len(seen), sign_changes=changes)
+
+    monkeypatch.setattr(steiner_lehmus, "equal_bisector_report", stub)
+    study = equality_study(5, 42)
+    assert seen == reference_pairs(5, 42)
+    assert study == steiner_lehmus.EqualityStudy(
+        pairs=5, seed=42, eps_angle=SCAN_TOL.eps_angle, max_root_gap=0.0,
+        worst_A=seen[0][0], worst_B=seen[0][1], root_iterations=15, failing_pairs=2,
+    )
+    assert study.failures() == ["2 of 5 pairs fail the equality-case criteria"]
+
+
+def test_study_worst_pair_solves_differently_under_default_tol():
+    # the worst pair of `hyptri study 1000 --seed 42`: the study brackets from
+    # SCAN_TOL.eps_angle = 1e-3, `hyptri verify` from DEFAULT_TOL's 1e-9
+    A, B = 2.566169289612388, 0.10791570449791021
+    assert equal_bisector_report(A, B, SCAN_TOL) == EqualBisectorSolve(
+        c=0.10791570449795182, iterations=19, sign_changes=1
+    )
+    assert abs(0.10791570449795182 - B) == 4.160560784782774e-14
+    assert equal_bisector_report(A, B, DEFAULT_TOL) == EqualBisectorSolve(
+        c=0.10791570449791023, iterations=29, sign_changes=1
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
