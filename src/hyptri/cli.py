@@ -150,16 +150,25 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     return _verdict("verification", result.failures(B))
 
 
-def _cmd_ensemble(args: SimpleNamespace) -> int:
-    """scan or study: a seeded ensemble's report and its verdict."""
+def _report(study: str, report, fmt: str) -> int:
+    """A seeded study's report on stdout, then its verdict."""
     from dataclasses import asdict
 
-    from . import steiner_lehmus
+    _emit(asdict(report), fmt)
+    return _verdict(study, report.failures())
 
-    run = steiner_lehmus.scan_random if args.command == "scan" else steiner_lehmus.equality_study
-    report = run(args.n, args.seed, _tolerance(args, steiner_lehmus.SCAN_TOL))
-    _emit(asdict(report), args.format)
-    return _verdict(args.command, report.failures())
+
+def _cmd_scan(args: SimpleNamespace) -> int:
+    from .steiner_lehmus import SCAN_TOL, scan_random
+
+    tol = _tolerance(args, SCAN_TOL)
+    return _report("scan", scan_random(args.n, args.seed, tol), args.format)
+
+
+def _cmd_study(args: SimpleNamespace) -> int:
+    from .steiner_lehmus import equality_study
+
+    return _report("study", equality_study(args.n, args.seed), args.format)
 
 
 def _cmd_figure(args: SimpleNamespace) -> int:
@@ -185,11 +194,9 @@ _TRIANGLE = (
 # an option: (converter, or None for a flag, default, help); its attribute is
 # its name without the leading "--"
 _DEGREES = {"--degrees": (None, False, "interpret input angles in degrees")}
-_COMMON = {
-    "--format": (("text", "json", "csv"), "text", "output format (default: text)"),
-    "--rtol": (float, None, "override the identity-residual tolerance"),
-}
-_SEEDED = {"--seed": (int, 0, "generator seed (default 0)"), **_COMMON}
+_FORMAT = {"--format": (("text", "json", "csv"), "text", "output format (default: text)")}
+_COMMON = {**_FORMAT, "--rtol": (float, None, "override the identity-residual tolerance")}
+_SEED = {"--seed": (int, 0, "generator seed (default 0)")}
 # a command: (handler, help, positionals, options)
 _COMMANDS = {
     "solve": (_cmd_solve, "solve a triangle and report all six elements",
@@ -200,10 +207,10 @@ _COMMANDS = {
         ("A", "A", float, 1, "apex angle A (radians)"),
         ("B", "B", float, 1, "base angle B (radians)"),
     ), {**_DEGREES, **_COMMON}),
-    "scan": (_cmd_ensemble, "randomized ensemble scan of every identity and sign law",
-             (("n", "n", int, 1, "number of sampled triangles"),), _SEEDED),
-    "study": (_cmd_ensemble, "equality-case study: verify on seeded random (A, B) pairs",
-              (("n", "n", int, 1, "number of (A, B) pairs"),), _SEEDED),
+    "scan": (_cmd_scan, "randomized ensemble scan of every identity and sign law",
+             (("n", "n", int, 1, "number of sampled triangles"),), {**_SEED, **_COMMON}),
+    "study": (_cmd_study, "equality-case study: verify on seeded random (A, B) pairs",
+              (("n", "n", int, 1, "number of (A, B) pairs"),), {**_SEED, **_FORMAT}),
     "figure": (_cmd_figure, "render the triangle with both bisectors as SVG", _TRIANGLE,
                {**_DEGREES, "--out": (str, _REQUIRED, "output SVG path"), **_COMMON}),
 }

@@ -219,7 +219,7 @@ def test_study_emits_its_report(fmt, capsys):
 
 def test_study_names_its_failed_criterion(monkeypatch, capsys):
     report = replace(equality_study(3, 0), failing_pairs=1)
-    monkeypatch.setattr("hyptri.steiner_lehmus.equality_study", lambda n, seed, tol: report)
+    monkeypatch.setattr("hyptri.steiner_lehmus.equality_study", lambda n, seed: report)
     assert main(["study", "3"]) == 1
     assert capsys.readouterr().err == (
         "study failed: 1 of 3 pairs fail the equality-case criteria\n"
@@ -524,6 +524,7 @@ def test_help_exits_0_from_the_command_line():
         ("solve sss 1 1 zzz", "hyptri solve: error: argument VALUE: invalid float value: 'zzz'"),
         ("scan 5 --seed 1.5", "hyptri scan: error: argument --seed: invalid int value: '1.5'"),
         ("study 1.5", "hyptri study: error: argument n: invalid int value: '1.5'"),
+        ("study 3 --rtol 1e-9", "hyptri study: error: unrecognized arguments: --rtol"),
         ("figure sss 1 1 1", "hyptri figure: error: the following arguments are required: --out"),
         ("solve sss 1 1 1 -x", "hyptri solve: error: unrecognized arguments: -x"),
         ("solve sss 1 1 1 --rtol", "hyptri solve: error: argument --rtol: expected one argument"),
