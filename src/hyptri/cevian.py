@@ -8,8 +8,10 @@ tB and tC are the bisector lengths BB' and CC'.
 The foot position and the cevian length are computed in closed form; the
 four sub-triangle sine-law identities are kept as residual checks so they
 stay independent evidence rather than part of the computation path.
-``_bisect`` holds the whole bisector stage (feet, lengths and checks) once;
-``bisector_lengths`` and the fused scan (``steiner_lehmus._evidence``) run it.
+``_bisect`` holds the whole bisector stage (feet, lengths and checks) that
+``bisector_lengths`` runs. The fused scan (``steiner_lehmus._evidence``)
+keeps a pinned inline copy of it and calls it only to raise a sub-triangle
+rejection.
 """
 
 import math
@@ -109,17 +111,6 @@ def _subtriangle_rels(
     )
 
 
-def _foot_ratio_rels(
-    sin_A: float, sin_B: float, sin_C: float,
-    sinh_u: float, sinh_U: float, sinh_v: float, sinh_V: float,
-) -> tuple[float, float]:
-    """(idU, idV) of ``RatioResiduals`` from precomputed sines."""
-    return (
-        _rel(sinh_U / sinh_u, sin_A / sin_C),
-        _rel(sinh_V / sinh_v, sin_A / sin_B),
-    )
-
-
 def _check_feet(
     b: float, c: float, u: float, U: float, v: float, V: float, tB: float, tC: float,
     t: ToleranceConfig,
@@ -191,10 +182,11 @@ def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
 def unconditional_identities(d: BisectorData, t: Triangle) -> RatioResiduals:
     """Residuals of the two foot-ratio identities that hold for every triangle:
     sinh U / sinh u = sin A / sin C and sinh V / sinh v = sin A / sin B."""
-    return RatioResiduals(*_foot_ratio_rels(
-        math.sin(t.A), math.sin(t.B), math.sin(t.C),
-        math.sinh(d.u), math.sinh(d.U), math.sinh(d.v), math.sinh(d.V),
-    ))
+    sin_A = math.sin(t.A)
+    return RatioResiduals(
+        idU=_rel(math.sinh(d.U) / math.sinh(d.u), sin_A / math.sin(t.C)),
+        idV=_rel(math.sinh(d.V) / math.sinh(d.v), sin_A / math.sin(t.B)),
+    )
 
 
 def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> BisectorData:

@@ -134,11 +134,10 @@ def _cmd_bisect(args: SimpleNamespace) -> int:
 def _cmd_verify(args: SimpleNamespace) -> int:
     from .steiner_lehmus import equal_bisector_report
 
-    tol = _tolerance(args, DEFAULT_TOL)
     A, B = args.A, args.B
     if args.degrees:
         A, B = math.radians(A), math.radians(B)
-    result = equal_bisector_report(A, B, tol)
+    result = equal_bisector_report(A, B, DEFAULT_TOL)
     gap_to_b = abs(result.c - B)
     payload = {
         "c": result.c,
@@ -206,7 +205,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "recover C from equal bisector lengths; expects C = B", (
         ("A", "A", float, 1, "apex angle A (radians)"),
         ("B", "B", float, 1, "base angle B (radians)"),
-    ), {**_DEGREES, **_COMMON}),
+    ), {**_DEGREES, **_FORMAT}),
     "scan": (_cmd_scan, "randomized ensemble scan of every identity and sign law",
              (("n", "n", int, 1, "number of sampled triangles"),), {**_SEED, **_COMMON}),
     "study": (_cmd_study, "equality-case study: verify on seeded random (A, B) pairs",

@@ -29,7 +29,7 @@ from .cevian import (
     bisector_lengths,
     unconditional_identities,
     _bisect,
-    _foot_ratio_rels,
+    _check_feet,
 )
 from .core import (
     DEFAULT_TOL,
@@ -40,11 +40,12 @@ from .core import (
     NumericalFailure,
     ToleranceConfig,
     Triangle,
+    _ATOL_EQUAL,
+    _MAX_SIDE,
     _SINE_UNDERFLOW,
     _check_angles,
     _check_sides,
     _check_solved,
-    _sides_from_angles,
 )
 from .rng import _LANES, SplitMix64
 
@@ -239,10 +240,10 @@ def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool,
 def _gap_in_C(A: float, B: float):
     """g(C) = tB - tC for fixed (A, B): the equality-case kernel.
 
-    The one inline copy of the kernels that the scan and the public solvers
-    share, ``core._sides_from_angles``, ``cevian._adjacent_split`` and
-    ``core._cevian_length``: calling them per point made the equality case
-    17% slower. It keeps their subexpressions and association order,
+    One of the two inline copies of the public path's kernels (``_evidence``
+    is the other): ``core._sides_from_angles``, ``cevian._adjacent_split``
+    and ``core._cevian_length``. Calling them per point made the equality
+    case 17% slower. It keeps their subexpressions and association order,
     so it returns the same floats and raises the same exceptions
     (``test_gap_kernel_equals_per_triangle_path`` pins it bit for bit), but
     evaluates the C-free sines once per pair, each sinh and exp of a side
@@ -409,38 +410,169 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, R2, R3,
     tB - tC, in tie band, sign law passed).
 
-    Fuses ``solve_from_angles``, ``bisector_lengths``, ``proof_trace``,
-    ``check_monotonicity``, ``law_of_sines_residual`` and
-    ``subtriangle_residuals`` into one pass that evaluates each sine and
-    hyperbolic sine once and builds no value object. Its bisector stage is
-    ``cevian._bisect``, the one ``bisector_lengths`` runs, and its other
-    checks are the public constructors' helpers in their order, so it accepts
-    and rejects exactly what those calls do and returns bit-identical floats.
+    One flat pass through ``solve_from_angles``, ``bisector_lengths``,
+    ``proof_trace``, ``check_monotonicity``, ``law_of_sines_residual`` and
+    ``subtriangle_residuals``: per triangle, call overhead was most of the
+    scan's time. It is the second inline copy of the shared kernels, next to
+    ``_gap_in_C``: ``core._sides_from_angles``, ``core._ratio_spread``,
+    ``core._loc_vertex_residual``, ``cevian._adjacent_split``,
+    ``core._cevian_length`` and ``cevian._rel``, with their subexpressions
+    and association order, so it returns bit-identical floats. It evaluates
+    each sine and hyperbolic sine once, exp(+-b) and exp(+-c) once per side,
+    and builds no value object.
+
+    Its acceptance tests are inline too. Where one fails, it calls the shared
+    check that the public constructors run at that point (``_check_angles``,
+    ``_check_sides``, ``_check_solved``, ``_check_feet``, then ``_bisect``
+    for the sub-triangle residual), which raises the rejection with its one
+    class and message, or returns where the inline test is only a fast path
+    (the plain-sum triangle inequality). So it accepts and rejects exactly
+    what those calls do; the ``test_evidence_*`` tests pin it to them.
     """
+    pi = math.pi
     sin = math.sin
     sinh = math.sinh
-    # solve_from_angles: TriangleAngles, the AAA side solve, TriangleSides
-    half_defect = 0.5 * _check_angles(A, B, C, t)
+    cosh = math.cosh
+    exp = math.exp
+    log1p = math.log1p
+    asinh = math.asinh
+    sqrt = math.sqrt
+    rtol = t.rtol_identity
+
+    # TriangleAngles: the range (false for nan and +-inf), then the defect
+    if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
+        _check_angles(A, B, C, t)
+    defect = pi - math.fsum((A, B, C))
+    if defect <= t.eps_angle:
+        _check_angles(A, B, C, t)
+
+    # the AAA side solve, then TriangleSides
+    half_defect = 0.5 * defect
     sin_A = sin(A)
     sin_B = sin(B)
     sin_C = sin(C)
-    a, b, c = _sides_from_angles(A, B, C, half_defect, sin_A, sin_B, sin_C)
-    _check_sides(a, b, c)
+    sd = sin(half_defect)
+    try:
+        a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
+        b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
+        c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / (sin_A * sin_B)))
+    except ZeroDivisionError:
+        raise DomainCap(_SINE_UNDERFLOW) from None
+    cap = _MAX_SIDE
+    if not (
+        0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap
+        and b + c > a and c + a > b and a + b > c
+    ):
+        _check_sides(a, b, c)  # raises, or accepts a near tie by its fsum test
+
+    # Triangle: law of sines, law of cosines, side/angle ordering
     sinh_a = sinh(a)
     sinh_b = sinh(b)
     sinh_c = sinh(c)
     half_A = sin(0.5 * A)
     half_B = sin(0.5 * B)  # sin beta
     half_C = sin(0.5 * C)  # sin gamma
-    spread = _check_solved(
-        a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
-    )
-    # bisector_lengths
-    _, _, _, _, tB, tC, sinh_u, sinh_U, sinh_v, sinh_V, worst = _bisect(
-        b, c, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
-    )
+    ra = sinh_a / sin_A
+    rb = sinh_b / sin_B
+    rc = sinh_c / sin_C
+    hi = lo = ra
+    if rb > hi:
+        hi = rb
+    if rc > hi:
+        hi = rc
+    if rb < lo:
+        lo = rb
+    if rc < lo:
+        lo = rc
+    spread = (hi - lo) / hi
+    rhs = cosh(b - c) + 2.0 * sinh_b * sinh_c * half_A * half_A
+    lhs = cosh(a)
+    loc = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+    rhs = cosh(c - a) + 2.0 * sinh_c * sinh_a * half_B * half_B
+    lhs = cosh(b)
+    r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+    if r > loc:
+        loc = r
+    rhs = cosh(a - b) + 2.0 * sinh_a * sinh_b * half_C * half_C
+    lhs = cosh(c)
+    r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+    if r > loc:
+        loc = r
+    atol = _ATOL_EQUAL
+    # sides and angles are finite here, so the order test can come first
+    if (
+        spread > rtol or loc > rtol
+        or ((a < b) != (A < B) and not abs(a - b) <= atol and not abs(A - B) <= atol)
+        or ((b < c) != (B < C) and not abs(b - c) <= atol and not abs(B - C) <= atol)
+        or ((c < a) != (C < A) and not abs(c - a) <= atol and not abs(C - A) <= atol)
+    ):
+        _check_solved(
+            a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
+        )
+
+    # bisector_lengths: the feet, one exp(+-side) pair per side, then tB and
+    # tC in the A-side sub-triangles
+    e = exp(b)
+    en = exp(-b)
+    k = sinh_c / sinh_a
+    u = 0.5 * (log1p(k * e) - log1p(k * en))
+    k = sinh_a / sinh_c
+    U = 0.5 * (log1p(k * e) - log1p(k * en))
+    e = exp(c)
+    en = exp(-c)
+    k = sinh_b / sinh_a
+    v = 0.5 * (log1p(k * e) - log1p(k * en))
+    k = sinh_a / sinh_b
+    V = 0.5 * (log1p(k * e) - log1p(k * en))
+    sinh_u = sinh(u)
+    sinh_v = sinh(v)
+    h = sinh(0.5 * (c - u))
+    tB = 2.0 * asinh(sqrt(h * h + sinh_c * sinh_u * half_A * half_A))
+    h = sinh(0.5 * (b - v))
+    tC = 2.0 * asinh(sqrt(h * h + sinh_b * sinh_v * half_A * half_A))
+    inf = math.inf
+    if not (
+        0.0 < u < inf and 0.0 < U < inf and 0.0 < v < inf
+        and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
+        and abs(u + U - b) <= rtol * b and abs(v + V - c) <= rtol * c
+    ):
+        _check_feet(b, c, u, U, v, V, tB, tC, t)
+
+    # the sub-triangle and foot-ratio residuals: every sine here is of an
+    # angle in (0, pi) and every sinh of a positive length, so each quotient
+    # is positive and _rel's max(|x|, |y|) needs no abs
+    sinh_U = sinh(U)
+    sinh_V = sinh(V)
+    sinh_tB = sinh(tB)
+    sinh_tC = sinh(tC)
+    x = sinh_tB / sin_A
+    y = sinh_u / half_B
+    worst = abs(x - y) / (y if y > x else x)
+    x = sinh_tB / sin_C
+    y = sinh_U / half_B
+    r = abs(x - y) / (y if y > x else x)
+    if r > worst:
+        worst = r
+    x = sinh_tC / sin_A
+    y = sinh_v / half_C
+    r = abs(x - y) / (y if y > x else x)
+    if r > worst:
+        worst = r
+    x = sinh_tC / sin_B
+    y = sinh_V / half_C
+    r = abs(x - y) / (y if y > x else x)
+    if r > worst:
+        worst = r
+    if worst > rtol:
+        _bisect(b, c, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t)
+    x = sinh_U / sinh_u
+    y = sin_A / sin_C
+    idU = abs(x - y) / (y if y > x else x)
+    x = sinh_V / sinh_v
+    y = sin_A / sin_B
+    idV = abs(x - y) / (y if y > x else x)
+
     # proof_trace (without D) and check_monotonicity
-    idU, idV = _foot_ratio_rels(sin_A, sin_B, sin_C, sinh_u, sinh_U, sinh_v, sinh_V)
     R2 = half_B / half_C
     gap = tB - tC
     in_band, passed = _sign_law(gap, C - B, tB, tC)

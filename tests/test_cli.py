@@ -525,6 +525,7 @@ def test_help_exits_0_from_the_command_line():
         ("scan 5 --seed 1.5", "hyptri scan: error: argument --seed: invalid int value: '1.5'"),
         ("study 1.5", "hyptri study: error: argument n: invalid int value: '1.5'"),
         ("study 3 --rtol 1e-9", "hyptri study: error: unrecognized arguments: --rtol"),
+        ("verify 0.9 0.7 --rtol 1e-9", "hyptri verify: error: unrecognized arguments: --rtol"),
         ("figure sss 1 1 1", "hyptri figure: error: the following arguments are required: --out"),
         ("solve sss 1 1 1 -x", "hyptri solve: error: unrecognized arguments: -x"),
         ("solve sss 1 1 1 --rtol", "hyptri solve: error: argument --rtol: expected one argument"),

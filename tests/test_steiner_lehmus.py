@@ -217,7 +217,7 @@ def solved_bisectors(A, B, C, tol):
 )
 def test_bisector_lengths_is_pinned_on_needle_grid(tol, counts, digest):
     # values, check order and messages of the bisector stage on every triple,
-    # recorded independently of the fused scan that shares the stage
+    # recorded independently of the fused scan, which inlines the stage
     sha = hashlib.sha256()
     seen = Counter()
     for A, B, C in gap_triples():
@@ -558,7 +558,12 @@ def test_evidence_equals_public_path_in_tie_band(triple, tol):
 # Each triple trips a different check of the public path under some of the
 # tolerances below: angle range, defect margin, side cap, triangle
 # inequality, law of sines, law of cosines, foot sums, sub-triangle sines,
-# and sines too small for float sides.
+# and sines too small for float sides. The rows after the first twelve each
+# fail one test of the fused pass alone, so that no other failing test calls
+# the same check: the range of B, then of C, whose defect passes; one side
+# over the cap with the triangle inequality holding; the triangle inequality
+# at a, then at b; the law of sines but not of cosines (at rtol 3e-16); and a
+# foot sum with the sub-triangle residuals passing, on side b, then side c.
 REJECTION_TRIPLES = [
     (0.0, 1.0, 1.0),
     (math.nan, 1.0, 1.0),
@@ -572,6 +577,16 @@ REJECTION_TRIPLES = [
     (1e-4, 1e-4, 1e-4),
     (1e-300, 1e-300, 1.0),
     (math.pi - 1e-6, 1e-18, 1e-18),
+    (1.0, -0.5, 1.0),
+    (1.0, 1.0, math.nan),
+    (4.8e-11, 2.4e-11, 2.4e-11),
+    (2.4e-11, 4.8e-11, 2.4e-11),
+    (2.4e-11, 2.4e-11, 4.8e-11),
+    (math.pi - 3e-6, 1e-7, 2e-6),
+    (2e-6, math.pi - 3e-6, 1e-7),
+    (0.1, 0.2, 1.2),
+    (1.4, 0.1, 1.4),
+    (1.4, 1.4, 0.1),
 ]
 REJECTION_TOLS = [
     DEFAULT_TOL,
@@ -586,6 +601,27 @@ REJECTION_TOLS = [
 def test_evidence_rejects_like_public_path(tol):
     for triple in REJECTION_TRIPLES:
         assert outcome(_evidence, *triple, tol) == outcome(public_evidence, *triple, tol)
+
+
+@pytest.mark.parametrize(
+    "tol, counts",
+    [
+        (
+            DEFAULT_TOL,
+            {"accepted": 1924, "triangle": 40, "sub-triangle": 32, "foot": 3, "law": 1},
+        ),
+        (SCAN_TOL, {"accepted": 1690, "angle": 310}),
+    ],
+)
+def test_evidence_equals_public_path_on_needle_grid(tol, counts):
+    # every triple of the needle grid, accepted or rejected; the counts show
+    # which checks the grid reaches, by the first word of their messages
+    seen = Counter()
+    for triple in gap_triples():
+        fused = outcome(_evidence, *triple, tol)
+        assert fused == outcome(public_evidence, *triple, tol), triple
+        seen["accepted" if len(fused) == 13 else fused[1].split(" ")[0]] += 1
+    assert dict(seen) == counts
 
 
 def test_evidence_rejects_a_side_over_the_cap():
