@@ -9,9 +9,12 @@ The foot position and the cevian length are computed in closed form; the
 four sub-triangle sine-law identities are kept as residual checks so they
 stay independent evidence rather than part of the computation path.
 ``_bisect`` holds the whole bisector stage (feet, lengths and checks) that
-``bisector_lengths`` runs. The fused scan (``steiner_lehmus._evidence``)
-keeps a pinned inline copy of it and calls it only to raise a sub-triangle
-rejection.
+``bisector_lengths`` runs. Three pinned inline copies in ``steiner_lehmus``
+run its kernels without calling them: the fused scan ``_evidence`` copies
+the whole stage and calls it only to raise a sub-triangle rejection; the
+equality kernel ``_gap_in_C`` copies the feet u, v and the lengths tB, tC;
+and its sweep ``_count_sign_changes`` copies them up to the arguments of
+the lengths' asinh, from which it reads the sign of tB - tC.
 """
 
 import math

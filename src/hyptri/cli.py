@@ -194,7 +194,8 @@ _TRIANGLE = (
 # its name without the leading "--"
 _DEGREES = {"--degrees": (None, False, "interpret input angles in degrees")}
 _FORMAT = {"--format": (("text", "json", "csv"), "text", "output format (default: text)")}
-_COMMON = {**_FORMAT, "--rtol": (float, None, "override the identity-residual tolerance")}
+_RTOL = {"--rtol": (float, None, "override the identity-residual tolerance")}
+_COMMON = {**_FORMAT, **_RTOL}
 _SEED = {"--seed": (int, 0, "generator seed (default 0)")}
 # a command: (handler, help, positionals, options)
 _COMMANDS = {
@@ -211,7 +212,7 @@ _COMMANDS = {
     "study": (_cmd_study, "equality-case study: verify on seeded random (A, B) pairs",
               (("n", "n", int, 1, "number of (A, B) pairs"),), {**_SEED, **_FORMAT}),
     "figure": (_cmd_figure, "render the triangle with both bisectors as SVG", _TRIANGLE,
-               {**_DEGREES, "--out": (str, _REQUIRED, "output SVG path"), **_COMMON}),
+               {**_DEGREES, "--out": (str, _REQUIRED, "output SVG path"), **_RTOL}),
 }
 
 

@@ -165,8 +165,8 @@ def _check_side(name: str, value: float) -> None:
         raise InvalidTriangle(f"side {name} must be finite and positive, got {value!r}")
 
 
-def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
-    """Range and angle-sum checks of an angle triple; returns the defect."""
+def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> None:
+    """Range and angle-sum checks of an angle triple."""
     pi = math.pi
     # one chained comparison per angle accepts; it is false for nan and +-inf
     if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
@@ -179,7 +179,6 @@ def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> float:
         raise InvalidTriangle(
             f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
         )
-    return gap
 
 
 def _check_sides(a: float, b: float, c: float) -> None:
@@ -212,10 +211,10 @@ def _check_solved(
     sin_A: float, sin_B: float, sin_C: float,
     half_A: float, half_B: float, half_C: float,
     t: ToleranceConfig,
-) -> float:
+) -> None:
     """Consistency checks of a solved triangle from precomputed sinh(side),
     sin(angle) and sin(angle/2): law of sines, law of cosines, then
-    side/angle ordering. Returns the law-of-sines spread."""
+    side/angle ordering."""
     spread = _ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
     if spread > t.rtol_identity:
         raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
@@ -235,7 +234,6 @@ def _check_solved(
         raise InvalidTriangle(
             "side/angle ordering violated: larger angle must face larger side"
         )
-    return spread
 
 
 class TriangleAngles(_Frozen):

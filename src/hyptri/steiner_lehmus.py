@@ -68,8 +68,9 @@ __all__ = [
 # residuals up to 1e-9; strict per-value validation keeps the 1e-10 default.
 SCAN_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
 
-# |C - B| below this exempts strict-sign assertions; inside the band the gap
-# must vanish to TIE_BAND_GAP_RTOL * max(tB, tC) instead.
+# |C - B| below this, scaled by min(1, max(B, C)), exempts strict-sign
+# assertions; inside the band the gap must vanish to
+# TIE_BAND_GAP_RTOL * max(tB, tC) instead.
 TIE_BAND_ANGLE = 1e-9
 TIE_BAND_GAP_RTOL = 1e-7
 
@@ -223,16 +224,20 @@ def check_monotonicity(
         d = bisector_lengths(t, tol)
     gap = d.tB - d.tC
     angle_gap = t.C - t.B
-    in_band, passed = _sign_law(gap, angle_gap, d.tB, d.tC)
+    in_band, passed = _sign_law(gap, t.B, t.C, d.tB, d.tC)
     return MonotonicityResult(
         passed=passed, gap=gap, angle_gap=angle_gap, tB=d.tB, tC=d.tC, in_tie_band=in_band
     )
 
 
-def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool, bool]:
-    """(in the tie band, passed) for gap = tB - tC and angle_gap = C - B."""
-    in_band = abs(angle_gap) < TIE_BAND_ANGLE
-    if in_band:
+def _sign_law(gap: float, B: float, C: float, tB: float, tC: float) -> tuple[bool, bool]:
+    """(in the tie band, passed) for gap = tB - tC. The band is
+    |C - B| < TIE_BAND_ANGLE * min(1, max(B, C)): below angles of 1 it
+    narrows with them, so large-sided triangles, whose angles are all tiny,
+    still face the strict sign law. The fixed bound is tested first, so a
+    triangle outside it costs one comparison."""
+    angle_gap = C - B
+    if abs(angle_gap) < TIE_BAND_ANGLE and abs(angle_gap) < TIE_BAND_ANGLE * min(1.0, max(B, C)):
         return True, abs(gap) < TIE_BAND_GAP_RTOL * max(tB, tC)
     return False, ((gap > 0.0) if angle_gap > 0.0 else (gap < 0.0))
 
@@ -240,14 +245,17 @@ def _sign_law(gap: float, angle_gap: float, tB: float, tC: float) -> tuple[bool,
 def _gap_in_C(A: float, B: float):
     """g(C) = tB - tC for fixed (A, B): the equality-case kernel.
 
-    One of the two inline copies of the public path's kernels (``_evidence``
-    is the other): ``core._sides_from_angles``, ``cevian._adjacent_split``
-    and ``core._cevian_length``. Calling them per point made the equality
-    case 17% slower. It keeps their subexpressions and association order,
-    so it returns the same floats and raises the same exceptions
+    One of three pinned inline copies of the public path's kernels
+    (``_evidence`` and the sweep ``_count_sign_changes`` are the others):
+    ``core._sides_from_angles``, ``cevian._adjacent_split`` and
+    ``core._cevian_length``. Calling them per point made the equality case
+    17% slower. It keeps their subexpressions and association order, so it
+    returns the same floats and raises the same exceptions
     (``test_gap_kernel_equals_per_triangle_path`` pins it bit for bit), but
     evaluates the C-free sines once per pair, each sinh and exp of a side
-    once per point, and never forms the far segments U and V.
+    once per point, and never forms the far segments U and V. The sweep
+    runs this body inline up to the arguments of tB's and tC's asinh and
+    calls g only where those two are too close to tell the sign.
     """
     sin = math.sin
     sinh = math.sinh
@@ -331,20 +339,94 @@ def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
     return 0.5 * (lo + hi), evals
 
 
-def _count_sign_changes(g, lo, hi, points):
-    """Sign changes of g along lo, the midpoints of ``points`` equal steps,
-    and hi; the ends count, so a root within half a step of one is seen."""
+# Relative margin between the two squared-sinh arguments of tB and tC above
+# which the sweep reads sign(tB - tC) from them without taking either length.
+_SWEEP_BAND = 1e-12
+
+
+def _count_sign_changes(A, B, lo, hi, points, g):
+    """Sign changes of g = _gap_in_C(A, B) along lo, the midpoints of
+    ``points`` equal steps, and hi; the ends count, so a root within half a
+    step of one is seen. A zero or nan value has no sign and is skipped.
+
+    One of three pinned inline copies of the shared kernels (see
+    ``_gap_in_C``): it runs g's body inline, with its per-pair constants,
+    subexpressions, association order and exceptions, up to xB and xC,
+    where tB = 2 asinh(sqrt(xB)) and tC = 2 asinh(sqrt(xC)). The sign of
+    tB - tC is +1 when xB > xC (1 + 1e-12) and -1 when xC > xB (1 + 1e-12);
+    otherwise, nan included, it is the sign of g(C) itself. So the count is
+    g's count:
+
+    * sqrt is correctly rounded, so monotone, and asinh is accurate to a
+      few ulps. A relative gap e = 1e-12 in x is a relative gap of
+      e tanh(t/2) / t in t: e/2 for small t, 2e-14 (about ninety ulps) at
+      the side cap t = 50, and still six ulps at t = 700. A bisector is
+      no longer than its longer adjacent side, and sinh of a side over
+      710 overflows first.
+    * u, v >= 0, since log1p is monotone and e^b >= e^-b, so x is >= 0 or
+      nan and g's sqrt and asinh of it raise nothing: a g(C) called after
+      the inline body got through returns, as g would have.
+    * x takes half_A * half_A as one hoisted factor where g multiplies by
+      half_A twice, which moves it by a few ulps, well inside the band.
+
+    It calls g only inside the band and builds no grid: C is formed in the
+    loop, bit for bit as ``lo + (i + 0.5) * step``.
+    """
+    sin = math.sin
+    sinh = math.sinh
+    exp = math.exp
+    log1p = math.log1p
+    asinh = math.asinh
+    sqrt = math.sqrt
+    fsum = math.fsum
+    pi = math.pi
+    sin_A = sin(A)
+    sin_B = sin(B)
+    sin_AB = sin_A * sin_B
+    half_A = sin(0.5 * A)
+    half_A2 = half_A * half_A
+    band = 1.0 + _SWEEP_BAND
+    angles = [A, B, lo]  # fsum's argument, C in the last slot
+    step = (hi - lo) / points
     changes = 0
     prev = 0
-    step = (hi - lo) / points
-    for x in (lo, *[lo + (i + 0.5) * step for i in range(points)], hi):
-        value = g(x)
-        sgn = (value > 0.0) - (value < 0.0)
-        if sgn == 0:
-            continue
-        if prev != 0 and sgn != prev:
-            changes += 1
-        prev = sgn
+    for i in range(-1, points + 1):
+        C = lo if i < 0 else hi if i == points else lo + (i + 0.5) * step
+        # g's body, as in _gap_in_C, up to xB and xC
+        angles[2] = C
+        half_defect = 0.5 * (pi - fsum(angles))
+        sd = sin(half_defect)
+        sin_C = sin(C)
+        try:
+            a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
+            b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
+            c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
+        except ZeroDivisionError:
+            raise DomainCap(_SINE_UNDERFLOW) from None
+        sinh_a = sinh(a)
+        sinh_b = sinh(b)
+        sinh_c = sinh(c)
+        k = sinh_c / sinh_a
+        u = 0.5 * (log1p(k * exp(b)) - log1p(k * exp(-b)))
+        k = sinh_b / sinh_a
+        v = 0.5 * (log1p(k * exp(c)) - log1p(k * exp(-c)))
+        h = sinh(0.5 * (c - u))
+        xB = h * h + sinh_c * sinh(u) * half_A2
+        h = sinh(0.5 * (b - v))
+        xC = h * h + sinh_b * sinh(v) * half_A2
+        if xB > xC * band:
+            sgn = 1
+        elif xC > xB * band:
+            sgn = -1
+        else:
+            value = g(C)
+            sgn = (value > 0.0) - (value < 0.0)
+            if not sgn:
+                continue
+        if sgn != prev:
+            if prev:
+                changes += 1
+            prev = sgn
     return changes
 
 
@@ -369,7 +451,7 @@ def equal_bisector_report(
 
     g = _gap_in_C(A, B)
     root, evals = _bracketed_hybrid(g, tol.eps_angle, hi)
-    changes = _count_sign_changes(g, tol.eps_angle, hi, sweep_points)
+    changes = _count_sign_changes(A, B, tol.eps_angle, hi, sweep_points, g)
     return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
 
 
@@ -413,8 +495,9 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     One flat pass through ``solve_from_angles``, ``bisector_lengths``,
     ``proof_trace``, ``check_monotonicity``, ``law_of_sines_residual`` and
     ``subtriangle_residuals``: per triangle, call overhead was most of the
-    scan's time. It is the second inline copy of the shared kernels, next to
-    ``_gap_in_C``: ``core._sides_from_angles``, ``core._ratio_spread``,
+    scan's time. It is one of three pinned inline copies of the shared
+    kernels, next to ``_gap_in_C`` and the sweep ``_count_sign_changes``:
+    ``core._sides_from_angles``, ``core._ratio_spread``,
     ``core._loc_vertex_residual``, ``cevian._adjacent_split``,
     ``core._cevian_length`` and ``cevian._rel``, with their subexpressions
     and association order, so it returns bit-identical floats. It evaluates
@@ -575,7 +658,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     # proof_trace (without D) and check_monotonicity
     R2 = half_B / half_C
     gap = tB - tC
-    in_band, passed = _sign_law(gap, C - B, tB, tC)
+    in_band, passed = _sign_law(gap, B, C, tB, tC)
     return (
         a, b, c, spread, worst, idU, idV,
         R2 * (sinh_b / sinh_c), R2, math.cos(0.5 * B) / math.cos(0.5 * C),

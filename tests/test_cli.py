@@ -332,7 +332,7 @@ CSV = ["--format", "csv"]
         (["solve", "sss", "1", "1", "2.5", *CSV], CORE, 3, False),
         (["bisect", "sss", "1", "1", "1", "--format", "json"], CORE + ["hyptri.cevian"], 0, False),
         (["bisect", "sss", "1", "1", "1", *CSV], CORE + ["hyptri.cevian"], 0, True),
-        (["figure", "sss", "1", "1", "1", "--out", "{tmp}", *CSV],
+        (["figure", "sss", "1", "1", "1", "--out", "{tmp}"],
          CORE + ["hyptri.cevian", "hyptri.diskmodel"], 0, False),
         (["verify", "0.9", "0.7"], SCAN_PATH, 0, False),
         (["verify", "0.9", "0.7", *CSV], SCAN_PATH, 0, True),
@@ -527,6 +527,9 @@ def test_help_exits_0_from_the_command_line():
         ("study 3 --rtol 1e-9", "hyptri study: error: unrecognized arguments: --rtol"),
         ("verify 0.9 0.7 --rtol 1e-9", "hyptri verify: error: unrecognized arguments: --rtol"),
         ("figure sss 1 1 1", "hyptri figure: error: the following arguments are required: --out"),
+        # figure writes an SVG file and prints its path, so it takes no --format
+        ("figure sss 1 1 1 --out t.svg --format json",
+         "hyptri figure: error: unrecognized arguments: --format"),
         ("solve sss 1 1 1 -x", "hyptri solve: error: unrecognized arguments: -x"),
         ("solve sss 1 1 1 --rtol", "hyptri solve: error: argument --rtol: expected one argument"),
         ("solve sss 1 1 1 --rtol --degrees",

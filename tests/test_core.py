@@ -379,13 +379,13 @@ def test_small_triangle_euclidean_limit():
         assert got == pytest.approx(expected, rel=1e-6)
 
 
-# The parent's loop-form checks, kept verbatim as the oracle for the
-# one-comparison accept paths in hyptri.core: every input must give the same
-# return bits, or the same exception class and message.
+# The loop-form checks, kept as the oracle for the one-comparison accept
+# paths in hyptri.core: every input must give the same return bits (None for
+# a check that passes), or the same exception class and message.
 
 
 def _ref_check_angles(A, B, C, t):
-    """Range and angle-sum checks of an angle triple; returns the defect."""
+    """Range and angle-sum checks of an angle triple."""
     for name, value in (("A", A), ("B", B), ("C", C)):
         if not (math.isfinite(value) and 0.0 < value < math.pi):
             raise InvalidTriangle(f"angle {name} must lie in (0, pi), got {value!r}")
@@ -395,7 +395,6 @@ def _ref_check_angles(A, B, C, t):
         raise InvalidTriangle(
             f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
         )
-    return gap
 
 
 def _ref_check_sides(a, b, c):
@@ -452,7 +451,6 @@ def _ref_check_solved(
             raise InvalidTriangle(
                 "side/angle ordering violated: larger angle must face larger side"
             )
-    return spread
 
 
 def _mismatches(fn, ref, grid):

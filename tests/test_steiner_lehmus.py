@@ -34,6 +34,7 @@ from hyptri import (
     sample_angles,
     scan_random,
     solve_from_angles,
+    solve_from_sas,
     solve_from_sss,
     subtriangle_residuals,
     TriangleSides,
@@ -42,7 +43,9 @@ import hyptri.steiner_lehmus as steiner_lehmus
 from hyptri.cevian import _adjacent_split
 from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
 from hyptri.rng import _LANES
-from hyptri.steiner_lehmus import _bracketed_hybrid, _evidence, _gap_in_C
+from hyptri.steiner_lehmus import (
+    _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C,
+)
 
 from conftest import angle_triples, seeded_triangles
 
@@ -93,6 +96,42 @@ def test_monotonicity_exact_isosceles():
     assert result.passed
     assert result.in_tie_band
     assert result.gap == 0.0  # mirrored computation is bitwise symmetric
+
+
+def test_large_sided_triangle_faces_the_strict_sign_law():
+    # sides near 40 make every angle tiny: C - B = 2.3e-10 is below the tie
+    # band's fixed bound, but not below the band scaled by max(B, C)
+    t = solve_from_sss(TriangleSides(40.902881, 36.249007, 36.336))
+    result = check_monotonicity(t)
+    assert 0.0 < t.C - t.B < steiner_lehmus.TIE_BAND_ANGLE
+    assert (result.passed, result.in_tie_band) == (True, False)
+    assert result.gap > 0.0
+
+
+def test_sas_box_has_no_sign_law_false_alarm():
+    # the whole stated domain in one box: b and c up to the side cap, A in
+    # (0, pi). The 77 triangles with |C - B| below the fixed bound all have
+    # tiny angles; a fixed band took them in and failed each on its gap test
+    rng = SplitMix64(42)
+    seen = Counter()
+    for _ in range(5000):
+        b = 50.0 * rng.random()
+        c = 50.0 * rng.random()
+        A = math.pi * rng.random()
+        try:
+            t = solve_from_sas(b, A, c, SCAN_TOL)
+        except HypTriError as exc:
+            seen[type(exc).__name__] += 1
+            continue
+        result = check_monotonicity(t, SCAN_TOL)
+        seen["accepted"] += 1
+        seen["below the fixed bound"] += abs(t.C - t.B) < steiner_lehmus.TIE_BAND_ANGLE
+        seen["in the band"] += result.in_tie_band
+        seen["failed"] += not result.passed
+    assert dict(seen) == {
+        "DomainCap": 2409, "InvalidTriangle": 1, "accepted": 2590,
+        "below the fixed bound": 77, "in the band": 0, "failed": 0,
+    }
 
 
 def test_gap_antisymmetry_bitwise():
@@ -334,19 +373,119 @@ def test_solver_requires_a_valid_isosceles_triangle():
     assert result.sign_changes == 1
 
 
-def test_sweep_sees_roots_near_the_bracket_ends():
-    # a log-uniform defect puts C = B anywhere from the middle of the bracket
-    # to within half a sweep step of hi; B near 0 puts it near lo
+def near_end_pairs():
+    """(A, B) pairs whose root C = B lies near an end of the bracket: a
+    log-uniform defect puts it anywhere from the middle of the bracket to
+    within half a sweep step of hi; B near 0 puts it near lo."""
     rng = random.Random(5)
     pairs = [(1.0, 1.0705463267948966), (2.9485124868180193, 5.566310896803148e-05)]
     for _ in range(200):
         A = rng.uniform(0.05, 3.0)
         defect = math.exp(rng.uniform(math.log(1.3e-9), math.log(0.1)))
         pairs.append((A, 0.5 * (math.pi - A - defect)))
-    for A, B in pairs:
+    return pairs
+
+
+def test_sweep_sees_roots_near_the_bracket_ends():
+    for A, B in near_end_pairs():
         result = equal_bisector_report(A, B)
         assert abs(result.c - B) < 1e-10, (A, B)
         assert result.sign_changes == 1, (A, B)
+
+
+def count_sign_changes(g, lo, hi, points):
+    """The generic sweep, the oracle for the fused ``_count_sign_changes``:
+    sign changes of g along lo, the midpoints of ``points`` equal steps, and
+    hi, one call of g per point; a zero or nan value is skipped."""
+    changes = 0
+    prev = 0
+    step = (hi - lo) / points
+    for x in (lo, *[lo + (i + 0.5) * step for i in range(points)], hi):
+        value = g(x)
+        sgn = (value > 0.0) - (value < 0.0)
+        if sgn == 0:
+            continue
+        if prev != 0 and sgn != prev:
+            changes += 1
+        prev = sgn
+    return changes
+
+
+def sweep_outcomes(A, B, lo, hi, points):
+    """The fused sweep's and the oracle's outcome on the same grid of g."""
+    g = _gap_in_C(A, B)
+    return (
+        outcome(_count_sign_changes, A, B, lo, hi, points, g),
+        outcome(count_sign_changes, g, lo, hi, points),
+    )
+
+
+@pytest.mark.parametrize("tol", [SCAN_TOL, DEFAULT_TOL])
+def test_sweep_equals_generic_sweep_on_seeded_pairs(tol):
+    for A, B in reference_pairs(60, 7):
+        hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
+        for points in (1, 2, 7, 1000):
+            fused, oracle = sweep_outcomes(A, B, tol.eps_angle, hi, points)
+            assert fused == oracle == 1, (A, B, points)
+
+
+def test_sweep_equals_generic_sweep_near_the_bracket_ends():
+    eps = DEFAULT_TOL.eps_angle
+    for A, B in near_end_pairs():
+        hi = math.fsum((math.pi, -A, -B, -eps))
+        for points in (1, 2, 7, 1000):
+            fused, oracle = sweep_outcomes(A, B, eps, hi, points)
+            assert fused == oracle, (A, B, points)
+
+
+def test_sweep_reads_near_ties_from_g():
+    # one step whose midpoint is C = B + k ulps exactly: at k = 0, xB = xC and
+    # g's exact 0.0 has no sign, so it is skipped; a few ulps off, xB and xC
+    # are inside the band, so the sign is g's, whatever rounding made it
+    A, B = 0.9, 0.75
+    g = _gap_in_C(A, B)
+    assert g(B) == 0.0
+    calls = []
+
+    def spy(C):
+        calls.append(C)
+        return g(C)
+
+    for k in (0, 1, -1, 16, -16):
+        C = B + k * 2.0**-53
+        lo, hi = 0.5, 2.0 * C - 0.5
+        calls.clear()
+        assert _count_sign_changes(A, B, lo, hi, 1, spy) == count_sign_changes(g, lo, hi, 1)
+        assert calls == [C]
+    # the same tie on finer grids of [0.5, 1.0]
+    for points in (3, 5):
+        calls.clear()
+        assert _count_sign_changes(A, B, 0.5, 1.0, points, spy) == 1
+        assert calls == [B]
+        assert count_sign_changes(g, 0.5, 1.0, points) == 1
+
+
+def test_sweep_raises_like_generic_sweep_off_the_simplex():
+    # an end at or below zero, or at or past the rest of pi, for sampled
+    # (A, B); the ends are evaluated in grid order, so the same point raises
+    cases = []
+    for A, B, C in gap_triples()[::20]:
+        rest = math.pi - A - B
+        for lo in (0.0, -1e-12, -C):
+            cases.append((A, B, lo, 0.5 * rest))
+        for hi in (rest * (1.0 + 1e-9), rest + 1e-9, rest + C, math.pi):
+            cases.append((A, B, 0.5 * rest, hi))
+    for A, B, lo, hi in cases:
+        for points in (1, 7):
+            fused, oracle = sweep_outcomes(A, B, lo, hi, points)
+            assert isinstance(oracle, tuple), (A, B, lo, hi)  # every one of these raises
+            assert fused == oracle, (A, B, lo, hi)
+    # a product of two sines that underflows raises at lo; with A = 1e-200
+    # every value is nan, so no point has a sign
+    assert sweep_outcomes(1e-320, 0.7, 1e-9, 1.0, 7) == 2 * (
+        (DomainCap, "angles too small for float sides: a product of two sines underflows to 0"),
+    )
+    assert sweep_outcomes(1e-200, 0.7, 1e-9, 2.0, 1000) == (0, 0)
 
 
 @pytest.mark.parametrize("points", [0, -5])
