@@ -9,12 +9,13 @@ The foot position and the cevian length are computed in closed form; the
 four sub-triangle sine-law identities are kept as residual checks so they
 stay independent evidence rather than part of the computation path.
 ``_bisect`` holds the whole bisector stage (feet, lengths and checks) that
-``bisector_lengths`` runs. Three pinned inline copies in ``steiner_lehmus``
-run its kernels without calling them: the fused scan ``_evidence`` copies
-the whole stage and calls it only to raise a sub-triangle rejection; the
-equality kernel ``_gap_in_C`` copies the feet u, v and the lengths tB, tC;
-and its sweep ``_count_sign_changes`` copies them up to the arguments of
-the lengths' asinh, from which it reads the sign of tB - tC.
+``bisector_lengths`` runs. The equality kernel ``_gap_in_C`` in
+``steiner_lehmus`` calls its kernels for the feet u, v and the lengths tB,
+tC. Two pinned inline copies there run them without calling them: the
+fused scan ``_evidence`` copies the whole stage and calls it only to raise
+a sub-triangle rejection, and the equality sweep ``_count_sign_changes``
+copies the shared kernels up to the arguments of the lengths' asinh, from
+which it reads the sign of tB - tC.
 """
 
 import math
@@ -143,7 +144,7 @@ def _bisect(
     """The bisector stage: feet in closed form, lengths by the law of cosines
     in the A-side sub-triangles, then the foot and sub-triangle sine-law
     checks, from precomputed sinh(side), sin(angle) and sin(angle/2). Returns
-    (u, U, v, V, tB, tC, sinh u, sinh U, sinh v, sinh V, worst residual)."""
+    (u, U, v, V, tB, tC)."""
     sinh = math.sinh
     u = _adjacent_split(b, sinh_c / sinh_a)
     U = _adjacent_split(b, sinh_a / sinh_c)
@@ -170,7 +171,7 @@ def _bisect(
         raise NumericalFailure(
             f"sub-triangle sine-law residual {worst!r} exceeds {t.rtol_identity}"
         )
-    return u, U, v, V, tB, tC, sinh_u, sinh_U, sinh_v, sinh_V, worst
+    return u, U, v, V, tB, tC
 
 
 def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
@@ -200,5 +201,5 @@ def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> Bisecto
     u, U, v, V, tB, tC = _bisect(
         t.b, t.c, math.sinh(t.a), math.sinh(t.b), math.sinh(t.c), math.sin(A), math.sin(B),
         math.sin(C), math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C), tol,
-    )[:6]
+    )
     return BisectorData(beta=0.5 * B, gamma=0.5 * C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)

@@ -28,6 +28,7 @@ from .cevian import (
     BisectorData,
     bisector_lengths,
     unconditional_identities,
+    _adjacent_split,
     _bisect,
     _check_feet,
 )
@@ -46,6 +47,8 @@ from .core import (
     _check_angles,
     _check_sides,
     _check_solved,
+    _cevian_length,
+    _sides_from_angles,
 )
 from .rng import _LANES, SplitMix64
 
@@ -245,63 +248,45 @@ def _sign_law(gap: float, B: float, C: float, tB: float, tC: float) -> tuple[boo
 def _gap_in_C(A: float, B: float):
     """g(C) = tB - tC for fixed (A, B): the equality-case kernel.
 
-    One of three pinned inline copies of the public path's kernels
-    (``_evidence`` and the sweep ``_count_sign_changes`` are the others):
-    ``core._sides_from_angles``, ``cevian._adjacent_split`` and
-    ``core._cevian_length``. Calling them per point made the equality case
-    17% slower. It keeps their subexpressions and association order, so it
-    returns the same floats and raises the same exceptions
-    (``test_gap_kernel_equals_per_triangle_path`` pins it bit for bit), but
-    evaluates the C-free sines once per pair, each sinh and exp of a side
-    once per point, and never forms the far segments U and V. The sweep
-    runs this body inline up to the arguments of tB's and tC's asinh and
-    calls g only where those two are too close to tell the sign.
+    It calls the public path's kernels on raw floats, without its checks:
+    ``core._sides_from_angles``, ``cevian._adjacent_split`` for u and v and
+    ``core._cevian_length`` for tB and tC, with the C-free sines evaluated
+    once per pair (``test_gap_kernel_equals_per_triangle_path`` pins it
+    bit for bit, values and exceptions).
     """
     sin = math.sin
     sinh = math.sinh
-    exp = math.exp
-    log1p = math.log1p
-    asinh = math.asinh
-    sqrt = math.sqrt
     fsum = math.fsum
     pi = math.pi
     sin_A = sin(A)
     sin_B = sin(B)
-    sin_AB = sin_A * sin_B
     half_A = sin(0.5 * A)
 
     def g(C: float) -> float:
-        # _sides_from_angles
-        half_defect = 0.5 * (pi - fsum((A, B, C)))
-        sd = sin(half_defect)
-        sin_C = sin(C)
-        try:
-            a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
-            b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
-            c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
-        except ZeroDivisionError:
-            raise DomainCap(_SINE_UNDERFLOW) from None
-        # _adjacent_split for u and v, then _cevian_length for tB and tC
+        a, b, c = _sides_from_angles(
+            A, B, C, 0.5 * (pi - fsum((A, B, C))), sin_A, sin_B, sin(C)
+        )
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
-        k = sinh_c / sinh_a
-        u = 0.5 * (log1p(k * exp(b)) - log1p(k * exp(-b)))
-        k = sinh_b / sinh_a
-        v = 0.5 * (log1p(k * exp(c)) - log1p(k * exp(-c)))
-        h = sinh(0.5 * (c - u))
-        tB = 2.0 * asinh(sqrt(h * h + sinh_c * sinh(u) * half_A * half_A))
-        h = sinh(0.5 * (b - v))
-        tC = 2.0 * asinh(sqrt(h * h + sinh_b * sinh(v) * half_A * half_A))
+        u = _adjacent_split(b, sinh_c / sinh_a)
+        v = _adjacent_split(c, sinh_b / sinh_a)
+        tB = _cevian_length(c, u, sinh_c, sinh(u), half_A)
+        tC = _cevian_length(b, v, sinh_b, sinh(v), half_A)
         return tB - tC
 
     return g
 
 
-def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
+# Bracket width at which the equality root solve stops.
+_ROOT_WIDTH = 1e-13
+
+
+def _bracketed_hybrid(g, lo, hi, max_iter=200):
     """Bisection refined by secant steps; keeps a sign-change bracket at all
     times and falls back to bisection whenever a secant step fails to halve
-    the interval. Returns (root, function evaluations)."""
+    the interval, until it is no wider than ``_ROOT_WIDTH``. Returns (root,
+    function evaluations)."""
     flo = g(lo)
     if math.isnan(flo):
         raise NumericalFailure(f"g is nan at the bracket end lo = {lo!r}")
@@ -318,7 +303,7 @@ def _bracketed_hybrid(g, lo, hi, width_tol=1e-13, max_iter=200):
         )
     evals = 2
     force_bisect = False
-    while hi - lo > width_tol:
+    while hi - lo > _ROOT_WIDTH:
         if evals >= max_iter:
             raise NonConvergence(f"no convergence after {max_iter} evaluations")
         width = hi - lo
@@ -349,13 +334,16 @@ def _count_sign_changes(A, B, lo, hi, points, g):
     ``points`` equal steps, and hi; the ends count, so a root within half a
     step of one is seen. A zero or nan value has no sign and is skipped.
 
-    One of three pinned inline copies of the shared kernels (see
-    ``_gap_in_C``): it runs g's body inline, with its per-pair constants,
+    One of two pinned inline copies of the shared kernels (``_evidence`` is
+    the other): it runs the kernels that g calls inline,
+    ``core._sides_from_angles``, ``cevian._adjacent_split`` and
+    ``core._cevian_length``, with g's per-pair constants and the kernels'
     subexpressions, association order and exceptions, up to xB and xC,
-    where tB = 2 asinh(sqrt(xB)) and tC = 2 asinh(sqrt(xC)). The sign of
-    tB - tC is +1 when xB > xC (1 + 1e-12) and -1 when xC > xB (1 + 1e-12);
-    otherwise, nan included, it is the sign of g(C) itself. So the count is
-    g's count:
+    where tB = 2 asinh(sqrt(xB)) and tC = 2 asinh(sqrt(xC)); calling the
+    kernels at every point measured 17% slower on the equality benchmark.
+    The sign of tB - tC is +1 when xB > xC (1 + 1e-12) and -1 when
+    xC > xB (1 + 1e-12); otherwise, nan included, it is the sign of g(C)
+    itself. So the count is g's count:
 
     * sqrt is correctly rounded, so monotone, and asinh is accurate to a
       few ulps. A relative gap e = 1e-12 in x is a relative gap of
@@ -364,10 +352,11 @@ def _count_sign_changes(A, B, lo, hi, points, g):
       no longer than its longer adjacent side, and sinh of a side over
       710 overflows first.
     * u, v >= 0, since log1p is monotone and e^b >= e^-b, so x is >= 0 or
-      nan and g's sqrt and asinh of it raise nothing: a g(C) called after
+      nan and the sqrt and asinh of it raise nothing: a g(C) called after
       the inline body got through returns, as g would have.
-    * x takes half_A * half_A as one hoisted factor where g multiplies by
-      half_A twice, which moves it by a few ulps, well inside the band.
+    * x takes half_A * half_A as one hoisted factor where
+      ``_cevian_length`` multiplies by half_A twice, which moves it by a
+      few ulps, well inside the band.
 
     It calls g only inside the band and builds no grid: C is formed in the
     loop, bit for bit as ``lo + (i + 0.5) * step``.
@@ -392,7 +381,7 @@ def _count_sign_changes(A, B, lo, hi, points, g):
     prev = 0
     for i in range(-1, points + 1):
         C = lo if i < 0 else hi if i == points else lo + (i + 0.5) * step
-        # g's body, as in _gap_in_C, up to xB and xC
+        # the kernels g calls, inline up to xB and xC
         angles[2] = C
         half_defect = 0.5 * (pi - fsum(angles))
         sd = sin(half_defect)
@@ -495,8 +484,8 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     One flat pass through ``solve_from_angles``, ``bisector_lengths``,
     ``proof_trace``, ``check_monotonicity``, ``law_of_sines_residual`` and
     ``subtriangle_residuals``: per triangle, call overhead was most of the
-    scan's time. It is one of three pinned inline copies of the shared
-    kernels, next to ``_gap_in_C`` and the sweep ``_count_sign_changes``:
+    scan's time. It is one of two pinned inline copies of the shared
+    kernels, next to the equality sweep ``_count_sign_changes``:
     ``core._sides_from_angles``, ``core._ratio_spread``,
     ``core._loc_vertex_residual``, ``cevian._adjacent_split``,
     ``core._cevian_length`` and ``cevian._rel``, with their subexpressions
@@ -738,8 +727,8 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     )
 
 
-def equality_study(pairs: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> EqualityStudy:
-    """Run ``equal_bisector_report(A, B, tol)`` on ``pairs`` seeded random
+def equality_study(pairs: int, seed: int) -> EqualityStudy:
+    """Run ``equal_bisector_report(A, B, SCAN_TOL)`` on ``pairs`` seeded random
     admissible pairs and aggregate the gaps |c - B|, the root iterations and
     the pairs that fail ``EqualBisectorSolve.failures(B)``.
 
@@ -747,7 +736,7 @@ def equality_study(pairs: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> Eq
     ``SplitMix64(seed)``: A = 0.05 + 2.55 r, then, only when
     b_max = (pi - A - 0.1) / 2 exceeds 0.06, B = 0.05 + r (b_max - 0.05);
     an A without room for B is skipped. The worst pair replays as
-    ``equal_bisector_report(worst_A, worst_B, tol)``, bit for bit.
+    ``equal_bisector_report(worst_A, worst_B, SCAN_TOL)``, bit for bit.
     """
     _check_count("pair", pairs)
     rng = SplitMix64(seed)
@@ -761,7 +750,7 @@ def equality_study(pairs: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> Eq
         if b_max <= 0.06:
             continue
         B = 0.05 + rng.random() * (b_max - 0.05)
-        result = equal_bisector_report(A, B, tol)
+        result = equal_bisector_report(A, B, SCAN_TOL)
         gap = abs(result.c - B)
         # the first pair, then max's rule: replace only on >, nan included
         if solved == 0 or gap > max_gap:
@@ -773,7 +762,7 @@ def equality_study(pairs: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> Eq
     return EqualityStudy(
         pairs=pairs,
         seed=seed,
-        eps_angle=tol.eps_angle,
+        eps_angle=SCAN_TOL.eps_angle,
         max_root_gap=max_gap,
         worst_A=worst_A,
         worst_B=worst_B,

@@ -60,6 +60,28 @@ def test_trace_isosceles_is_neutral():
     assert abs(trace.D) <= 1e-12
 
 
+def test_trace_D_matches_its_sum_form_and_the_sign_of_B_minus_C():
+    # D's cosh form, as proof_trace evaluates it, against the sum form
+    # sinh b/sinh u - sinh c/sinh v it equals; both take the sign of B - C
+    # outside the tie band
+    rng = SplitMix64(42)
+    outside = 0
+    for _ in range(2000):
+        A, B, C = sample_angles(rng, SCAN_TOL.eps_angle)
+        t = solve_from_angles(TriangleAngles(A, B, C, tol=SCAN_TOL), tol=SCAN_TOL)
+        d = bisector_lengths(t, SCAN_TOL)
+        D = proof_trace(t, d, SCAN_TOL).D
+        first = math.sinh(t.b) / math.sinh(d.u)
+        second = math.sinh(t.c) / math.sinh(d.v)
+        assert abs(D - (first - second)) <= 1e-12 * max(first, second)
+        if not check_monotonicity(t, SCAN_TOL, d).in_tie_band:
+            outside += 1
+            sign = (B > C) - (B < C)
+            assert (D > 0.0) - (D < 0.0) == sign
+            assert (first > second) - (first < second) == sign
+    assert outside == 2000
+
+
 def test_trace_strict_inequalities_when_B_below_C():
     for t in seeded_triangles(400, seed=21):
         trace = proof_trace(t)
