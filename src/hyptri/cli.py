@@ -4,7 +4,8 @@ Subcommands: solve, bisect, verify, scan, study, figure. Output goes to
 stdout in text, json, or csv; diagnostics go to stderr. Exit codes:
 0 success, 1 verification failure, 2 usage/parse error, 3 domain rejection,
 4 output failure. Nothing is read from the environment; all behavior comes
-from flags, so equal invocations produce byte-identical reports.
+from flags, so equal invocations produce byte-identical reports. The CPU
+affinity picks how many processes `scan` runs in, never its bytes.
 
 The command line is read against one grammar table, `_COMMANDS`, in the
 forms argparse accepts: options anywhere after the subcommand, `--name

@@ -20,7 +20,10 @@ The strict sign law was confirmed on a dense parameter grid before being
 relied on here.
 """
 
+import marshal
 import math
+import os
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -50,7 +53,7 @@ from .core import (
     _cevian_length,
     _sides_from_angles,
 )
-from .rng import _LANES, SplitMix64
+from .rng import _GAMMA, _LANES, _MASK64, SplitMix64
 
 __all__ = [
     "SCAN_TOL",
@@ -655,31 +658,29 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     )
 
 
-def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
-    """Solve ``n`` seeded random triangles and aggregate every identity
-    residual, strict-sign check, and monotonicity verdict (ordered reduction,
-    so reports are reproducible).
+def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
+    """The running aggregates of ``scan_random(n, seed, tol)`` over its
+    triangles ``start`` to ``stop - 1``, ``start`` a multiple of
+    ``_SCAN_BLOCK``: (max sine residual, max sub-triangle residual, max
+    foot-ratio residual, max side, monotonicity failures, inequality
+    failures, tie-band samples).
 
-    The triangles are those of ``n`` calls of ``sample_angles`` on
-    ``SplitMix64(seed)``, bit for bit, but their uniforms come from
-    ``SplitMix64.randoms`` for a fixed block of ``_SCAN_BLOCK`` (128)
-    triangles at a time, the last block shorter: one wide-integer pass per
-    block, one 128-bit lane per draw, decoded from little-endian bytes (see
-    ``hyptri.rng``). The scan holds one block of draws at a time, whatever
-    ``n``.
+    Triangle ``start`` starts at the counter state ``seed + 3 * start * GAMMA``,
+    and the draws come from ``SplitMix64.randoms`` one block of
+    ``_SCAN_BLOCK`` triangles at a time, the last block shorter: the same
+    blocks, and the same floats, as a scan of all ``n`` from 0.
     """
-    _check_count("sample", n)
-    rng = SplitMix64(seed)
+    rng = SplitMix64((seed + 3 * start * _GAMMA) & _MASK64)
     max_sine = 0.0
     max_cevian = 0.0
     max_ratio = 0.0
+    max_side = 0.0
     mono_failures = 0
     ineq_failures = 0
     ties = 0
-    max_side = 0.0
     # one block of draws at a time
     draws = chain.from_iterable(
-        rng.randoms(3 * min(n - start, _SCAN_BLOCK)) for start in range(0, n, _SCAN_BLOCK)
+        rng.randoms(3 * min(stop - i, _SCAN_BLOCK)) for i in range(start, stop, _SCAN_BLOCK)
     )
     for r1, r2, r3 in zip(draws, draws, draws):
         A, B, C = _angles_from_draws(r1, r2, r3, tol.eps_angle)
@@ -712,6 +713,123 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
                 ok = R1 > 1.0 and R2 > 1.0 and R3 < 1.0 and b > c
             if not ok:
                 ineq_failures += 1
+    return max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties
+
+
+def _merge_parts(totals: tuple, part: tuple) -> tuple:
+    """The aggregates of two consecutive parts, by the reduction's own rule:
+    a maximum replaces only on >, counts add. So merging parts in index order
+    gives the one-part aggregates bit for bit."""
+    return (
+        *(p if p > t else t for t, p in zip(totals[:4], part[:4])),
+        *(t + p for t, p in zip(totals[4:], part[4:])),
+    )
+
+
+# Blocks per part below which a forked part may cost more than it saves.
+# Forced two-part splits on a shared 2-core host (Python 3.11; median of 60
+# alternating pairs, per run) read 0.93-1.48x of one process at 3 blocks
+# per part, 0.88-1.47x at 4, 0.64-1.28x at 6 and 0.60-1.14x at 8, the
+# spread coming from the other core's load. So a 2000-triangle scan (16
+# blocks) splits on two CPUs and a 1024-triangle one stays in one process.
+_MIN_PART_BLOCKS = 6
+
+
+def _scan_processes(blocks: int) -> int:
+    """How many processes scan ``blocks`` blocks: one per usable CPU, with at
+    least ``_MIN_PART_BLOCKS`` blocks each, and only the caller where ``fork``
+    is missing or unsafe, that is, where the caller runs a second thread."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks // _MIN_PART_BLOCKS))
+
+
+def _fork_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple[int, int] | None:
+    """Start a child that scans triangles ``start`` to ``stop - 1`` and writes
+    their aggregates to a pipe, marshalled in one write, the only write it
+    makes; returns (child pid, read end), or None when no child could be
+    made. The child leaves by ``os._exit``: it never returns into the caller
+    or flushes the caller's buffers, and on any exception it writes nothing."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            data = marshal.dumps(_scan_part(seed, start, stop, tol))
+            # about 53 bytes: below PIPE_BUF, so the write is whole or nothing
+            if os.write(w, data) == len(data):
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
+    """Solve ``n`` seeded random triangles and aggregate every identity
+    residual, strict-sign check, and monotonicity verdict (ordered reduction,
+    so reports are reproducible).
+
+    The triangles are those of ``n`` calls of ``sample_angles`` on
+    ``SplitMix64(seed)``, bit for bit, but their uniforms come from
+    ``SplitMix64.randoms`` for a fixed block of ``_SCAN_BLOCK`` (128)
+    triangles at a time, the last block shorter: one wide-integer pass per
+    block, one 128-bit lane per draw, decoded from little-endian bytes (see
+    ``hyptri.rng``). Each process of the scan holds one block of draws at a
+    time, whatever ``n``.
+
+    The blocks are cut into contiguous parts, one per usable CPU but at
+    least ``_MIN_PART_BLOCKS`` blocks each (see ``_scan_processes``). The
+    caller scans part 0 and a forked child each other part (``_scan_part``
+    for all of them), and the parts merge in index order by the reduction's
+    own rule, so the report is the same bits for every number of parts. The
+    first failing triangle in index order raises, with its own class and
+    message, since the caller scans itself each part whose child failed or
+    could not be made. No child outlives the call.
+    """
+    _check_count("sample", n)
+    SplitMix64(seed)  # rejects the seed before any part runs
+    blocks = -(-n // _SCAN_BLOCK)
+    parts = _scan_processes(blocks)
+    cuts = [min(n, k * blocks // parts * _SCAN_BLOCK) for k in range(parts + 1)]
+    children = {}  # part index -> (pid, read end), for each forked part
+    try:
+        for k in range(1, parts):
+            child = _fork_part(seed, cuts[k], cuts[k + 1], tol)
+            if child is not None:
+                children[k] = child
+        totals = _scan_part(seed, 0, cuts[1], tol)
+        for k in range(1, parts):
+            # the child's one write is whole, so one read takes all of it, or
+            # b"" once the child has exited without a result
+            data = os.read(children[k][1], 4096) if k in children else b""
+            part = marshal.loads(data) if data else _scan_part(seed, cuts[k], cuts[k + 1], tol)
+            totals = _merge_parts(totals, part)
+    except BaseException:
+        # the call fails, so no unread part is waited for
+        from signal import SIGKILL
+
+        for pid, _ in children.values():
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, r in children.values():
+            os.close(r)
+            os.waitpid(pid, 0)
+    max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties = totals
     return ScanReport(
         samples=n,
         seed=seed,

@@ -314,6 +314,7 @@ print(json.dumps({
     "stdout": out.getvalue(),
     "hyptri": sorted(m for m in loaded if m.split(".")[0] == "hyptri"),
     **{name: name in loaded for name in ("csv", "dataclasses", "argparse", "json")},
+    "pools": sorted(m for m in loaded if m in ("multiprocessing", "concurrent", "pickle")),
 }))
 """
 
@@ -323,7 +324,8 @@ CSV = ["--format", "csv"]
 
 
 # dataclasses loads with every subcommand but solve; argparse, json and csv
-# never load, not even for the rows that write a csv payload (writes_csv)
+# never load, not even for the rows that write a csv payload (writes_csv),
+# and no process pool or pickle loads, not even where scan forks its parts
 @pytest.mark.parametrize(
     "argv, modules, code, writes_csv",
     [
@@ -338,6 +340,7 @@ CSV = ["--format", "csv"]
         (["verify", "0.9", "0.7", *CSV], SCAN_PATH, 0, True),
         (["scan", "5"], SCAN_PATH, 0, False),
         (["scan", "5", *CSV], SCAN_PATH, 0, True),
+        (["scan", "2000"], SCAN_PATH, 0, False),
         (["study", "3"], SCAN_PATH, 0, False),
         (["study", "3", *CSV], SCAN_PATH, 0, True),
     ],
@@ -354,7 +357,7 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, writes_csv, tmp_
     assert writes_csv == (len(lines) == 2 and lines[0].replace(",", "").isidentifier())
     assert seen == {
         "code": code, "hyptri": sorted(modules), "csv": False, "dataclasses": argv[0] != "solve",
-        "argparse": False, "json": False,
+        "argparse": False, "json": False, "pools": [],
     }
 
 

@@ -1,8 +1,12 @@
+import errno
 import hashlib
 import math
+import os
 import random
 import re
 import struct
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
@@ -44,7 +48,7 @@ from hyptri.cevian import _adjacent_split
 from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
 from hyptri.rng import _LANES
 from hyptri.steiner_lehmus import (
-    _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C,
+    _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C, _merge_parts, _scan_part,
 )
 
 from conftest import angle_triples, seeded_triangles
@@ -827,14 +831,61 @@ def public_scan(n, seed, tol=SCAN_TOL):
     )
 
 
-def test_scan_equals_public_reduction():
+@pytest.fixture
+def scan_parts(monkeypatch):
+    """``force(parts)`` makes scan_random split into up to ``parts``
+    processes, one block each at least, and returns the list that each
+    fork appends to. After the test no child of this process is left."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def force(parts):
+        monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_scan_equals_public_reduction(parts, scan_parts):
+    forks = scan_parts(parts)
     assert scan_random(1500, 31) == public_scan(1500, 31)
+    assert len(forks) == parts - 1
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 385])
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
-def test_scan_equals_public_reduction_at_block_edges(seed, n):
+def test_scan_equals_public_reduction_at_block_edges(seed, n, parts, scan_parts):
+    forks = scan_parts(parts)
     assert scan_random(n, seed) == public_scan(n, seed)
+    assert len(forks) == min(parts, -(-n // 128)) - 1
+
+
+def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
+    # about a fifth of the triangles have nan sides and residuals, which the
+    # maxima skip by max's rule and the inequality verdict counts as failed
+    def evidence(A, B, C, tol):
+        fields = _evidence(A, B, C, tol)
+        return fields if int(A * 1e6) % 5 else (math.nan,) * 7 + fields[7:]
+
+    monkeypatch.setattr(steiner_lehmus, "_evidence", evidence)
+    n = 1000
+    whole = _scan_part(77, 0, n, SCAN_TOL)
+    assert whole[4] == 0 and 0 < whole[5] < n
+    for cuts in ([0, 128, n], [0, 512, 640, n], [0, 128, 256, 896, n]):
+        totals = _scan_part(77, 0, cuts[1], SCAN_TOL)
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            totals = _merge_parts(totals, _scan_part(77, start, stop, SCAN_TOL))
+        assert totals == whole
 
 
 def test_scan_draws_one_block_at_a_time(monkeypatch):
@@ -944,3 +995,136 @@ def test_scan_rejection_is_pinned():
         scan_random(2000, 42, tol)
     assert type(info.value) is NumericalFailure
     assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
+
+
+def triangle_angles(seed, i, tol=SCAN_TOL):
+    """Triangle i of scan_random(n, seed, tol), replayed from its counter state."""
+    return sample_angles(SplitMix64((seed + 3 * i * GAMMA) % 2**64), tol.eps_angle)
+
+
+def fail_at(monkeypatch, seed, messages, tol=SCAN_TOL):
+    """Make _evidence raise NumericalFailure(messages[i]) at triangle i of
+    the scan with this seed; the patch holds in forked children too."""
+    at = {triangle_angles(seed, i, tol): message for i, message in messages.items()}
+
+    def evidence(A, B, C, t):
+        if (A, B, C) in at:
+            raise NumericalFailure(at[A, B, C])
+        return _evidence(A, B, C, t)
+
+    monkeypatch.setattr(steiner_lehmus, "_evidence", evidence)
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_scan_raises_a_failure_in_the_last_part(parts, scan_parts, monkeypatch):
+    # 1000 triangles in 3 parts: triangles 0-255, 256-639 and 640-999
+    scan_parts(parts)
+    fail_at(monkeypatch, 7, {900: "triangle 900 fails"})
+    with pytest.raises(NumericalFailure) as info:
+        scan_random(1000, 7)
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == "triangle 900 fails"
+
+
+@pytest.mark.parametrize("parts", [1, 2, 4])
+def test_scan_raises_the_first_rejection_in_index_order(parts, scan_parts, monkeypatch):
+    # triangle 798 fails in part 0 of 2 and in part 1 of 4, triangle 1900 in
+    # the last part of either
+    scan_parts(parts)
+    tol = ToleranceConfig(rtol_identity=8.7e-15, eps_angle=1e-3)
+    fail_at(monkeypatch, 42, {1900: "triangle 1900 fails"}, tol)
+    with pytest.raises(NumericalFailure) as info:
+        scan_random(2000, 42, tol)
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
+
+
+def test_scan_rejects_a_bad_seed_before_forking(scan_parts):
+    forks = scan_parts(4)
+    for seed, error in ((2**64, ValueError), (-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            scan_random(1000, seed)
+    assert forks == []
+
+
+def test_scan_scans_a_part_itself_when_fork_fails(scan_parts, monkeypatch):
+    expected = public_scan(1000, 31)
+    scan_parts(3)
+    pipes = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert scan_random(1000, 31) == expected
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_scan_scans_a_part_itself_when_its_child_fails(scan_parts, monkeypatch):
+    expected = public_scan(1000, 31)
+    forks = scan_parts(3)
+    parent = os.getpid()
+
+    def failing_in_children(seed, start, stop, tol):
+        if os.getpid() != parent:
+            raise MemoryError
+        return _scan_part(seed, start, stop, tol)
+
+    monkeypatch.setattr(steiner_lehmus, "_scan_part", failing_in_children)
+    assert scan_random(1000, 31) == expected
+    assert len(forks) == 2
+
+
+def test_scan_interrupted_in_part_0_leaves_no_child(scan_parts, monkeypatch):
+    # the children would take 30 s: an interrupted call stops them, not waits
+    forks = scan_parts(3)
+    parent = os.getpid()
+
+    def interrupted_in_parent(seed, start, stop, tol):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return _scan_part(seed, start, stop, tol)
+
+    monkeypatch.setattr(steiner_lehmus, "_scan_part", interrupted_in_parent)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        scan_random(1000, 31)
+    assert time.monotonic() - began < 10
+    assert len(forks) == 2
+
+
+def test_scan_does_not_fork_beside_a_live_thread(scan_parts, monkeypatch):
+    expected = public_scan(1000, 31)
+    scan_parts(4)
+
+    def no_fork():
+        raise AssertionError("scan_random forked beside a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert scan_random(1000, 31) == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_scan_stays_in_one_process_without_fork(scan_parts, monkeypatch):
+    expected = public_scan(1000, 31)
+    scan_parts(4)
+    monkeypatch.delattr(os, "fork")
+    assert scan_random(1000, 31) == expected
