@@ -726,19 +726,28 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
     )
 
 
+# The most processes that scan one call: the break-even below was measured
+# only for two, and each further part adds a fork that the caller waits for.
+_MAX_PROCESSES = 2
+
 # Blocks per part below which a forked part may cost more than it saves.
-# Forced two-part splits on a shared 2-core host (Python 3.11; median of 60
-# alternating pairs, per run) read 0.93-1.48x of one process at 3 blocks
-# per part, 0.88-1.47x at 4, 0.64-1.28x at 6 and 0.60-1.14x at 8, the
-# spread coming from the other core's load. So a 2000-triangle scan (16
-# blocks) splits on two CPUs and a 1024-triangle one stays in one process.
-_MIN_PART_BLOCKS = 6
+# Forced two-part splits against one process (Python 3.11, shared 2-vCPU
+# host; ten alternating pairs, each side the fastest call in 1 s of calls)
+# won 7 of 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8
+# in a 16 MiB caller. In a 93 MiB caller one fork, exit and wait took
+# 4.1-4.5 ms against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of
+# 10 on a busy host.
+# 8 keeps two blocks over the smallest size that won every pair, so a
+# 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
+_MIN_PART_BLOCKS = 8
 
 
 def _scan_processes(blocks: int) -> int:
-    """How many processes scan ``blocks`` blocks: one per usable CPU, with at
-    least ``_MIN_PART_BLOCKS`` blocks each, and only the caller where ``fork``
-    is missing or unsafe, that is, where the caller runs a second thread."""
+    """How many processes scan ``blocks`` blocks: one per usable CPU, at most
+    ``_MAX_PROCESSES``, with at least ``_MIN_PART_BLOCKS`` blocks each; only
+    the caller where ``fork`` is missing or unsafe, that is, where the caller
+    runs a second thread, or where ``SIGCHLD`` is handled or ignored, so that
+    a child might be reaped by someone else and its pid reused."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
@@ -746,15 +755,26 @@ def _scan_processes(blocks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks // _MIN_PART_BLOCKS))
+    parts = max(1, min(cpus, _MAX_PROCESSES, blocks // _MIN_PART_BLOCKS))
+    if parts > 1:
+        import signal
+
+        if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
+            return 1
+    return parts
 
 
-def _fork_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple[int, int] | None:
+def _fork_part(
+    seed: int, start: int, stop: int, tol: ToleranceConfig, mask: set
+) -> tuple[int, int] | None:
     """Start a child that scans triangles ``start`` to ``stop - 1`` and writes
     their aggregates to a pipe, marshalled in one write, the only write it
     makes; returns (child pid, read end), or None when no child could be
-    made. The child leaves by ``os._exit``: it never returns into the caller
-    or flushes the caller's buffers, and on any exception it writes nothing."""
+    made. The caller blocks SIGINT around this call, and the child restores
+    the signal ``mask`` only inside its ``try``, so a Ctrl-C cannot send the
+    child back into the caller. The child leaves by ``os._exit``: it never
+    returns into the caller or flushes the caller's buffers, and on any
+    exception it writes nothing."""
     try:
         r, w = os.pipe()
     except OSError:
@@ -768,6 +788,9 @@ def _fork_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple[
     if pid == 0:
         status = 1
         try:
+            import signal
+
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             data = marshal.dumps(_scan_part(seed, start, stop, tol))
             # about 53 bytes: below PIPE_BUF, so the write is whole or nothing
             if os.write(w, data) == len(data):
@@ -792,10 +815,11 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     time, whatever ``n``.
 
     The blocks are cut into contiguous parts, one per usable CPU but at
-    least ``_MIN_PART_BLOCKS`` blocks each (see ``_scan_processes``). The
-    caller scans part 0 and a forked child each other part (``_scan_part``
-    for all of them), and the parts merge in index order by the reduction's
-    own rule, so the report is the same bits for every number of parts. The
+    most ``_MAX_PROCESSES`` and at least ``_MIN_PART_BLOCKS`` blocks each
+    (see ``_scan_processes``). The caller scans part 0 and a forked child
+    each other part (``_scan_part`` for all of them), and the parts merge in
+    index order by the reduction's own rule, so the report is the same bits
+    for every number of parts. The
     first failing triangle in index order raises, with its own class and
     message, since the caller scans itself each part whose child failed or
     could not be made. No child outlives the call.
@@ -807,10 +831,18 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     cuts = [min(n, k * blocks // parts * _SCAN_BLOCK) for k in range(parts + 1)]
     children = {}  # part index -> (pid, read end), for each forked part
     try:
-        for k in range(1, parts):
-            child = _fork_part(seed, cuts[k], cuts[k + 1], tol)
-            if child is not None:
-                children[k] = child
+        if parts > 1:
+            import signal
+
+            # no SIGINT between a fork and the record of its child
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for k in range(1, parts):
+                    child = _fork_part(seed, cuts[k], cuts[k + 1], tol, mask)
+                    if child is not None:
+                        children[k] = child
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         totals = _scan_part(seed, 0, cuts[1], tol)
         for k in range(1, parts):
             # the child's one write is whole, so one read takes all of it, or
@@ -818,17 +850,16 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
             data = os.read(children[k][1], 4096) if k in children else b""
             part = marshal.loads(data) if data else _scan_part(seed, cuts[k], cuts[k + 1], tol)
             totals = _merge_parts(totals, part)
-    except BaseException:
-        # the call fails, so no unread part is waited for
-        from signal import SIGKILL
-
-        for pid, _ in children.values():
-            os.kill(pid, SIGKILL)
-        raise
     finally:
+        # each child has sent its part, or the call fails and no unread part
+        # is waited for: kill and reap every one, each on its own
         for pid, r in children.values():
             os.close(r)
-            os.waitpid(pid, 0)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped
     max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties = totals
     return ScanReport(
         samples=n,

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import signal
 import struct
 import threading
 import time
@@ -845,6 +846,7 @@ def scan_parts(monkeypatch):
 
     def force(parts):
         monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", 1)
+        monkeypatch.setattr(steiner_lehmus, "_MAX_PROCESSES", parts)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
@@ -1128,3 +1130,67 @@ def test_scan_stays_in_one_process_without_fork(scan_parts, monkeypatch):
     scan_parts(4)
     monkeypatch.delattr(os, "fork")
     assert scan_random(1000, 31) == expected
+
+
+def ignore_sigchld():
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+
+def handle_sigchld():
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+
+
+# an ignored or handled SIGCHLD may reap a child before the scan does, so
+# that its pid can be reused: the scan then stays in the caller
+@pytest.mark.parametrize("change", [ignore_sigchld, handle_sigchld])
+def test_scan_does_not_fork_unless_sigchld_is_default(change, scan_parts):
+    expected = public_scan(1000, 31)
+    forks = scan_parts(2)
+    before = signal.getsignal(signal.SIGCHLD)
+    change()
+    try:
+        assert scan_random(1000, 31) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    assert forks == []
+
+
+def test_scan_reaps_each_child_on_its_own(scan_parts, monkeypatch):
+    # a child reaped elsewhere (ChildProcessError) still leaves the others
+    # killed and reaped
+    expected = public_scan(1000, 31)
+    forks = scan_parts(3)
+    waitpid = os.waitpid
+    reaped = []
+
+    def reaped_elsewhere(pid, options):
+        reaped.append(waitpid(pid, options))
+        if len(reaped) == 1:
+            raise ChildProcessError(errno.ECHILD, os.strerror(errno.ECHILD))
+        return reaped[-1]
+
+    monkeypatch.setattr(os, "waitpid", reaped_elsewhere)
+    assert scan_random(1000, 31) == expected
+    assert len(forks) == len(reaped) == 2
+
+
+def test_scan_defers_sigint_until_the_child_is_recorded(scan_parts, monkeypatch):
+    # a Ctrl-C reaches the caller and its child just after the fork: the
+    # caller raises KeyboardInterrupt with the child recorded, killed and
+    # reaped, and the child leaves by os._exit, not back into this test
+    scan_parts(2)
+    parent = os.getpid()
+    fork = os.fork
+
+    def interrupted_fork():
+        pid = fork()
+        os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            scan_random(2000, 31)
+    finally:
+        if os.getpid() != parent:
+            os._exit(3)
