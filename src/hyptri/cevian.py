@@ -8,14 +8,15 @@ tB and tC are the bisector lengths BB' and CC'.
 The foot position and the cevian length are computed in closed form; the
 four sub-triangle sine-law identities are kept as residual checks so they
 stay independent evidence rather than part of the computation path.
-``_bisect`` holds the whole bisector stage (feet, lengths and checks) that
-``bisector_lengths`` runs. The equality kernel ``_gap_in_C`` in
-``steiner_lehmus`` calls its kernels for the feet u, v and the lengths tB,
-tC. Two pinned inline copies there run them without calling them: the
-fused scan ``_evidence`` copies the whole stage and calls it only to raise
-a sub-triangle rejection, and the equality sweep ``_count_sign_changes``
-copies the shared kernels up to the arguments of the lengths' asinh, from
-which it reads the sign of tB - tC.
+``bisector_lengths`` runs the whole bisector stage (feet, lengths and
+checks), and it alone writes the stage's rejections. The equality kernel
+``_gap_in_C`` in ``steiner_lehmus`` calls its kernels for the feet u, v and
+the lengths tB, tC. Two pinned inline copies there run them without calling
+them: the fused scan ``_evidence`` copies the whole stage, and replays a
+triangle through ``bisector_lengths`` where one of its inline tests fails,
+and the equality sweep ``_count_sign_changes`` copies the shared kernels up
+to the arguments of the lengths' asinh, from which it reads the sign of
+tB - tC.
 """
 
 import math
@@ -120,58 +121,13 @@ def _check_feet(
     t: ToleranceConfig,
 ) -> None:
     """Positivity of every bisector quantity, then u + U = b and v + V = c."""
-    inf = math.inf
-    # one chained comparison per quantity accepts; it is false for nan and +-inf
-    if not (
-        0.0 < u < inf and 0.0 < U < inf and 0.0 < v < inf
-        and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
-    ):
-        for name, value in (
-            ("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC),
-        ):
-            if not 0.0 < value < inf:
-                raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
+    for name, value in (("u", u), ("U", U), ("v", v), ("V", V), ("tB", tB), ("tC", tC)):
+        if not 0.0 < value < math.inf:  # false for nan and +-inf
+            raise NumericalFailure(f"bisector quantity {name} = {value!r} must be positive")
     if abs(u + U - b) > t.rtol_identity * b:
         raise NumericalFailure(f"foot segments do not sum to the side: u + U - b = {u + U - b!r}")
     if abs(v + V - c) > t.rtol_identity * c:
         raise NumericalFailure(f"foot segments do not sum to the side: v + V - c = {v + V - c!r}")
-
-
-def _bisect(
-    b: float, c: float, sinh_a: float, sinh_b: float, sinh_c: float, sin_A: float, sin_B: float,
-    sin_C: float, half_A: float, half_B: float, half_C: float, t: ToleranceConfig,
-) -> tuple:
-    """The bisector stage: feet in closed form, lengths by the law of cosines
-    in the A-side sub-triangles, then the foot and sub-triangle sine-law
-    checks, from precomputed sinh(side), sin(angle) and sin(angle/2). Returns
-    (u, U, v, V, tB, tC)."""
-    sinh = math.sinh
-    u = _adjacent_split(b, sinh_c / sinh_a)
-    U = _adjacent_split(b, sinh_a / sinh_c)
-    v = _adjacent_split(c, sinh_b / sinh_a)
-    V = _adjacent_split(c, sinh_a / sinh_b)
-    sinh_u = sinh(u)
-    sinh_v = sinh(v)
-    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
-    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
-    _check_feet(b, c, u, U, v, V, tB, tC, t)
-    sinh_U = sinh(U)
-    sinh_V = sinh(V)
-    worst, res_U, res_v, res_V = _subtriangle_rels(
-        sin_A, sin_B, sin_C, half_B, half_C, sinh_u, sinh_U, sinh_v, sinh_V, sinh(tB), sinh(tC)
-    )
-    # max of the four by max's rule: replace only on >, nan included
-    if res_U > worst:
-        worst = res_U
-    if res_v > worst:
-        worst = res_v
-    if res_V > worst:
-        worst = res_V
-    if worst > t.rtol_identity:
-        raise NumericalFailure(
-            f"sub-triangle sine-law residual {worst!r} exceeds {t.rtol_identity}"
-        )
-    return u, U, v, V, tB, tC
 
 
 def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
@@ -196,10 +152,31 @@ def unconditional_identities(d: BisectorData, t: Triangle) -> RatioResiduals:
 def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> BisectorData:
     """Both bisectors of ``t``: feet in closed form, lengths by the law of
     cosines in the A-side sub-triangles; validates every identity before
-    returning."""
+    returning: positivity and the foot sums, then the sub-triangle sine laws."""
+    sin = math.sin
+    sinh = math.sinh
     A, B, C = t.angles.as_tuple()
-    u, U, v, V, tB, tC = _bisect(
-        t.b, t.c, math.sinh(t.a), math.sinh(t.b), math.sinh(t.c), math.sin(A), math.sin(B),
-        math.sin(C), math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C), tol,
-    )
+    b = t.b
+    c = t.c
+    sinh_a = sinh(t.a)
+    sinh_b = sinh(b)
+    sinh_c = sinh(c)
+    half_A = sin(0.5 * A)
+    u = _adjacent_split(b, sinh_c / sinh_a)
+    U = _adjacent_split(b, sinh_a / sinh_c)
+    v = _adjacent_split(c, sinh_b / sinh_a)
+    V = _adjacent_split(c, sinh_a / sinh_b)
+    sinh_u = sinh(u)
+    sinh_v = sinh(v)
+    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
+    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
+    _check_feet(b, c, u, U, v, V, tB, tC, tol)
+    worst = max(_subtriangle_rels(
+        sin(A), sin(B), sin(C), sin(0.5 * B), sin(0.5 * C),
+        sinh_u, sinh(U), sinh_v, sinh(V), sinh(tB), sinh(tC),
+    ))
+    if worst > tol.rtol_identity:
+        raise NumericalFailure(
+            f"sub-triangle sine-law residual {worst!r} exceeds {tol.rtol_identity}"
+        )
     return BisectorData(beta=0.5 * B, gamma=0.5 * C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)

@@ -167,14 +167,11 @@ def _check_side(name: str, value: float) -> None:
 
 def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> None:
     """Range and angle-sum checks of an angle triple."""
-    pi = math.pi
-    # one chained comparison per angle accepts; it is false for nan and +-inf
-    if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
-        _check_angle("A", A)
-        _check_angle("B", B)
-        _check_angle("C", C)
+    _check_angle("A", A)
+    _check_angle("B", B)
+    _check_angle("C", C)
     # fsum keeps the defect exact under relabeling of the angles
-    gap = pi - math.fsum((A, B, C))
+    gap = math.pi - math.fsum((A, B, C))
     if gap <= t.eps_angle:
         raise InvalidTriangle(
             f"angle sum must stay below pi by at least {t.eps_angle} (defect {gap!r})"
@@ -183,15 +180,10 @@ def _check_angles(A: float, B: float, C: float, t: ToleranceConfig) -> None:
 
 def _check_sides(a: float, b: float, c: float) -> None:
     """Positivity, side-cap and strict triangle-inequality checks of a side triple."""
-    cap = _MAX_SIDE  # finite, so the guard below is false for nan and +-inf
-    if not (0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap):
-        _check_side("a", a)
-        _check_side("b", b)
-        _check_side("c", c)
-    # rounding is monotone, so fl(y + z) > x implies y + z > x exactly, which
-    # is what the fsum test decides; only a near tie reaches the fsum loop
-    if b + c > a and c + a > b and a + b > c:
-        return
+    _check_side("a", a)
+    _check_side("b", b)
+    _check_side("c", c)
+    # fsum decides the strict inequality exactly, near ties included
     for name, excess in (
         ("a", math.fsum((b, c, -a))),
         ("b", math.fsum((c, a, -b))),

@@ -5,7 +5,8 @@ Three layers of evidence:
 
 * ``proof_trace`` reports the ratio/difference quantities of the underlying
   inequality chain with their expected signs (R1, R2 < 1 and R3 > 1 whenever
-  B < C, mirrored for B > C).
+  B < C, mirrored for B > C). R1 and D carry the evidence; R2 and R3 record
+  the chain's steps that are the monotonicity of sin and cos on (0, pi/2).
 * ``check_monotonicity`` tests the strict contrapositive
   sign(tB - tC) = sign(C - B), with a tie band around B = C.
 * ``equal_bisector_report`` realizes the equality case constructively:
@@ -27,31 +28,22 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
-from .cevian import (
-    BisectorData,
-    bisector_lengths,
-    unconditional_identities,
-    _adjacent_split,
-    _bisect,
-    _check_feet,
-)
+from .cevian import BisectorData, bisector_lengths, unconditional_identities, _adjacent_split
 from .core import (
     DEFAULT_TOL,
-    DomainCap,
     InvalidTriangle,
     NoBracket,
     NonConvergence,
     NumericalFailure,
     ToleranceConfig,
     Triangle,
+    TriangleAngles,
     _ATOL_EQUAL,
     _MAX_SIDE,
-    _SINE_UNDERFLOW,
     _check_angles,
-    _check_sides,
-    _check_solved,
     _cevian_length,
     _sides_from_angles,
+    solve_from_angles,
 )
 from .rng import _GAMMA, _LANES, _MASK64, SplitMix64
 
@@ -96,6 +88,13 @@ class ProofTrace:
          (equals sinh b/sinh u - sinh c/sinh v by the sum formula)
     idU, idV are the unconditional foot-ratio identity residuals and gap is
     tB - tC, both carried along for reporting.
+
+    R1 and D carry the evidence. The steps R2 < 1 and R3 > 1 (for B < C) are
+    the monotonicity of sin and cos on (0, pi/2), so the scan decides them
+    by the sign of sin((C-B)/4) that their product forms
+    R2 - 1 = 2 cos((B+C)/4) sin((B-C)/4) / sin(C/2) and
+    R3 - 1 = 2 sin((B+C)/4) sin((C-B)/4) / cos(C/2) share: the float
+    ratios round to 1 once the angles are tiny.
     """
 
     R1: float
@@ -341,9 +340,11 @@ def _count_sign_changes(A, B, lo, hi, points, g):
     the other): it runs the kernels that g calls inline,
     ``core._sides_from_angles``, ``cevian._adjacent_split`` and
     ``core._cevian_length``, with g's per-pair constants and the kernels'
-    subexpressions, association order and exceptions, up to xB and xC,
-    where tB = 2 asinh(sqrt(xB)) and tC = 2 asinh(sqrt(xC)); calling the
-    kernels at every point measured 17% slower on the equality benchmark.
+    subexpressions and association order, up to xB and xC, where
+    tB = 2 asinh(sqrt(xB)) and tC = 2 asinh(sqrt(xC)); calling the kernels
+    at every point measured 17% slower on the equality benchmark. It writes
+    no rejection of its own: where the side solve divides by zero it calls
+    g(C), which raises the kernel's ``DomainCap``.
     The sign of tB - tC is +1 when xB > xC (1 + 1e-12) and -1 when
     xC > xB (1 + 1e-12); otherwise, nan included, it is the sign of g(C)
     itself. So the count is g's count:
@@ -394,7 +395,8 @@ def _count_sign_changes(A, B, lo, hi, points, g):
             b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
             c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / sin_AB))
         except ZeroDivisionError:
-            raise DomainCap(_SINE_UNDERFLOW) from None
+            g(C)  # raises the side solve's DomainCap
+            raise
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
@@ -479,6 +481,12 @@ def _angles_from_draws(r1: float, r2: float, r3: float, eps_angle: float) -> tup
     )
 
 
+def _replay(A: float, B: float, C: float, t: ToleranceConfig) -> None:
+    """Run (A, B, C) through the public path: raises its first rejection, or
+    returns where the public path accepts the triangle."""
+    bisector_lengths(solve_from_angles(TriangleAngles(A, B, C, t), t), t)
+
+
 def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     """Every per-triangle quantity ``scan_random`` reduces, from raw floats:
     (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, R2, R3,
@@ -496,13 +504,14 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     each sine and hyperbolic sine once, exp(+-b) and exp(+-c) once per side,
     and builds no value object.
 
-    Its acceptance tests are inline too. Where one fails, it calls the shared
-    check that the public constructors run at that point (``_check_angles``,
-    ``_check_sides``, ``_check_solved``, ``_check_feet``, then ``_bisect``
-    for the sub-triangle residual), which raises the rejection with its one
-    class and message, or returns where the inline test is only a fast path
-    (the plain-sum triangle inequality). So it accepts and rejects exactly
-    what those calls do; the ``test_evidence_*`` tests pin it to them.
+    Its acceptance tests are inline too, but it writes no rejection: where
+    one fails, ``_replay`` runs the triangle through the public path, which
+    raises the first rejection with its class and message. Each inline test
+    accepts only what the public check at that point accepts, and the one
+    that is stricter, the plain-sum triangle inequality, sends a near tie
+    that the public fsum test accepts to a replay that returns. So it accepts
+    and rejects exactly what the public path does, as the ``test_evidence_*``
+    tests pin.
     """
     pi = math.pi
     sin = math.sin
@@ -516,10 +525,10 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
 
     # TriangleAngles: the range (false for nan and +-inf), then the defect
     if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
-        _check_angles(A, B, C, t)
+        _replay(A, B, C, t)
     defect = pi - math.fsum((A, B, C))
     if defect <= t.eps_angle:
-        _check_angles(A, B, C, t)
+        _replay(A, B, C, t)
 
     # the AAA side solve, then TriangleSides
     half_defect = 0.5 * defect
@@ -532,13 +541,14 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
         b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
         c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / (sin_A * sin_B)))
     except ZeroDivisionError:
-        raise DomainCap(_SINE_UNDERFLOW) from None
+        _replay(A, B, C, t)  # raises the side solve's DomainCap
+        raise
     cap = _MAX_SIDE
     if not (
         0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap
         and b + c > a and c + a > b and a + b > c
     ):
-        _check_sides(a, b, c)  # raises, or accepts a near tie by its fsum test
+        _replay(A, B, C, t)  # raises, or accepts a near tie by the fsum test
 
     # Triangle: law of sines, law of cosines, side/angle ordering
     sinh_a = sinh(a)
@@ -581,9 +591,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
         or ((b < c) != (B < C) and not abs(b - c) <= atol and not abs(B - C) <= atol)
         or ((c < a) != (C < A) and not abs(c - a) <= atol and not abs(C - A) <= atol)
     ):
-        _check_solved(
-            a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
-        )
+        _replay(A, B, C, t)
 
     # bisector_lengths: the feet, one exp(+-side) pair per side, then tB and
     # tC in the A-side sub-triangles
@@ -611,7 +619,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
         and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
         and abs(u + U - b) <= rtol * b and abs(v + V - c) <= rtol * c
     ):
-        _check_feet(b, c, u, U, v, V, tB, tC, t)
+        _replay(A, B, C, t)
 
     # the sub-triangle and foot-ratio residuals: every sine here is of an
     # angle in (0, pi) and every sinh of a positive length, so each quotient
@@ -639,7 +647,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     if r > worst:
         worst = r
     if worst > rtol:
-        _bisect(b, c, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t)
+        _replay(A, B, C, t)
     x = sinh_U / sinh_u
     y = sin_A / sin_C
     idU = abs(x - y) / (y if y > x else x)
@@ -670,6 +678,7 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     ``_SCAN_BLOCK`` triangles at a time, the last block shorter: the same
     blocks, and the same floats, as a scan of all ``n`` from 0.
     """
+    sin = math.sin
     rng = SplitMix64((seed + 3 * start * _GAMMA) & _MASK64)
     max_sine = 0.0
     max_cevian = 0.0
@@ -684,7 +693,7 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     )
     for r1, r2, r3 in zip(draws, draws, draws):
         A, B, C = _angles_from_draws(r1, r2, r3, tol.eps_angle)
-        a, b, c, sine, cevian, idU, idV, R1, R2, R3, gap, in_band, passed = _evidence(A, B, C, tol)
+        a, b, c, sine, cevian, idU, idV, R1, _, _, _, in_band, passed = _evidence(A, B, C, tol)
 
         # the running maxima by max's rule: replace only on >, nan included
         if sine > max_sine:
@@ -707,10 +716,13 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
         if not passed:
             mono_failures += 1
         if not in_band:
+            # R2 < 1 and R3 > 1 for B < C, mirrored for B > C, by the sign of
+            # sin((C-B)/4) that their product forms share (see ProofTrace)
+            s = sin(0.25 * (C - B))
             if B < C:
-                ok = R1 < 1.0 and R2 < 1.0 and R3 > 1.0 and b < c
+                ok = R1 < 1.0 and s > 0.0 and b < c
             else:
-                ok = R1 > 1.0 and R2 > 1.0 and R3 < 1.0 and b > c
+                ok = R1 > 1.0 and s < 0.0 and b > c
             if not ok:
                 ineq_failures += 1
     return max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties

@@ -135,12 +135,16 @@ def test_large_sided_triangle_faces_the_strict_sign_law():
     assert result.gap > 0.0
 
 
-def test_sas_box_has_no_sign_law_false_alarm():
+def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
     # the whole stated domain in one box: b and c up to the side cap, A in
     # (0, pi). The 77 triangles with |C - B| below the fixed bound all have
-    # tiny angles; a fixed band took them in and failed each on its gap test
+    # tiny angles; a fixed band took them in and failed each on its gap test.
+    # There R3 = cos(B/2)/cos(C/2) rounds to 1 or past it on 210 triangles,
+    # which the scan's proof-step verdict, read from the product forms of
+    # R2 - 1 and R3 - 1, must not count
     rng = SplitMix64(42)
     seen = Counter()
+    rows = []
     for _ in range(5000):
         b = 50.0 * rng.random()
         c = 50.0 * rng.random()
@@ -150,14 +154,28 @@ def test_sas_box_has_no_sign_law_false_alarm():
         except HypTriError as exc:
             seen[type(exc).__name__] += 1
             continue
-        result = check_monotonicity(t, SCAN_TOL)
+        row = public_fields(t, SCAN_TOL)
+        R3, in_band, passed = row[9], row[-2], row[-1]
         seen["accepted"] += 1
         seen["below the fixed bound"] += abs(t.C - t.B) < steiner_lehmus.TIE_BAND_ANGLE
-        seen["in the band"] += result.in_tie_band
-        seen["failed"] += not result.passed
+        seen["in the band"] += in_band
+        seen["failed"] += not passed
+        seen["float R3 step fails"] += not in_band and not (R3 > 1.0 if t.B < t.C else R3 < 1.0)
+        rows.append((t.angles.as_tuple(), row))
+    # the scan's own reduction over these triangles in place of sampled ones
+    triples = iter([triple for triple, _ in rows])
+    fields = iter([row for _, row in rows])
+    monkeypatch.setattr(steiner_lehmus, "_angles_from_draws", lambda *draws: next(triples))
+    monkeypatch.setattr(steiner_lehmus, "_evidence", lambda A, B, C, tol: next(fields))
+    mono, proof_steps, ties = _scan_part(42, 0, len(rows), SCAN_TOL)[4:]
+    seen["scan monotonicity failures"] = mono
+    seen["scan proof-step failures"] = proof_steps
+    seen["scan tie-band samples"] = ties
     assert dict(seen) == {
         "DomainCap": 2409, "InvalidTriangle": 1, "accepted": 2590,
         "below the fixed bound": 77, "in the band": 0, "failed": 0,
+        "float R3 step fails": 210, "scan monotonicity failures": 0,
+        "scan proof-step failures": 0, "scan tie-band samples": 0,
     }
 
 
@@ -565,7 +583,11 @@ def test_euclidean_limit_gap():
 
 def public_evidence(A, B, C, tol):
     """The fused scan kernel's fields, computed through the public per-triangle API."""
-    tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
+    return public_fields(solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol), tol)
+
+
+def public_fields(tri, tol):
+    """The fused scan kernel's fields of a solved triangle, through the public API."""
     d = bisector_lengths(tri, tol=tol)
     trace = proof_trace(tri, d=d)
     mono = check_monotonicity(tri, tol=tol, d=d)
@@ -767,6 +789,33 @@ REJECTION_TOLS = [
 def test_evidence_rejects_like_public_path(tol):
     for triple in REJECTION_TRIPLES:
         assert outcome(_evidence, *triple, tol) == outcome(public_evidence, *triple, tol)
+
+
+# Needles whose AAA side a ties b + c in the plain float sum, while fsum
+# finds b + c - a = 8.6e-16 and 8.7e-16: the public path accepts both, so
+# _evidence's plain-sum test sends them to a replay that returns
+NEAR_TIE_TRIPLES = [
+    (3.141569926740181, 1.9987389615759835e-05, 2.3679483282196735e-22),
+    (3.141549358727418, 3.819233583864179e-18, 4.23791008794844e-05),
+]
+
+
+@pytest.mark.parametrize("triple", NEAR_TIE_TRIPLES)
+def test_evidence_accepts_a_near_tie_that_its_plain_sum_doubts(triple, monkeypatch):
+    tri = solve_from_angles(TriangleAngles(*triple))
+    assert not tri.b + tri.c > tri.a
+    assert math.fsum((tri.b, tri.c, -tri.a)) > 0.0
+    replays = []
+    replay = steiner_lehmus._replay
+
+    def recording(*args):
+        replays.append(replay(*args))
+
+    monkeypatch.setattr(steiner_lehmus, "_replay", recording)
+    fused = _evidence(*triple, DEFAULT_TOL)
+    assert replays == [None]
+    assert len(fused) == 13
+    assert fused == public_evidence(*triple, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize(
