@@ -22,6 +22,12 @@ Each subcommand imports only the modules it runs. None imports `argparse`
 (with `gettext` and `locale`), `json` or `csv`, whose imports and per-call
 parser build would cost more than the rest of the CLI's start, and `solve`
 never imports `dataclasses` (with `inspect`).
+
+`main(argv)` runs one command and returns its exit code. It leaves the
+garbage collector as it found it, so tests and long-lived callers run it
+in-process. `python -m hyptri` and the `hyptri` script start at
+`hyptri.__main__.run`, which calls `main` and then freezes the heap, so
+that the interpreter's exit skips its last collection.
 """
 
 import math

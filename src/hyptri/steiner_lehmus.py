@@ -489,8 +489,8 @@ def _replay(A: float, B: float, C: float, t: ToleranceConfig) -> None:
 
 def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     """Every per-triangle quantity ``scan_random`` reduces, from raw floats:
-    (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, R2, R3,
-    tB - tC, in tie band, sign law passed).
+    (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, in tie
+    band, sign law passed).
 
     One flat pass through ``solve_from_angles``, ``bisector_lengths``,
     ``proof_trace``, ``check_monotonicity``, ``law_of_sines_residual`` and
@@ -655,14 +655,11 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     y = sin_A / sin_B
     idV = abs(x - y) / (y if y > x else x)
 
-    # proof_trace (without D) and check_monotonicity
-    R2 = half_B / half_C
-    gap = tB - tC
-    in_band, passed = _sign_law(gap, B, C, tB, tC)
+    # proof_trace's R1 and check_monotonicity
+    in_band, passed = _sign_law(tB - tC, B, C, tB, tC)
     return (
         a, b, c, spread, worst, idU, idV,
-        R2 * (sinh_b / sinh_c), R2, math.cos(0.5 * B) / math.cos(0.5 * C),
-        gap, in_band, passed,
+        (half_B / half_C) * (sinh_b / sinh_c), in_band, passed,
     )
 
 
@@ -693,7 +690,7 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     )
     for r1, r2, r3 in zip(draws, draws, draws):
         A, B, C = _angles_from_draws(r1, r2, r3, tol.eps_angle)
-        a, b, c, sine, cevian, idU, idV, R1, _, _, _, in_band, passed = _evidence(A, B, C, tol)
+        a, b, c, sine, cevian, idU, idV, R1, in_band, passed = _evidence(A, B, C, tol)
 
         # the running maxima by max's rule: replace only on >, nan included
         if sine > max_sine:

@@ -308,9 +308,10 @@ from hyptri.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
 loaded = set(sys.modules)
-import json
+import gc, json
 print(json.dumps({
     "code": code,
+    "frozen": gc.get_freeze_count(),
     "stdout": out.getvalue(),
     "hyptri": sorted(m for m in loaded if m.split(".")[0] == "hyptri"),
     **{name: name in loaded for name in ("csv", "dataclasses", "argparse", "json")},
@@ -355,10 +356,37 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, writes_csv, tmp_
     lines = seen.pop("stdout").splitlines()
     # a csv payload is a header of identifiers and one row
     assert writes_csv == (len(lines) == 2 and lines[0].replace(",", "").isidentifier())
+    # main itself never freezes the heap: only the process entry does
     assert seen == {
-        "code": code, "hyptri": sorted(modules), "csv": False, "dataclasses": argv[0] != "solve",
-        "argparse": False, "json": False, "pools": [],
+        "code": code, "frozen": 0, "hyptri": sorted(modules), "csv": False,
+        "dataclasses": argv[0] != "solve", "argparse": False, "json": False, "pools": [],
     }
+
+
+# python -m hyptri with an atexit hook, which reports on stderr, after the
+# command's own output, whether the heap was frozen by then
+ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count() > 0}", file=sys.stderr))
+runpy.run_module("hyptri", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "sss", "1", "1", "1", "--format", "json"], 0),
+        (["solve", "sss", "1", "1", "zzz"], 2),
+        (["solve", "sas", "49", "3", "49"], 3),
+    ],
+)
+def test_process_entry_freezes_after_main_and_runs_atexit(argv, code, capsys):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, env=env)
+    assert main(argv) == code == result.returncode
+    out, err = capsys.readouterr()
+    assert result.stdout == out.encode()
+    assert result.stderr == err.encode() + b"frozen True\n"
 
 
 # every float of these reports, so a kernel change that moves one bit shows;

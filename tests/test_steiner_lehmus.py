@@ -155,7 +155,8 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
             seen[type(exc).__name__] += 1
             continue
         row = public_fields(t, SCAN_TOL)
-        R3, in_band, passed = row[9], row[-2], row[-1]
+        in_band, passed = row[-2:]
+        R3 = proof_trace(t, tol=SCAN_TOL).R3
         seen["accepted"] += 1
         seen["below the fixed bound"] += abs(t.C - t.B) < steiner_lehmus.TIE_BAND_ANGLE
         seen["in the band"] += in_band
@@ -595,8 +596,7 @@ def public_fields(tri, tol):
     return (
         tri.a, tri.b, tri.c,
         law_of_sines_residual(tri), subtriangle_residuals(tri, d).max(),
-        trace.idU, trace.idV, trace.R1, trace.R2, trace.R3, trace.gap,
-        mono.in_tie_band, mono.passed,
+        trace.idU, trace.idV, trace.R1, mono.in_tie_band, mono.passed,
     )
 
 
@@ -814,7 +814,7 @@ def test_evidence_accepts_a_near_tie_that_its_plain_sum_doubts(triple, monkeypat
     monkeypatch.setattr(steiner_lehmus, "_replay", recording)
     fused = _evidence(*triple, DEFAULT_TOL)
     assert replays == [None]
-    assert len(fused) == 13
+    assert len(fused) == 10
     assert fused == public_evidence(*triple, DEFAULT_TOL)
 
 
@@ -835,7 +835,7 @@ def test_evidence_equals_public_path_on_needle_grid(tol, counts):
     for triple in gap_triples():
         fused = outcome(_evidence, *triple, tol)
         assert fused == outcome(public_evidence, *triple, tol), triple
-        seen["accepted" if len(fused) == 13 else fused[1].split(" ")[0]] += 1
+        seen["accepted" if len(fused) == 10 else fused[1].split(" ")[0]] += 1
     assert dict(seen) == counts
 
 
@@ -851,9 +851,10 @@ def public_scan(n, seed, tol=SCAN_TOL):
     max_sine = max_cevian = max_ratio = max_side = 0.0
     mono_failures = ineq_failures = ties = 0
     for A, B, C in sampled(seed, n, tol.eps_angle):
-        a, b, c, sine, cevian, idU, idV, R1, R2, R3, _, in_band, passed = (
-            public_evidence(A, B, C, tol)
-        )
+        tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
+        a, b, c, sine, cevian, idU, idV, R1, in_band, passed = public_fields(tri, tol)
+        trace = proof_trace(tri, tol=tol)
+        R2, R3 = trace.R2, trace.R3
         max_sine = max(max_sine, sine)
         max_cevian = max(max_cevian, cevian)
         max_ratio = max(max_ratio, idU, idV)
@@ -1237,9 +1238,13 @@ def test_scan_defers_sigint_until_the_child_is_recorded(scan_parts, monkeypatch)
         return pid
 
     monkeypatch.setattr(os, "fork", interrupted_fork)
+    # SIGINT raises KeyboardInterrupt here even where pytest started with it
+    # ignored, as a shell does for a command run in the background with &
+    before = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
             scan_random(2000, 31)
     finally:
         if os.getpid() != parent:
             os._exit(3)
+        signal.signal(signal.SIGINT, before)
