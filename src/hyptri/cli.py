@@ -27,7 +27,9 @@ never imports `dataclasses` (with `inspect`).
 garbage collector as it found it, so tests and long-lived callers run it
 in-process. `python -m hyptri` and the `hyptri` script start at
 `hyptri.__main__.run`, which calls `main` and then freezes the heap, so
-that the interpreter's exit skips its last collection.
+that the interpreter's exit skips its last collection. They are the only
+process entries: this module runs no command of its own when executed, so
+`python -m hyptri.cli` does nothing.
 """
 
 import math
@@ -365,7 +367,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

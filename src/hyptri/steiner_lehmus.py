@@ -727,17 +727,13 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
 
 def _merge_parts(totals: tuple, part: tuple) -> tuple:
     """The aggregates of two consecutive parts, by the reduction's own rule:
-    a maximum replaces only on >, counts add. So merging parts in index order
-    gives the one-part aggregates bit for bit."""
+    a maximum replaces only on >, counts add. So the first part merged with
+    the second gives the one-part aggregates bit for bit."""
     return (
         *(p if p > t else t for t, p in zip(totals[:4], part[:4])),
         *(t + p for t, p in zip(totals[4:], part[4:])),
     )
 
-
-# The most processes that scan one call: the break-even below was measured
-# only for two, and each further part adds a fork that the caller waits for.
-_MAX_PROCESSES = 2
 
 # Blocks per part below which a forked part may cost more than it saves.
 # Forced two-part splits against one process (Python 3.11, shared 2-vCPU
@@ -751,26 +747,24 @@ _MAX_PROCESSES = 2
 _MIN_PART_BLOCKS = 8
 
 
-def _scan_processes(blocks: int) -> int:
-    """How many processes scan ``blocks`` blocks: one per usable CPU, at most
-    ``_MAX_PROCESSES``, with at least ``_MIN_PART_BLOCKS`` blocks each; only
-    the caller where ``fork`` is missing or unsafe, that is, where the caller
-    runs a second thread, or where ``SIGCHLD`` is handled or ignored, so that
-    a child might be reaped by someone else and its pid reused."""
+def _scan_splits(blocks: int) -> bool:
+    """Whether a forked child scans part of ``blocks`` blocks: on at least two
+    usable CPUs, with at least ``_MIN_PART_BLOCKS`` blocks in each of the two
+    parts, and only where ``fork`` is there and safe, that is, where the
+    caller runs no second thread and ``SIGCHLD`` is neither handled nor
+    ignored, so that no one else reaps the child and its pid is not reused."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, _MAX_PROCESSES, blocks // _MIN_PART_BLOCKS))
-    if parts > 1:
-        import signal
+    if cpus < 2 or blocks < 2 * _MIN_PART_BLOCKS:
+        return False
+    import signal
 
-        if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
-            return 1
-    return parts
+    return signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
 
 
 def _fork_part(
@@ -823,46 +817,43 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     ``hyptri.rng``). Each process of the scan holds one block of draws at a
     time, whatever ``n``.
 
-    The blocks are cut into contiguous parts, one per usable CPU but at
-    most ``_MAX_PROCESSES`` and at least ``_MIN_PART_BLOCKS`` blocks each
-    (see ``_scan_processes``). The caller scans part 0 and a forked child
-    each other part (``_scan_part`` for all of them), and the parts merge in
-    index order by the reduction's own rule, so the report is the same bits
-    for every number of parts. The
-    first failing triangle in index order raises, with its own class and
-    message, since the caller scans itself each part whose child failed or
-    could not be made. No child outlives the call.
+    Where ``_scan_splits`` allows, the blocks are cut in two contiguous
+    parts at ``mid``, half the blocks: the caller scans triangles 0 to
+    ``mid - 1`` and one forked child the rest (``_scan_part`` for both), and
+    the parts merge in index order by the reduction's own rule, so the report
+    is the same bits split or not. The first failing triangle in index order
+    raises, with its own class and message, since the caller scans the
+    child's part itself when the child failed or could not be made. No child
+    outlives the call.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs
     blocks = -(-n // _SCAN_BLOCK)
-    parts = _scan_processes(blocks)
-    cuts = [min(n, k * blocks // parts * _SCAN_BLOCK) for k in range(parts + 1)]
-    children = {}  # part index -> (pid, read end), for each forked part
+    # mid < n exactly when a child scans triangles mid to n - 1
+    mid = blocks // 2 * _SCAN_BLOCK if _scan_splits(blocks) else n
+    child = None  # (pid, read end), once forked
     try:
-        if parts > 1:
+        if mid < n:
             import signal
 
-            # no SIGINT between a fork and the record of its child
+            # no SIGINT between the fork and the record of its child
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                for k in range(1, parts):
-                    child = _fork_part(seed, cuts[k], cuts[k + 1], tol, mask)
-                    if child is not None:
-                        children[k] = child
+                child = _fork_part(seed, mid, n, tol, mask)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        totals = _scan_part(seed, 0, cuts[1], tol)
-        for k in range(1, parts):
+        totals = _scan_part(seed, 0, mid, tol)
+        if mid < n:
             # the child's one write is whole, so one read takes all of it, or
             # b"" once the child has exited without a result
-            data = os.read(children[k][1], 4096) if k in children else b""
-            part = marshal.loads(data) if data else _scan_part(seed, cuts[k], cuts[k + 1], tol)
+            data = os.read(child[1], 4096) if child is not None else b""
+            part = marshal.loads(data) if data else _scan_part(seed, mid, n, tol)
             totals = _merge_parts(totals, part)
     finally:
-        # each child has sent its part, or the call fails and no unread part
-        # is waited for: kill and reap every one, each on its own
-        for pid, r in children.values():
+        # the child has sent its part, or the call fails and no unread part
+        # is waited for: kill and reap it
+        if child is not None:
+            pid, r = child
             os.close(r)
             try:
                 os.kill(pid, signal.SIGKILL)
