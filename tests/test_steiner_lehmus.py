@@ -922,13 +922,35 @@ def test_scan_forks_one_child_on_eight_cpus(scan_parts, monkeypatch):
     assert len(forks) == 1
 
 
+# 255-257 and 383-385 put the cut after one block of an odd count of blocks
+# (the child takes the larger part) and on a short or full last block
 @pytest.mark.parametrize("parts", [1, 2])
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 385])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 385, 255, 256, 257, 383, 384])
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
 def test_scan_equals_public_reduction_at_block_edges(seed, n, parts, scan_parts):
     forks = scan_parts(parts == 2)
     assert scan_random(n, seed) == public_scan(n, seed)
     assert len(forks) == min(parts, -(-n // 128)) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize(
+    "blocks", [2 * steiner_lehmus._MIN_PART_BLOCKS - 1, 2 * steiner_lehmus._MIN_PART_BLOCKS]
+)
+def test_scan_splits_on_two_cpus_and_two_full_parts(blocks, cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    expected = cpus >= 2 and blocks >= 2 * steiner_lehmus._MIN_PART_BLOCKS
+    assert steiner_lehmus._scan_splits(blocks) is (expected and hasattr(os, "fork"))
+
+
+@pytest.mark.parametrize("count", [None, 1, 2])
+def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
+    # where the platform has no sched_getaffinity, os.cpu_count decides, and
+    # an unknown count (None) means one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    blocks = 2 * steiner_lehmus._MIN_PART_BLOCKS
+    assert steiner_lehmus._scan_splits(blocks) is (count == 2 and hasattr(os, "fork"))
 
 
 def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
