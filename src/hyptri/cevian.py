@@ -97,23 +97,7 @@ def _adjacent_split(side: float, k: float) -> float:
 
 def _rel(x: float, y: float) -> float:
     """Relative difference of two same-signed quantities."""
-    p = abs(x)
-    q = abs(y)
-    return abs(x - y) / (q if q > p else p)  # max(p, q), nan included
-
-
-def _subtriangle_rels(
-    sin_A: float, sin_B: float, sin_C: float, sin_beta: float, sin_gamma: float,
-    sinh_u: float, sinh_U: float, sinh_v: float, sinh_V: float,
-    sinh_tB: float, sinh_tC: float,
-) -> tuple[float, float, float, float]:
-    """(res_u, res_U, res_v, res_V) of ``CevianResiduals`` from precomputed sines."""
-    return (
-        _rel(sinh_tB / sin_A, sinh_u / sin_beta),
-        _rel(sinh_tB / sin_C, sinh_U / sin_beta),
-        _rel(sinh_tC / sin_A, sinh_v / sin_gamma),
-        _rel(sinh_tC / sin_B, sinh_V / sin_gamma),
-    )
+    return abs(x - y) / max(abs(x), abs(y))
 
 
 def _check_feet(
@@ -132,11 +116,23 @@ def _check_feet(
 
 def subtriangle_residuals(t: Triangle, d: BisectorData) -> CevianResiduals:
     """Relative residuals of the four sine laws in the bisector sub-triangles."""
-    return CevianResiduals(*_subtriangle_rels(
-        math.sin(t.A), math.sin(t.B), math.sin(t.C), math.sin(d.beta), math.sin(d.gamma),
-        math.sinh(d.u), math.sinh(d.U), math.sinh(d.v), math.sinh(d.V),
-        math.sinh(d.tB), math.sinh(d.tC),
-    ))
+    sin_A = math.sin(t.A)
+    sin_B = math.sin(t.B)
+    sin_C = math.sin(t.C)
+    sin_beta = math.sin(d.beta)
+    sin_gamma = math.sin(d.gamma)
+    sinh_u = math.sinh(d.u)
+    sinh_U = math.sinh(d.U)
+    sinh_v = math.sinh(d.v)
+    sinh_V = math.sinh(d.V)
+    sinh_tB = math.sinh(d.tB)
+    sinh_tC = math.sinh(d.tC)
+    return CevianResiduals(
+        res_u=_rel(sinh_tB / sin_A, sinh_u / sin_beta),
+        res_U=_rel(sinh_tB / sin_C, sinh_U / sin_beta),
+        res_v=_rel(sinh_tC / sin_A, sinh_v / sin_gamma),
+        res_V=_rel(sinh_tC / sin_B, sinh_V / sin_gamma),
+    )
 
 
 def unconditional_identities(d: BisectorData, t: Triangle) -> RatioResiduals:
@@ -153,30 +149,24 @@ def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> Bisecto
     """Both bisectors of ``t``: feet in closed form, lengths by the law of
     cosines in the A-side sub-triangles; validates every identity before
     returning: positivity and the foot sums, then the sub-triangle sine laws."""
-    sin = math.sin
     sinh = math.sinh
-    A, B, C = t.angles.as_tuple()
     b = t.b
     c = t.c
     sinh_a = sinh(t.a)
     sinh_b = sinh(b)
     sinh_c = sinh(c)
-    half_A = sin(0.5 * A)
+    half_A = math.sin(0.5 * t.A)
     u = _adjacent_split(b, sinh_c / sinh_a)
     U = _adjacent_split(b, sinh_a / sinh_c)
     v = _adjacent_split(c, sinh_b / sinh_a)
     V = _adjacent_split(c, sinh_a / sinh_b)
-    sinh_u = sinh(u)
-    sinh_v = sinh(v)
-    tB = _cevian_length(c, u, sinh_c, sinh_u, half_A)
-    tC = _cevian_length(b, v, sinh_b, sinh_v, half_A)
+    tB = _cevian_length(c, u, sinh_c, sinh(u), half_A)
+    tC = _cevian_length(b, v, sinh_b, sinh(v), half_A)
     _check_feet(b, c, u, U, v, V, tB, tC, tol)
-    worst = max(_subtriangle_rels(
-        sin(A), sin(B), sin(C), sin(0.5 * B), sin(0.5 * C),
-        sinh_u, sinh(U), sinh_v, sinh(V), sinh(tB), sinh(tC),
-    ))
+    d = BisectorData(beta=0.5 * t.B, gamma=0.5 * t.C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)
+    worst = subtriangle_residuals(t, d).max()
     if worst > tol.rtol_identity:
         raise NumericalFailure(
             f"sub-triangle sine-law residual {worst!r} exceeds {tol.rtol_identity}"
         )
-    return BisectorData(beta=0.5 * B, gamma=0.5 * C, u=u, U=U, v=v, V=V, tB=tB, tC=tC)
+    return d

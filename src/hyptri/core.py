@@ -196,27 +196,11 @@ def _check_sides(a: float, b: float, c: float) -> None:
             )
 
 
-def _check_solved(
-    a: float, b: float, c: float,
-    A: float, B: float, C: float,
-    sinh_a: float, sinh_b: float, sinh_c: float,
-    sin_A: float, sin_B: float, sin_C: float,
-    half_A: float, half_B: float, half_C: float,
-    t: ToleranceConfig,
-) -> None:
-    """Consistency checks of a solved triangle from precomputed sinh(side),
-    sin(angle) and sin(angle/2): law of sines, law of cosines, then
-    side/angle ordering."""
-    spread = _ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
-    if spread > t.rtol_identity:
-        raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
-    loc = _cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
-    if loc > t.rtol_identity:
-        raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
-    # a side pair and its angle pair that are both outside the atol band and
-    # ordered oppositely fail; ties inside the band are fine. "not ... <= atol"
-    # reads nan as outside the band, as the band_cmp oracle of
-    # tests/test_core.py does.
+def _check_ordering(a: float, b: float, c: float, A: float, B: float, C: float) -> None:
+    """Side/angle ordering: a side pair and its angle pair that are both
+    outside the atol band and ordered oppositely fail; ties inside the band
+    are fine. "not ... <= atol" reads nan as outside the band, as the
+    band_cmp oracle of tests/test_core.py does."""
     atol = _ATOL_EQUAL
     if (
         (not abs(a - b) <= atol and not abs(A - B) <= atol and (a < b) != (A < B))
@@ -279,17 +263,15 @@ class Triangle(_Frozen):
     def __init__(
         self, sides: TriangleSides, angles: TriangleAngles, tol: ToleranceConfig = DEFAULT_TOL
     ) -> None:
-        a, b, c = sides.as_tuple()
-        A, B, C = angles.as_tuple()
-        _check_solved(
-            a, b, c, A, B, C,
-            math.sinh(a), math.sinh(b), math.sinh(c),
-            math.sin(A), math.sin(B), math.sin(C),
-            math.sin(0.5 * A), math.sin(0.5 * B), math.sin(0.5 * C),
-            tol,
-        )
         _set(self, "sides", sides)
         _set(self, "angles", angles)
+        spread = law_of_sines_residual(self)
+        if spread > tol.rtol_identity:
+            raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {tol.rtol_identity}")
+        loc = law_of_cosines_residual(self)
+        if loc > tol.rtol_identity:
+            raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {tol.rtol_identity}")
+        _check_ordering(*sides.as_tuple(), *angles.as_tuple())
 
     @property
     def a(self) -> float:
@@ -321,63 +303,36 @@ def defect(angles: TriangleAngles) -> float:
     return math.pi - math.fsum((angles.A, angles.B, angles.C))
 
 
-def _ratio_spread(ra: float, rb: float, rc: float) -> float:
-    # max and min of (ra, rb, rc) by their rule: keep the first, replace only
-    # on > (max) or < (min), so nan in any slot resolves exactly as they do
-    hi = lo = ra
-    if rb > hi:
-        hi = rb
-    if rc > hi:
-        hi = rc
-    if rb < lo:
-        lo = rb
-    if rc < lo:
-        lo = rc
-    return (hi - lo) / hi
-
-
 def law_of_sines_residual(t: Triangle) -> float:
     """Residual of sinh a / sin A = sinh b / sin B = sinh c / sin C: the largest
     pairwise relative difference of the three ratios; 0 means exact."""
-    return _ratio_spread(
-        math.sinh(t.a) / math.sin(t.A), math.sinh(t.b) / math.sin(t.B),
-        math.sinh(t.c) / math.sin(t.C),
-    )
-
-
-def _loc_vertex_residual(
-    opp: float, adj1: float, adj2: float, sinh_adj1: float, sinh_adj2: float, half: float
-) -> float:
-    # cosh(opp) = cosh(adj1)cosh(adj2) - sinh(adj1)sinh(adj2)cos(angle), evaluated
-    # in the cancellation-free split cosh(adj1-adj2) + 2 sinh(adj1)sinh(adj2)half^2
-    # with half = sin(angle/2)
-    rhs = math.cosh(adj1 - adj2) + 2.0 * sinh_adj1 * sinh_adj2 * half * half
-    lhs = math.cosh(opp)
-    return abs(lhs - rhs) / (rhs if rhs > lhs else lhs)  # max(lhs, rhs), nan included
-
-
-def _cosines_residual(
-    a: float, b: float, c: float,
-    sinh_a: float, sinh_b: float, sinh_c: float,
-    half_A: float, half_B: float, half_C: float,
-) -> float:
-    worst = _loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A)
-    r = _loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B)
-    if r > worst:  # max of the three vertices, nan included
-        worst = r
-    r = _loc_vertex_residual(c, a, b, sinh_a, sinh_b, half_C)
-    if r > worst:
-        worst = r
-    return worst
+    ra = math.sinh(t.a) / math.sin(t.A)
+    rb = math.sinh(t.b) / math.sin(t.B)
+    rc = math.sinh(t.c) / math.sin(t.C)
+    hi = max(ra, rb, rc)
+    return (hi - min(ra, rb, rc)) / hi
 
 
 def law_of_cosines_residual(t: Triangle) -> float:
-    """Max over the three vertices of the law-of-cosines relative residual."""
-    return _cosines_residual(
-        t.a, t.b, t.c,
-        math.sinh(t.a), math.sinh(t.b), math.sinh(t.c),
-        math.sin(0.5 * t.A), math.sin(0.5 * t.B), math.sin(0.5 * t.C),
-    )
+    """Max over the three vertices of the law-of-cosines relative residual.
+
+    cosh(opp) = cosh(adj1)cosh(adj2) - sinh(adj1)sinh(adj2)cos(angle) is
+    evaluated in the cancellation-free split
+    cosh(adj1 - adj2) + 2 sinh(adj1)sinh(adj2)sin^2(angle/2).
+    """
+    a, b, c = t.a, t.b, t.c
+    sinh_a, sinh_b, sinh_c = math.sinh(a), math.sinh(b), math.sinh(c)
+    half_A, half_B, half_C = math.sin(0.5 * t.A), math.sin(0.5 * t.B), math.sin(0.5 * t.C)
+    residuals = []
+    for opp, adj1, adj2, sinh_adj1, sinh_adj2, half in (
+        (a, b, c, sinh_b, sinh_c, half_A),
+        (b, c, a, sinh_c, sinh_a, half_B),
+        (c, a, b, sinh_a, sinh_b, half_C),
+    ):
+        rhs = math.cosh(adj1 - adj2) + 2.0 * sinh_adj1 * sinh_adj2 * half * half
+        lhs = math.cosh(opp)
+        residuals.append(abs(lhs - rhs) / max(lhs, rhs))
+    return max(residuals)
 
 
 def _sides_from_angles(

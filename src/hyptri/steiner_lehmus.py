@@ -436,8 +436,7 @@ def equal_bisector_report(
     and B exceeds ``tol.eps_angle``, where the bracket starts. The sweep
     evaluates both bracket ends and the midpoints of ``sweep_points`` equal
     steps between them."""
-    if sweep_points < 1:
-        raise ValueError(f"sweep point count must be >= 1, got {sweep_points!r}")
+    _check_count("sweep point", sweep_points)
     _check_angles(A, B, B, tol)
     if B <= tol.eps_angle:
         raise InvalidTriangle(f"angle B must exceed the margin {tol.eps_angle}, got {B!r}")
@@ -496,11 +495,12 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     ``proof_trace``, ``check_monotonicity``, ``law_of_sines_residual`` and
     ``subtriangle_residuals``: per triangle, call overhead was most of the
     scan's time. It is one of two pinned inline copies of the shared
-    kernels, next to the equality sweep ``_count_sign_changes``:
-    ``core._sides_from_angles``, ``core._ratio_spread``,
-    ``core._loc_vertex_residual``, ``cevian._adjacent_split``,
-    ``core._cevian_length`` and ``cevian._rel``, with their subexpressions
-    and association order, so it returns bit-identical floats. It evaluates
+    kernels, next to the equality sweep ``_count_sign_changes``: it copies
+    ``core._sides_from_angles``, ``cevian._adjacent_split`` and
+    ``core._cevian_length``, and the residuals of ``law_of_sines_residual``,
+    ``law_of_cosines_residual``, ``subtriangle_residuals`` and
+    ``unconditional_identities``, with their subexpressions and association
+    order, so it returns bit-identical floats. It evaluates
     each sine and hyperbolic sine once, exp(+-b) and exp(+-c) once per side,
     and builds no value object.
 

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import combinations, product
 
 import pytest
@@ -144,9 +145,11 @@ def test_swap_symmetry_is_exact(triple):
     assert (ds.u, ds.U, ds.tB) == (d.v, d.V, d.tC)
 
 
-# The parent's loop-form helpers, kept verbatim as the oracle for the
-# one-comparison accept paths in hyptri.cevian: every input must give the same
-# return bits, or the same exception class and message.
+# Plain forms of the rules in hyptri.cevian, kept as oracles: the relative
+# difference written with max and the loop form of the feet check. Every
+# input must give the same return bits, or the same exception class and
+# message, on grids of special floats; on solved triangles, the sub-triangle
+# residuals must match bit for bit.
 
 
 def _ref_rel(x, y):
@@ -171,6 +174,27 @@ def test_rel_matches_max():
     values = special_floats()
     for x, y in product(values, repeat=2):
         assert outcome(_rel, x, y) == outcome(_ref_rel, x, y), (x, y)
+
+
+def _ref_subtriangle_residuals(t, d):
+    sin_beta = math.sin(d.beta)
+    sin_gamma = math.sin(d.gamma)
+    sinh_tB = math.sinh(d.tB)
+    sinh_tC = math.sinh(d.tC)
+    return (
+        _ref_rel(sinh_tB / math.sin(t.A), math.sinh(d.u) / sin_beta),
+        _ref_rel(sinh_tB / math.sin(t.C), math.sinh(d.U) / sin_beta),
+        _ref_rel(sinh_tC / math.sin(t.A), math.sinh(d.v) / sin_gamma),
+        _ref_rel(sinh_tC / math.sin(t.B), math.sinh(d.V) / sin_gamma),
+    )
+
+
+def test_subtriangle_residuals_match_max_form_on_solved_triangles(triangle_ensemble):
+    for t in triangle_ensemble:
+        d = bisector_lengths(t, tol=ORACLE_TOL)
+        r = subtriangle_residuals(t, d)
+        got = [struct.pack("<d", x) for x in (r.res_u, r.res_U, r.res_v, r.res_V)]
+        assert got == [struct.pack("<d", x) for x in _ref_subtriangle_residuals(t, d)]
 
 
 def test_check_feet_matches_loop_form():

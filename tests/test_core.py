@@ -1,8 +1,10 @@
 import copy
 import math
 import pickle
+import struct
 from dataclasses import FrozenInstanceError, InitVar, make_dataclass
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -28,11 +30,8 @@ from hyptri.core import (
     _ATOL_EQUAL,
     _MAX_SIDE,
     _check_angles,
+    _check_ordering,
     _check_sides,
-    _check_solved,
-    _cosines_residual,
-    _loc_vertex_residual,
-    _ratio_spread,
 )
 
 from conftest import ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
@@ -314,10 +313,7 @@ def test_law_of_sines_zero_for_equilateral():
 
 def test_sine_ratio_spread_detects_perturbation():
     t = solve_from_angles(TriangleAngles(0.6, 0.5, 0.9))
-    spread = _ratio_spread(
-        math.sinh(t.a + 1e-3) / math.sin(t.A), math.sinh(t.b) / math.sin(t.B),
-        math.sinh(t.c) / math.sin(t.C),
-    )
+    spread = law_of_sines_residual(stand_in(t.a + 1e-3, t.b, t.c, t.A, t.B, t.C))
     assert spread > 1e-4
 
 
@@ -379,9 +375,16 @@ def test_small_triangle_euclidean_limit():
         assert got == pytest.approx(expected, rel=1e-6)
 
 
-# The loop-form checks, kept as the oracle for the one-comparison accept
-# paths in hyptri.core: every input must give the same return bits (None for
-# a check that passes), or the same exception class and message.
+# Plain forms of the rules in hyptri.core, kept as oracles: the loop forms of
+# the angle, side and ordering checks, and the residuals written with max and
+# min. Every input must give the same return bits (None for a check that
+# passes), or the same exception class and message, on grids of special
+# floats; on solved triangles, the residuals must match bit for bit.
+
+
+def stand_in(a, b, c, A, B, C):
+    """Unvalidated sides and angles with the fields the residuals read."""
+    return SimpleNamespace(a=a, b=b, c=c, A=A, B=B, C=C)
 
 
 def _ref_check_angles(A, B, C, t):
@@ -422,7 +425,10 @@ def _ref_loc_vertex_residual(opp, adj1, adj2, sinh_adj1, sinh_adj2, half):
     return abs(lhs - rhs) / max(lhs, rhs)
 
 
-def _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C):
+def _ref_law_of_cosines_residual(t):
+    a, b, c = t.a, t.b, t.c
+    sinh_a, sinh_b, sinh_c = math.sinh(a), math.sinh(b), math.sinh(c)
+    half_A, half_B, half_C = math.sin(0.5 * t.A), math.sin(0.5 * t.B), math.sin(0.5 * t.C)
     return max(
         _ref_loc_vertex_residual(a, b, c, sinh_b, sinh_c, half_A),
         _ref_loc_vertex_residual(b, c, a, sinh_c, sinh_a, half_B),
@@ -436,21 +442,31 @@ def _ref_ratio_spread(ra, rb, rc):
     return (hi - lo) / hi
 
 
-def _ref_check_solved(
-    a, b, c, A, B, C, sinh_a, sinh_b, sinh_c, sin_A, sin_B, sin_C, half_A, half_B, half_C, t
-):
-    spread = _ref_ratio_spread(sinh_a / sin_A, sinh_b / sin_B, sinh_c / sin_C)
-    if spread > t.rtol_identity:
-        raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
-    loc = _ref_cosines_residual(a, b, c, sinh_a, sinh_b, sinh_c, half_A, half_B, half_C)
-    if loc > t.rtol_identity:
-        raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
+def _ref_law_of_sines_residual(t):
+    return _ref_ratio_spread(
+        math.sinh(t.a) / math.sin(t.A), math.sinh(t.b) / math.sin(t.B),
+        math.sinh(t.c) / math.sin(t.C),
+    )
+
+
+def _ref_check_ordering(a, b, c, A, B, C):
     for x, y, X, Y in ((a, b, A, B), (b, c, B, C), (c, a, C, A)):
         # ties inside the atol band are fine; only strictly opposed orderings fail
         if band_cmp(x, y, _ATOL_EQUAL) * band_cmp(X, Y, _ATOL_EQUAL) < 0:
             raise InvalidTriangle(
                 "side/angle ordering violated: larger angle must face larger side"
             )
+
+
+def _ref_check_solved(a, b, c, A, B, C, t):
+    tri = stand_in(a, b, c, A, B, C)
+    spread = _ref_law_of_sines_residual(tri)
+    if spread > t.rtol_identity:
+        raise InvalidTriangle(f"law of sines residual {spread!r} exceeds {t.rtol_identity}")
+    loc = _ref_law_of_cosines_residual(tri)
+    if loc > t.rtol_identity:
+        raise InvalidTriangle(f"law of cosines residual {loc!r} exceeds {t.rtol_identity}")
+    _ref_check_ordering(a, b, c, A, B, C)
 
 
 def _mismatches(fn, ref, grid):
@@ -506,43 +522,46 @@ def test_check_sides_matches_loop_form(tol):
         assert outcome(_check_sides, *abc) == expected
 
 
-def test_ratio_spread_matches_max_min():
-    grid = list(product(special_floats(), repeat=3))
-    bad, seen = _mismatches(_ratio_spread, _ref_ratio_spread, grid)
-    assert not bad, bad[:5]
-    assert seen == {"ok", ZeroDivisionError}
-
-
-def test_cosines_residual_matches_max():
+def residual_grid():
+    """Stand-ins over the special floats: the sides with right angles (sin = 1,
+    so the sine-law ratios are the sinh of the sides), then the angles with sides
+    of 0.5 (so each vertex's residual depends on its angle alone)."""
     values = special_floats()
-    # zero sides with unit sinh make vertex X's residual a function of half_X
-    # alone: 0 for tiny half_X, nan for half_X = nan, +-inf or 1e308, so every
-    # slot of the max sees nan, ties and each ordering; real sides next, where
-    # cosh overflows in vertex order
-    grid = [(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, *h) for h in product(values, repeat=3)]
-    grid += [(*abc, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) for abc in product(values, repeat=3)]
-    bad, seen = _mismatches(_cosines_residual, _ref_cosines_residual, grid)
+    right = 0.5 * math.pi
+    grid = [(stand_in(*abc, right, right, right),) for abc in product(values, repeat=3)]
+    grid += [(stand_in(0.5, 0.5, 0.5, *ABC),) for ABC in product(values, repeat=3)]
+    return grid
+
+
+def test_law_of_sines_residual_matches_max_min():
+    # every slot of max and min sees nan, ties and each ordering; sinh
+    # overflows, sin of an infinity and division by a zero sine raise
+    bad, seen = _mismatches(law_of_sines_residual, _ref_law_of_sines_residual, residual_grid())
     assert not bad, bad[:5]
-    assert seen == {"ok", OverflowError}
+    assert seen == {"ok", OverflowError, ValueError, ZeroDivisionError}
 
 
-def test_loc_vertex_residual_matches_max():
+def test_law_of_cosines_residual_matches_max():
+    # each vertex's residual is 0, nan or its own value in every slot of the
+    # max; cosh and sinh overflow in vertex order, and sin of an infinity raises
+    bad, seen = _mismatches(
+        law_of_cosines_residual, _ref_law_of_cosines_residual, residual_grid()
+    )
+    assert not bad, bad[:5]
+    assert seen == {"ok", OverflowError, ValueError}
+
+
+def test_law_of_cosines_residual_matches_max_at_one_vertex():
+    # vertex A's lhs = cosh(a) against rhs = cosh(b - c) + 2 sinh b sinh c
+    # sin^2(A/2): max(lhs, rhs) sees nan on either side, ties and each ordering
     values = special_floats()
-    # lhs = cosh(opp) against rhs = 1 + 2 sinh_adj1 half^2, then against
-    # cosh(adj1 - adj2); sinh_adj1 = -0.5 with half = 1 makes rhs exactly 0,
-    # where max's rule decides between nan / nan and a division by zero
-    grid = [(opp, 0.0, 0.0, s, 1.0, h) for opp, s, h in product(values + (-0.5, 1.0), repeat=3)]
-    grid += [(opp, x, y, 1.0, 1.0, 0.5) for opp, x, y in product(values, repeat=3)]
-    bad, seen = _mismatches(_loc_vertex_residual, _ref_loc_vertex_residual, grid)
+    grid = [(stand_in(a, b, 0.5, A, 1.0, 1.0),) for a, b, A in product(values, repeat=3)]
+    bad, seen = _mismatches(law_of_cosines_residual, _ref_law_of_cosines_residual, grid)
     assert not bad, bad[:5]
-    assert seen == {"ok", OverflowError}
+    assert seen == {"ok", OverflowError, ValueError}
 
 
-def test_check_solved_ordering_matches_band_cmp():
-    # nan sines pass the sine and cosine checks (nan > rtol is false), so every
-    # side/angle pairing reaches the ordering rule unless cosh overflows
-    t = DEFAULT_TOL
-    nan = math.nan
+def test_check_ordering_matches_band_cmp():
     values = special_floats() + (0.5 + 0.5 * _ATOL_EQUAL, 0.5 + 2.0 * _ATOL_EQUAL)
     grid = []
     for i, (x, y, X, Y) in enumerate(product(values, repeat=4)):
@@ -551,20 +570,31 @@ def test_check_solved_ordering_matches_band_cmp():
         sides = [0.5, 0.5, 0.5]
         angles = [0.5, 0.5, 0.5]
         sides[k], sides[k - 2], angles[k], angles[k - 2] = x, y, X, Y
-        grid.append((*sides, *angles, nan, nan, nan, 1.0, 1.0, 1.0, nan, nan, nan, t))
-    bad, seen = _mismatches(_check_solved, _ref_check_solved, grid)
+        grid.append((*sides, *angles))
+    bad, seen = _mismatches(_check_ordering, _ref_check_ordering, grid)
     assert not bad, bad[:5]
-    assert seen == {"ok", InvalidTriangle, OverflowError}
+    assert seen == {"ok", InvalidTriangle}
 
 
-def test_check_solved_matches_loop_form_on_solved_triangles():
+def test_triangle_matches_loop_form_on_solved_triangles():
     # real sines: the sine and cosine checks pass or trip on their own
+    def build(sides, angles, t):
+        Triangle(sides, angles, t)
+
+    seen = set()
     for tri in seeded_triangles(200, seed=5):
         for t in (SCAN_TOL, ToleranceConfig(rtol_identity=1e-16)):
-            args = (
-                tri.a, tri.b, tri.c, tri.A, tri.B, tri.C,
-                math.sinh(tri.a), math.sinh(tri.b), math.sinh(tri.c),
-                math.sin(tri.A), math.sin(tri.B), math.sin(tri.C),
-                math.sin(0.5 * tri.A), math.sin(0.5 * tri.B), math.sin(0.5 * tri.C), t,
-            )
-            assert outcome(_check_solved, *args) == outcome(_ref_check_solved, *args)
+            got = outcome(build, tri.sides, tri.angles, t)
+            args = (*tri.sides.as_tuple(), *tri.angles.as_tuple(), t)
+            assert got == outcome(_ref_check_solved, *args)
+            seen.add(got if got is None else got[1].split(" residual ")[0])
+    assert seen == {None, "law of sines", "law of cosines"}
+
+
+def test_residuals_match_max_forms_on_solved_triangles(triangle_ensemble):
+    def bits(x):
+        return struct.pack("<d", x)
+
+    for tri in triangle_ensemble:
+        assert bits(law_of_sines_residual(tri)) == bits(_ref_law_of_sines_residual(tri))
+        assert bits(law_of_cosines_residual(tri)) == bits(_ref_law_of_cosines_residual(tri))

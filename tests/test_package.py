@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib
@@ -64,6 +65,35 @@ def test_names_are_the_submodules_objects(module):
     assert sorted(sub.__all__) == sorted(PUBLIC[module])
     for name in PUBLIC[module]:
         assert getattr(hyptri, name) is getattr(sub, name)
+
+
+def unreferenced_private_functions(package):
+    """Module-level ``_``-prefixed functions of the package's modules that no
+    name or attribute in the package refers to outside their own definition.
+    Dunder hooks such as a module's ``__getattr__`` are called by Python."""
+    defined = set()
+    used = set()
+    for path in sorted(Path(package).glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.add(owner)
+            # names (their id) and attributes (their attr); a function's
+            # references to itself do not count
+            refs = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(top)}
+            used |= refs - {owner}
+    return sorted(defined - used)
+
+
+def test_every_private_function_is_used_in_the_package(tmp_path):
+    package = Path(SRC, "hyptri")
+    assert unreferenced_private_functions(package) == []
+    # a helper called only by itself or from nowhere is found
+    (tmp_path / "m.py").write_text(
+        "def _loop(n):\n    return _loop(n - 1)\n\n\ndef _used():\n    pass\n\n\n"
+        "def _dead():\n    pass\n\n\nclass K:\n    f = staticmethod(_used)\n"
+    )
+    assert unreferenced_private_functions(tmp_path) == ["_dead", "_loop"]
 
 
 def test_fresh_namespace_matches_star_import_and_dir():

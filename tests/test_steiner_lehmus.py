@@ -540,6 +540,15 @@ def test_equal_bisector_report_rejects_empty_sweep(points):
         equal_bisector_report(0.9, 0.7, sweep_points=points)
 
 
+@pytest.mark.parametrize("points", [10.0, True, "5"])
+def test_equal_bisector_report_rejects_a_non_integer_sweep(points):
+    # the count rule of scan_random and equality_study, checked before any solve
+    with pytest.raises(
+        TypeError, match=f"^sweep point count must be an integer, got {re.escape(repr(points))}$"
+    ):
+        equal_bisector_report(0.9, 0.7, sweep_points=points)
+
+
 def test_equal_bisector_report_one_point_sweep_solves_root_only():
     full = equal_bisector_report(0.9, 0.7)
     # the sweep's two ends bracket the root, so one midpoint still sees it
