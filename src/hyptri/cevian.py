@@ -20,7 +20,6 @@ tB - tC.
 """
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOL,
@@ -28,6 +27,8 @@ from .core import (
     ToleranceConfig,
     Triangle,
     _cevian_length,
+    _Frozen,
+    _set,
 )
 
 __all__ = [
@@ -40,13 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BisectorData:
+class BisectorData(_Frozen):
     """Half-angles, foot segments, and lengths of both internal bisectors.
 
     beta = B/2, gamma = C/2; u + U = b and v + V = c; tB = BB', tC = CC'.
     """
 
+    __slots__ = __match_args__ = ("beta", "gamma", "u", "U", "v", "V", "tB", "tC")
     beta: float
     gamma: float
     u: float
@@ -56,9 +57,21 @@ class BisectorData:
     tB: float
     tC: float
 
+    def __init__(
+        self, beta: float, gamma: float, u: float, U: float, v: float, V: float,
+        tB: float, tC: float,
+    ) -> None:
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
+        _set(self, "u", u)
+        _set(self, "U", U)
+        _set(self, "v", v)
+        _set(self, "V", V)
+        _set(self, "tB", tB)
+        _set(self, "tC", tC)
 
-@dataclass(frozen=True)
-class CevianResiduals:
+
+class CevianResiduals(_Frozen):
     """Relative residuals of the four sub-triangle sine laws.
 
     res_u: sinh tB / sin A = sinh u / sin beta   (triangle ABB')
@@ -67,21 +80,32 @@ class CevianResiduals:
     res_V: sinh tC / sin B = sinh V / sin gamma  (triangle BCC')
     """
 
+    __slots__ = __match_args__ = ("res_u", "res_U", "res_v", "res_V")
     res_u: float
     res_U: float
     res_v: float
     res_V: float
 
+    def __init__(self, res_u: float, res_U: float, res_v: float, res_V: float) -> None:
+        _set(self, "res_u", res_u)
+        _set(self, "res_U", res_U)
+        _set(self, "res_v", res_v)
+        _set(self, "res_V", res_V)
+
     def max(self) -> float:
         return max(self.res_u, self.res_U, self.res_v, self.res_V)
 
 
-@dataclass(frozen=True)
-class RatioResiduals:
+class RatioResiduals(_Frozen):
     """Residuals of sinh U/sinh u = sin A/sin C and sinh V/sinh v = sin A/sin B."""
 
+    __slots__ = __match_args__ = ("idU", "idV")
     idU: float
     idV: float
+
+    def __init__(self, idU: float, idV: float) -> None:
+        _set(self, "idU", idU)
+        _set(self, "idV", idV)
 
 
 def _adjacent_split(side: float, k: float) -> float:

@@ -20,8 +20,11 @@ and `csv.writer` would.
 
 Each subcommand imports only the modules it runs. None imports `argparse`
 (with `gettext` and `locale`), `json` or `csv`, whose imports and per-call
-parser build would cost more than the rest of the CLI's start, and `solve`
-never imports `dataclasses` (with `inspect`).
+parser build would cost more than the rest of the CLI's start. `solve`,
+`bisect` and `figure` never import `dataclasses` (with `inspect`), since the
+record types of `core`, `cevian` and `diskmodel` are frozen slotted classes;
+`verify`, `scan` and `study` do, for the five report types of
+`steiner_lehmus`, which stay dataclasses.
 
 `main(argv)` runs one command and returns its exit code. It leaves the
 garbage collector as it found it, so tests and long-lived callers run it

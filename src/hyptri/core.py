@@ -70,17 +70,20 @@ _set = object.__setattr__  # stores a field past the frozen __setattr__
 
 
 class _Frozen:
-    """Base of the value types below, whose fields are their ``__slots__``.
-    The triangle types' ``__match_args__`` also name ``tol``, as their
-    dataclass InitVar did.
+    """Base of the value types below and of the record types of ``cevian``
+    and ``diskmodel``, whose fields are their ``__slots__``. The triangle
+    types' ``__match_args__`` also name ``tol``, as their dataclass InitVar
+    did.
 
     It gives them what a frozen ``@dataclass`` with slots would:
     ``repr``, ``==`` (same class only) and ``hash`` over the fields in
     order, ``AttributeError`` on assignment and deletion with the dataclass
     messages, and pickling and copying that restore the fields without
-    validating them again (a state of another length raises ``ValueError``).
-    Importing ``dataclasses`` (with the ``inspect`` it pulls in) instead
-    would be about a third of the CLI's import time.
+    validating them again. A state is the tuple of the fields, or the
+    ``__dict__`` of a pickle written when the type was a dataclass; a tuple
+    of another length, or a dict whose keys are not exactly the fields,
+    raises ``ValueError``. Importing ``dataclasses`` (with the ``inspect``
+    it pulls in) instead would be about a third of the CLI's import time.
     """
 
     __slots__ = ()
@@ -109,7 +112,14 @@ class _Frozen:
     def __getstate__(self) -> tuple:
         return self._astuple()
 
-    def __setstate__(self, state: tuple) -> None:
+    def __setstate__(self, state: tuple | dict) -> None:
+        if isinstance(state, dict):
+            if state.keys() != set(self.__slots__):
+                raise ValueError(
+                    f"state fields {list(state)} are not those of "
+                    f"{self.__class__.__qualname__}: {list(self.__slots__)}"
+                )
+            state = [state[name] for name in self.__slots__]
         for name, value in zip(self.__slots__, state, strict=True):
             _set(self, name, value)
 

@@ -14,7 +14,6 @@ digits; output bytes are a pure function of the input.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .cevian import BisectorData
 from .core import (
@@ -23,6 +22,8 @@ from .core import (
     InvalidPoint,
     NumericalFailure,
     Triangle,
+    _Frozen,
+    _set,
 )
 
 __all__ = [
@@ -41,46 +42,56 @@ _COLLINEAR_TOL = 1e-12
 _ORTHO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DiskPoint:
+class DiskPoint(_Frozen):
     """A point strictly inside the unit disk."""
 
+    __slots__ = __match_args__ = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidPoint(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise InvalidPoint(f"point ({self.x!r}, {self.y!r}) is not strictly inside the disk")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidPoint(f"coordinates must be finite, got ({x!r}, {y!r})")
+        if x * x + y * y >= 1.0:
+            raise InvalidPoint(f"point ({x!r}, {y!r}) is not strictly inside the disk")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class GeodesicArc:
+class GeodesicArc(_Frozen):
     """The geodesic through two disk points: a diameter segment when they are
     collinear with the origin, otherwise an arc of the unique circle through
     both that meets the unit circle at right angles."""
 
+    __slots__ = __match_args__ = ("p", "q", "kind", "center", "radius")
     p: DiskPoint
     q: DiskPoint
     kind: str  # "segment" | "arc"
-    center: tuple[float, float] | None = None
-    radius: float | None = None
+    center: tuple[float, float] | None
+    radius: float | None
 
-    def __post_init__(self) -> None:
-        if self.kind == "arc":
-            cx, cy = self.center
-            rr = self.radius * self.radius
+    def __init__(
+        self, p: DiskPoint, q: DiskPoint, kind: str,
+        center: tuple[float, float] | None = None, radius: float | None = None,
+    ) -> None:
+        if kind == "arc":
+            cx, cy = center
+            rr = radius * radius
             # near-diameter geodesics have huge centers, so the residual is
             # meaningful only relative to the squared radius
             residual = abs(cx * cx + cy * cy - rr - 1.0)
             if residual > _ORTHO_TOL * max(1.0, rr):
                 raise NumericalFailure(f"arc circle not orthogonal to the boundary: {residual!r}")
-        elif self.kind != "segment":
-            raise InvalidInput(f"unknown geodesic kind {self.kind!r}")
+        elif kind != "segment":
+            raise InvalidInput(f"unknown geodesic kind {kind!r}")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "kind", kind)
+        _set(self, "center", center)
+        _set(self, "radius", radius)
 
 
 def disk_distance(p: DiskPoint, q: DiskPoint) -> float:

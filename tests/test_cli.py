@@ -324,9 +324,10 @@ SCAN_PATH = CORE + ["hyptri.cevian", "hyptri.rng", "hyptri.steiner_lehmus"]
 CSV = ["--format", "csv"]
 
 
-# dataclasses loads with every subcommand but solve; argparse, json and csv
-# never load, not even for the rows that write a csv payload (writes_csv),
-# and no process pool or pickle loads, not even where scan forks its parts
+# dataclasses loads only with verify, scan and study, for the report types of
+# steiner_lehmus; argparse, json and csv never load, not even for the rows
+# that write a csv payload (writes_csv), and no process pool or pickle loads,
+# not even where scan forks its parts
 @pytest.mark.parametrize(
     "argv, modules, code, writes_csv",
     [
@@ -359,7 +360,8 @@ def test_subcommand_loads_only_its_modules(argv, modules, code, writes_csv, tmp_
     # main itself never freezes the heap: only the process entry does
     assert seen == {
         "code": code, "frozen": 0, "hyptri": sorted(modules), "csv": False,
-        "dataclasses": argv[0] != "solve", "argparse": False, "json": False, "pools": [],
+        "dataclasses": argv[0] in ("verify", "scan", "study"), "argparse": False, "json": False,
+        "pools": [],
     }
 
 

@@ -12,19 +12,32 @@ from hypothesis import given
 from hyptri import (
     DEFAULT_TOL,
     SCAN_TOL,
+    BisectorData,
+    CevianResiduals,
+    DiskPoint,
     DomainCap,
+    GeodesicArc,
+    InvalidInput,
+    InvalidPoint,
     InvalidTriangle,
+    NumericalFailure,
+    RatioResiduals,
     Triangle,
     TriangleAngles,
     TriangleSides,
     ToleranceConfig,
+    bisector_lengths,
     defect,
+    embed_triangle,
+    geodesic_arc,
     law_of_cosines_residual,
     law_of_sines_residual,
     solve_from_angles,
     solve_from_asa,
     solve_from_sas,
     solve_from_sss,
+    subtriangle_residuals,
+    unconditional_identities,
 )
 from hyptri.core import (
     _ATOL_EQUAL,
@@ -98,23 +111,37 @@ def test_tolerance_config_validation():
         assert str(caught.value) == message
 
 
-# the fields of each core value type, in order, and a frozen slotted
-# dataclass of the same name and fields (with tol as an InitVar where the
-# constructor takes one) that the types must behave like
+# the fields of each core value type and of each record type of cevian and
+# diskmodel, in order, and a frozen slotted dataclass of the same name and
+# fields that the types must behave like: tol is an InitVar where the
+# constructor takes one, and GeodesicArc's center and radius default to None
 CORE_FIELDS = {
     ToleranceConfig: ("rtol_identity", "eps_angle"),
     TriangleAngles: ("A", "B", "C"),
     TriangleSides: ("a", "b", "c"),
     Triangle: ("sides", "angles"),
 }
+RECORD_FIELDS = {
+    BisectorData: ("beta", "gamma", "u", "U", "v", "V", "tB", "tC"),
+    CevianResiduals: ("res_u", "res_U", "res_v", "res_V"),
+    RatioResiduals: ("idU", "idV"),
+    DiskPoint: ("x", "y"),
+    GeodesicArc: ("p", "q", "kind", "center", "radius"),
+}
+FIELDS = {**CORE_FIELDS, **RECORD_FIELDS}
+DEFAULTS = {GeodesicArc: {"center": None, "radius": None}}
 REFERENCE = {
     cls: make_dataclass(
         cls.__name__,
-        [*fields, *([] if cls is ToleranceConfig else [("tol", InitVar, DEFAULT_TOL)])],
+        [
+            *[(n, object, DEFAULTS[cls][n]) if n in DEFAULTS.get(cls, ()) else n for n in fields],
+            *([("tol", InitVar, DEFAULT_TOL)] if cls in (TriangleAngles, TriangleSides, Triangle)
+              else []),
+        ],
         frozen=True,
         slots=True,
     )
-    for cls, fields in CORE_FIELDS.items()
+    for cls, fields in FIELDS.items()
 }
 LOW_EPS = ToleranceConfig(eps_angle=1e-12)
 
@@ -123,7 +150,7 @@ def _reference(value):
     """The reference dataclass value holding the same fields, nested ones included."""
     if type(value) not in REFERENCE:
         return value
-    fields = (_reference(getattr(value, name)) for name in CORE_FIELDS[type(value)])
+    fields = (_reference(getattr(value, name)) for name in FIELDS[type(value)])
     return REFERENCE[type(value)](*fields)
 
 
@@ -140,8 +167,23 @@ def _core_values():
     ]
 
 
-def test_core_types_behave_as_frozen_slotted_dataclasses():
-    values = _core_values()
+def _record_values():
+    t = solve_from_sss(TriangleSides(1.0, 1.2, 1.5))
+    d = bisector_lengths(t)
+    origin, pB, pC = embed_triangle(t)
+    return [
+        d, bisector_lengths(t),
+        bisector_lengths(solve_from_sss(TriangleSides(1.0, 1.0, 1.0))),
+        subtriangle_residuals(t, d), unconditional_identities(d, t),
+        # equal floats in two types, and a signed zero
+        RatioResiduals(0.25, 0.5), DiskPoint(0.25, 0.5), DiskPoint(-0.0, 0.0), origin, pC,
+        # an arc, and a segment with and without its defaults given
+        geodesic_arc(pB, pC), geodesic_arc(origin, pB),
+        GeodesicArc(origin, pB, "segment", None, None),
+    ]
+
+
+def _check_dataclass_parity(values):
     refs = [_reference(v) for v in values]
     for value, ref in zip(values, refs):
         assert repr(value) == repr(ref)
@@ -150,14 +192,33 @@ def test_core_types_behave_as_frozen_slotted_dataclasses():
         assert not hasattr(value, "__dict__")
     assert [[x == y for y in values] for x in values] == [[x == y for y in refs] for x in refs]
     assert [[x != y for y in values] for x in values] == [[x != y for y in refs] for x in refs]
+
+
+def test_core_types_behave_as_frozen_slotted_dataclasses():
+    values = _core_values()
+    _check_dataclass_parity(values)
     assert TriangleAngles(0.5, 0.5, 0.5) != TriangleSides(0.5, 0.5, 0.5)
     assert values[6] == values[7] and values[6] is not values[7]
 
 
-def test_core_types_are_frozen_with_the_dataclass_messages():
-    for value in _core_values():
+def test_record_types_behave_as_frozen_slotted_dataclasses():
+    values = _record_values()
+    _check_dataclass_parity(values)
+    assert RatioResiduals(0.25, 0.5) != DiskPoint(0.25, 0.5)
+    assert values[0] == values[1] and values[0] is not values[1]
+    assert values[7] == values[8] and repr(values[7]) != repr(values[8])
+    assert values[11] == values[12] and values[11].center is values[11].radius is None
+    match values[10]:
+        case GeodesicArc(_, q, "arc", center, radius):
+            assert (q, center, radius) == (values[9], values[10].center, values[10].radius)
+        case _:
+            pytest.fail("no match")
+
+
+def _check_frozen_messages(values):
+    for value in values:
         ref = _reference(value)
-        for name in CORE_FIELDS[type(value)]:
+        for name in FIELDS[type(value)]:
             for mutate in (lambda v: setattr(v, name, 1.0), lambda v: delattr(v, name)):
                 with pytest.raises(FrozenInstanceError) as expected:
                     mutate(ref)
@@ -171,6 +232,14 @@ def test_core_types_are_frozen_with_the_dataclass_messages():
         with pytest.raises(AttributeError, match=r"^cannot delete field 'other'$"):
             del value.other
         assert repr(value) == repr(ref)  # no refused change went through
+
+
+def test_core_types_are_frozen_with_the_dataclass_messages():
+    _check_frozen_messages(_core_values())
+
+
+def test_record_types_are_frozen_with_the_dataclass_messages():
+    _check_frozen_messages(_record_values())
 
 
 def test_core_types_take_keywords():
@@ -190,11 +259,56 @@ def test_core_types_take_keywords():
         ToleranceConfig(1e-10, 1e-12, 1e-9, 50.0)
 
 
-def test_core_types_pickle_and_copy_without_validating_again():
-    values = _core_values()
-    low = values[-1]
-    with pytest.raises(InvalidTriangle):
-        TriangleAngles(*low.as_tuple())  # DEFAULT_TOL rejects it
+def test_record_types_take_keywords():
+    for value in _record_values():
+        cls = type(value)
+        kwargs = {name: getattr(value, name) for name in FIELDS[cls]}
+        ref_kwargs = {name: _reference(field) for name, field in kwargs.items()}
+        assert cls(**kwargs) == cls(*kwargs.values()) == value
+        assert repr(cls(**kwargs)) == repr(REFERENCE[cls](**ref_kwargs))
+        # an unknown keyword, one argument too many or too few: as the reference
+        for call in (
+            lambda c: c(**kwargs, other=1.0),
+            lambda c: c(*kwargs.values(), 1.0),
+            lambda c: c(*list(kwargs.values())[:1]),
+        ):
+            with pytest.raises(TypeError):
+                call(REFERENCE[cls])
+            with pytest.raises(TypeError):
+                call(cls)
+    origin, end = DiskPoint(y=0.0, x=0.0), DiskPoint(0.5, 0.0)
+    segment = GeodesicArc(origin, end, "segment")
+    assert segment == GeodesicArc(p=origin, q=end, kind="segment", center=None, radius=None)
+    assert repr(segment) == repr(REFERENCE[GeodesicArc](*map(_reference, (origin, end)), "segment"))
+
+
+def test_record_constructors_reject_with_the_dataclass_messages():
+    # the checks of the dataclasses' __post_init__, with the same classes and
+    # messages; GeodesicArc checks only the kind and the arc's orthogonality
+    p, q = DiskPoint(0.2, -0.3), DiskPoint(-0.4, 0.1)
+    for make, error, message in (
+        (lambda: DiskPoint(math.inf, 0.0), InvalidPoint,
+         "coordinates must be finite, got (inf, 0.0)"),
+        (lambda: DiskPoint(0.0, math.nan), InvalidPoint,
+         "coordinates must be finite, got (0.0, nan)"),
+        (lambda: DiskPoint(1.0, 0.0), InvalidPoint,
+         "point (1.0, 0.0) is not strictly inside the disk"),
+        (lambda: DiskPoint(x=0.8, y=0.7), InvalidPoint,
+         "point (0.8, 0.7) is not strictly inside the disk"),
+        (lambda: GeodesicArc(p, q, "x"), InvalidInput, "unknown geodesic kind 'x'"),
+        (lambda: GeodesicArc(p, q, "arc", center=(0.0, 0.0), radius=1.0), NumericalFailure,
+         "arc circle not orthogonal to the boundary: 2.0"),
+    ):
+        with pytest.raises(error) as caught:
+            make()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+    # a segment's center and radius are not checked
+    kept = GeodesicArc(p, q, "segment", (0.0, 0.0), 1.0)
+    assert (kept.center, kept.radius) == ((0.0, 0.0), 1.0)
+
+
+def _check_copies(values):
     for value in values:
         copies = [copy.copy(value), copy.deepcopy(value)]
         copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -203,6 +317,18 @@ def test_core_types_pickle_and_copy_without_validating_again():
             assert restored == value
             assert repr(restored) == repr(value)
             assert hash(restored) == hash(value)
+
+
+def test_core_types_pickle_and_copy_without_validating_again():
+    values = _core_values()
+    low = values[-1]
+    with pytest.raises(InvalidTriangle):
+        TriangleAngles(*low.as_tuple())  # DEFAULT_TOL rejects it
+    _check_copies(values)
+
+
+def test_record_types_pickle_and_copy():
+    _check_copies(_record_values())
 
 
 # ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3) pickled at protocol 2
@@ -224,6 +350,48 @@ def test_core_types_refuse_a_state_of_another_length():
         for state in ((1.0,), (1e-9, 1e-12, 1e-3, 50.0)):
             with pytest.raises(ValueError):
                 blank.__setstate__(state)
+
+
+# DiskPoint(0.1, 0.2) and RatioResiduals(idU=2.5e-16, idV=0.0) pickled at
+# protocol 2 when both were dataclasses without slots, whose state is the
+# instance __dict__
+DISK_POINT_PICKLE = (
+    b"\x80\x02chyptri.diskmodel\nDiskPoint\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00xq\x03"
+    b"G?\xb9\x99\x99\x99\x99\x99\x9aX\x01\x00\x00\x00yq\x04G?\xc9\x99\x99\x99\x99\x99\x9aub."
+)
+RATIO_RESIDUALS_PICKLE = (
+    b"\x80\x02chyptri.cevian\nRatioResiduals\nq\x00)\x81q\x01}q\x02(X\x03\x00\x00\x00idUq\x03"
+    b"G<\xb2\x03\xaf\x9e\xe7V\x16X\x03\x00\x00\x00idVq\x04G\x00\x00\x00\x00\x00\x00\x00\x00ub."
+)
+
+
+def test_record_types_load_their_dataclass_pickles_by_name():
+    # the dict state is restored field by field, never its keys as values
+    point = pickle.loads(DISK_POINT_PICKLE)
+    assert type(point) is DiskPoint and repr(point) == "DiskPoint(x=0.1, y=0.2)"
+    residuals = pickle.loads(RATIO_RESIDUALS_PICKLE)
+    assert type(residuals) is RatioResiduals
+    assert repr(residuals) == "RatioResiduals(idU=2.5e-16, idV=0.0)"
+    blank = object.__new__(DiskPoint)
+    blank.__setstate__({"y": 0.2, "x": 0.1})
+    assert blank == point
+
+
+def test_frozen_types_refuse_a_state_of_other_fields():
+    for value in _core_values() + _record_values():
+        names = FIELDS[type(value)]
+        blank = object.__new__(type(value))
+        for state in (
+            (1.0,) * (len(names) - 1),
+            (1.0,) * (len(names) + 1),
+            dict.fromkeys(names[:-1], 1.0),
+            dict.fromkeys((*names, "other"), 1.0),
+            dict.fromkeys((*names[:-1], "other"), 1.0),
+        ):
+            with pytest.raises(ValueError):
+                blank.__setstate__(state)
+    with pytest.raises(ValueError):
+        pickle.loads(DISK_POINT_PICKLE.replace(b"\x01\x00\x00\x00y", b"\x01\x00\x00\x00z"))
 
 
 def band_cmp(x, y, atol):
