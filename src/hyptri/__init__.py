@@ -4,7 +4,8 @@ isosceles triangle.
 
 Names resolve on first use (PEP 562): ``import hyptri`` loads no submodule,
 and ``hyptri.X`` imports the submodule that defines ``X`` once, then keeps
-``X`` in this namespace."""
+``X`` in this namespace. ``_SUBMODULE`` below is the one list of public
+names: each submodule's ``__all__`` is read from it."""
 
 from importlib import import_module as _import_module
 
@@ -75,6 +76,13 @@ _SUBMODULE = {
 __all__ = sorted(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def _public_names(module):
+    """The ``__all__`` of submodule ``module`` (its ``__name__``): the names
+    whose home it is, in table order."""
+    home = module.rpartition(".")[2]
+    return [name for name, owner in _SUBMODULE.items() if owner == home != name]
 
 
 def __getattr__(name):

@@ -21,6 +21,7 @@ tB - tC.
 
 import math
 
+from . import _public_names
 from .core import (
     DEFAULT_TOL,
     NumericalFailure,
@@ -31,14 +32,7 @@ from .core import (
     _set,
 )
 
-__all__ = [
-    "BisectorData",
-    "CevianResiduals",
-    "RatioResiduals",
-    "bisector_lengths",
-    "subtriangle_residuals",
-    "unconditional_identities",
-]
+__all__ = _public_names(__name__)
 
 
 class BisectorData(_Frozen):

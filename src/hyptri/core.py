@@ -10,28 +10,9 @@ All angles are radians, all lengths are in curvature -1 units.
 import math
 import sys
 
-__all__ = [
-    "HypTriError",
-    "InvalidTriangle",
-    "DomainCap",
-    "NumericalFailure",
-    "InvalidPoint",
-    "InvalidInput",
-    "NoBracket",
-    "NonConvergence",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
-    "TriangleAngles",
-    "TriangleSides",
-    "Triangle",
-    "defect",
-    "solve_from_angles",
-    "solve_from_sss",
-    "solve_from_sas",
-    "solve_from_asa",
-    "law_of_sines_residual",
-    "law_of_cosines_residual",
-]
+from . import _public_names
+
+__all__ = _public_names(__name__)
 
 
 class HypTriError(Exception):
@@ -345,12 +326,8 @@ def law_of_cosines_residual(t: Triangle) -> float:
     return max(residuals)
 
 
-def _sides_from_angles(
-    A: float, B: float, C: float,
-    half_defect: float, sin_A: float, sin_B: float, sin_C: float,
-) -> tuple[float, float, float]:
-    """AAA side solve, assuming a validated angle triple, from half the
-    defect and the sines of the angles.
+def _sides_from_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
+    """AAA side solve, assuming a validated angle triple.
 
     The dual law of cosines cosh a = (cos A + cos B cos C)/(sin B sin C) is
     evaluated as cosh a - 1 = 2 sin(d/2) sin(A + d/2)/(sin B sin C) with
@@ -358,6 +335,8 @@ def _sides_from_angles(
     defect is tiny or the angles are near the simplex corners. Angles so
     small that two of their sines multiply to 0 raise ``DomainCap``.
     """
+    half_defect = 0.5 * (math.pi - math.fsum((A, B, C)))
+    sin_A, sin_B, sin_C = math.sin(A), math.sin(B), math.sin(C)
     sd = math.sin(half_defect)
     try:
         a = 2.0 * math.asinh(math.sqrt(sd * math.sin(A + half_defect) / (sin_B * sin_C)))
@@ -398,9 +377,7 @@ def _angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, floa
 def solve_from_angles(angles: TriangleAngles, tol: ToleranceConfig = DEFAULT_TOL) -> Triangle:
     """AAA case: in hyperbolic geometry the three angles determine the triangle."""
     A, B, C = angles.as_tuple()
-    a, b, c = _sides_from_angles(
-        A, B, C, 0.5 * defect(angles), math.sin(A), math.sin(B), math.sin(C)
-    )
+    a, b, c = _sides_from_angles(A, B, C)
     return Triangle(TriangleSides(a, b, c, tol=tol), angles, tol=tol)
 
 

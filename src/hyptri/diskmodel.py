@@ -15,6 +15,7 @@ digits; output bytes are a pure function of the input.
 import cmath
 import math
 
+from . import _public_names
 from .cevian import BisectorData
 from .core import (
     DomainCap,
@@ -26,17 +27,7 @@ from .core import (
     _set,
 )
 
-__all__ = [
-    "DiskPoint",
-    "GeodesicArc",
-    "disk_distance",
-    "embed_triangle",
-    "disk_angle",
-    "geodesic_arc",
-    "point_toward",
-    "render_svg",
-    "svg_document",
-]
+__all__ = _public_names(__name__)
 
 _COLLINEAR_TOL = 1e-12
 _ORTHO_TOL = 1e-12
@@ -78,6 +69,10 @@ class GeodesicArc(_Frozen):
         center: tuple[float, float] | None = None, radius: float | None = None,
     ) -> None:
         if kind == "arc":
+            if center is None or radius is None or not all(map(math.isfinite, (*center, radius))):
+                raise InvalidInput(
+                    f"an arc needs a finite center and radius, got {center!r} and {radius!r}"
+                )
             cx, cy = center
             rr = radius * radius
             # near-diameter geodesics have huge centers, so the residual is

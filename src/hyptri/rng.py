@@ -17,7 +17,9 @@ same doubles as ``random()`` on every platform.
 
 from struct import unpack
 
-__all__ = ["SplitMix64"]
+from . import _public_names
+
+__all__ = _public_names(__name__)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
+from . import _public_names
 from .cevian import BisectorData, bisector_lengths, unconditional_identities, _adjacent_split
 from .core import (
     DEFAULT_TOL,
@@ -47,20 +48,7 @@ from .core import (
 )
 from .rng import _GAMMA, _LANES, _MASK64, SplitMix64
 
-__all__ = [
-    "SCAN_TOL",
-    "ProofTrace",
-    "MonotonicityResult",
-    "EqualBisectorSolve",
-    "ScanReport",
-    "EqualityStudy",
-    "proof_trace",
-    "check_monotonicity",
-    "equal_bisector_report",
-    "sample_angles",
-    "scan_random",
-    "equality_study",
-]
+__all__ = _public_names(__name__)
 
 # The scan harness samples with a wider angle margin and accepts identity
 # residuals up to 1e-9; strict per-value validation keeps the 1e-10 default.
@@ -252,22 +240,15 @@ def _gap_in_C(A: float, B: float):
 
     It calls the public path's kernels on raw floats, without its checks:
     ``core._sides_from_angles``, ``cevian._adjacent_split`` for u and v and
-    ``core._cevian_length`` for tB and tC, with the C-free sines evaluated
-    once per pair (``test_gap_kernel_equals_per_triangle_path`` pins it
-    bit for bit, values and exceptions).
+    ``core._cevian_length`` for tB and tC, with sin(A/2) evaluated once per
+    pair (``test_gap_kernel_equals_per_triangle_path`` pins it bit for bit,
+    values and exceptions).
     """
-    sin = math.sin
     sinh = math.sinh
-    fsum = math.fsum
-    pi = math.pi
-    sin_A = sin(A)
-    sin_B = sin(B)
-    half_A = sin(0.5 * A)
+    half_A = math.sin(0.5 * A)
 
     def g(C: float) -> float:
-        a, b, c = _sides_from_angles(
-            A, B, C, 0.5 * (pi - fsum((A, B, C))), sin_A, sin_B, sin(C)
-        )
+        a, b, c = _sides_from_angles(A, B, C)
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
@@ -280,11 +261,13 @@ def _gap_in_C(A: float, B: float):
     return g
 
 
-# Bracket width at which the equality root solve stops.
+# Bracket width at which the equality root solve stops, and its budget of
+# evaluations of g.
 _ROOT_WIDTH = 1e-13
+_MAX_EVALS = 200
 
 
-def _bracketed_hybrid(g, lo, hi, max_iter=200):
+def _bracketed_hybrid(g, lo, hi):
     """Bisection refined by secant steps; keeps a sign-change bracket at all
     times and falls back to bisection whenever a secant step fails to halve
     the interval, until it is no wider than ``_ROOT_WIDTH``. Returns (root,
@@ -306,8 +289,8 @@ def _bracketed_hybrid(g, lo, hi, max_iter=200):
     evals = 2
     force_bisect = False
     while hi - lo > _ROOT_WIDTH:
-        if evals >= max_iter:
-            raise NonConvergence(f"no convergence after {max_iter} evaluations")
+        if evals >= _MAX_EVALS:
+            raise NonConvergence(f"no convergence after {_MAX_EVALS} evaluations")
         width = hi - lo
         x = math.nan
         if not force_bisect and fhi != flo:

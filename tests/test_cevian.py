@@ -8,6 +8,7 @@ from hypothesis import given
 from hyptri import (
     DEFAULT_TOL,
     SCAN_TOL,
+    HypTriError,
     NumericalFailure,
     SplitMix64,
     Triangle,
@@ -19,6 +20,7 @@ from hyptri import (
     point_toward,
     solve_from_angles,
     solve_from_asa,
+    solve_from_sas,
     solve_from_sss,
     subtriangle_residuals,
     unconditional_identities,
@@ -171,6 +173,32 @@ def test_bisector_lengths_agree_with_the_klein_oracle():
             abs(klein_bisector_length(t.a, t.b, t.C) - d.tC) / d.tC,
         )
     assert worst < 4e-15
+
+
+def test_bisector_lengths_agree_with_the_klein_oracle_on_the_sas_box():
+    # the box of test_sas_box_has_no_sign_law_false_alarm: b and c up to the
+    # side cap, A in (0, pi). The worst relative difference read 6.62e-15,
+    # at a = 42.90, b = 42.98, c = 0.080 and C = 9.0e-21
+    rng = SplitMix64(42)
+    accepted = 0
+    worst = 0.0
+    for _ in range(5000):
+        b = 50.0 * rng.random()
+        c = 50.0 * rng.random()
+        A = math.pi * rng.random()
+        try:
+            t = solve_from_sas(b, A, c, SCAN_TOL)
+        except HypTriError:
+            continue
+        accepted += 1
+        d = bisector_lengths(t, tol=SCAN_TOL)
+        worst = max(
+            worst,
+            abs(klein_bisector_length(t.a, t.c, t.B) - d.tB) / d.tB,
+            abs(klein_bisector_length(t.a, t.b, t.C) - d.tC) / d.tC,
+        )
+    assert accepted == 2590
+    assert worst < 8e-15
 
 
 @given(angle_triples())

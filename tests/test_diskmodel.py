@@ -159,6 +159,14 @@ def test_degenerate_geodesics_are_rejected():
     # the unit circle itself is not orthogonal to the boundary
     with pytest.raises(NumericalFailure, match="^arc circle not orthogonal to the boundary"):
         GeodesicArc(p, q, "arc", center=(0.0, 0.0), radius=1.0)
+    # an arc without a finite center and radius is refused before that test
+    message = "^an arc needs a finite center and radius, got "
+    with pytest.raises(InvalidInput, match=message + r"None and None$"):
+        GeodesicArc(p, q, "arc")
+    with pytest.raises(InvalidInput, match=message + r"\(nan, 0\.0\) and nan$"):
+        GeodesicArc(p, q, "arc", center=(math.nan, 0.0), radius=math.nan)
+    with pytest.raises(InvalidInput, match=message + r"\(0\.0, 2\.0\) and inf$"):
+        GeodesicArc(p, q, "arc", center=(0.0, 2.0), radius=math.inf)
 
 
 def test_foot_placement_consistent_with_sides():

@@ -67,33 +67,65 @@ def test_names_are_the_submodules_objects(module):
         assert getattr(hyptri, name) is getattr(sub, name)
 
 
-def unreferenced_private_functions(package):
-    """Module-level ``_``-prefixed functions of the package's modules that no
-    name or attribute in the package refers to outside their own definition.
-    Dunder hooks such as a module's ``__getattr__`` are called by Python."""
+def unreferenced_private_names(package):
+    """Module-level ``_``-prefixed functions and assigned names of the
+    package's modules that no name, attribute or ``from`` import in the
+    package refers to outside their own definition. Dunder hooks such as a
+    module's ``__getattr__`` are called by Python."""
     defined = set()
     used = set()
     for path in sorted(Path(package).glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            owner = top.name if isinstance(top, ast.FunctionDef) else None
-            if owner and owner.startswith("_") and not owner.startswith("__"):
-                defined.add(owner)
-            # names (their id) and attributes (their attr); a function's
-            # references to itself do not count
-            refs = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(top)}
-            used |= refs - {owner}
+            if isinstance(top, ast.FunctionDef):
+                owners = {top.name}
+            elif isinstance(top, ast.Assign):
+                owners = {n.id for t in top.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                owners = set()
+            defined |= {n for n in owners if n.startswith("_") and not n.startswith("__")}
+            # names (their id), attributes (their attr) and imported names;
+            # a definition's references to itself do not count
+            refs = {
+                getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                for n in ast.walk(top) if not isinstance(n, ast.FunctionDef)
+            }
+            used |= refs - owners
     return sorted(defined - used)
 
 
 def test_every_private_function_is_used_in_the_package(tmp_path):
     package = Path(SRC, "hyptri")
-    assert unreferenced_private_functions(package) == []
-    # a helper called only by itself or from nowhere is found
+    assert unreferenced_private_names(package) == []
+    # a helper called only by itself or from nowhere is found, and so is a
+    # constant that nothing reads
     (tmp_path / "m.py").write_text(
         "def _loop(n):\n    return _loop(n - 1)\n\n\ndef _used():\n    pass\n\n\n"
-        "def _dead():\n    pass\n\n\nclass K:\n    f = staticmethod(_used)\n"
+        "def _dead():\n    pass\n\n\nclass K:\n    f = staticmethod(_used)\n\n\n"
+        "_CONST = 1\n_READ, _TOO = 2, 3\n_SELF = _SELF or _READ\n"
     )
-    assert unreferenced_private_functions(tmp_path) == ["_dead", "_loop"]
+    (tmp_path / "n.py").write_text("from .m import _TOO\n")
+    assert unreferenced_private_names(tmp_path) == ["_CONST", "_SELF", "_dead", "_loop"]
+
+
+def literal_all_modules(package):
+    """Modules of the package that assign a list or tuple literal to ``__all__``."""
+    return sorted(
+        path.stem
+        for path in Path(package).glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets)
+        and isinstance(top.value, (ast.List, ast.Tuple))
+    )
+
+
+def test_public_names_are_listed_only_in_the_package_table(tmp_path):
+    # each submodule reads its __all__ from hyptri._SUBMODULE
+    assert literal_all_modules(Path(SRC, "hyptri")) == []
+    (tmp_path / "m.py").write_text("__all__ = ['f']\n")
+    (tmp_path / "n.py").write_text("__all__ = ('g',)\n")
+    (tmp_path / "o.py").write_text("__all__ = sorted({'h'})\n")
+    assert literal_all_modules(tmp_path) == ["m", "n"]
 
 
 def test_fresh_namespace_matches_star_import_and_dir():

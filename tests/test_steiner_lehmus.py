@@ -205,10 +205,7 @@ def test_sign_law_property(triple):
 def per_triangle_gap(A, B, C):
     """tB - tC through the raw kernels the public path shares, without its
     checks: the AAA side solve, the foot split and the bisector length."""
-    sin_A = math.sin(A)
-    a, b, c = _sides_from_angles(
-        A, B, C, 0.5 * (math.pi - math.fsum((A, B, C))), sin_A, math.sin(B), math.sin(C)
-    )
+    a, b, c = _sides_from_angles(A, B, C)
     sinh_a = math.sinh(a)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
@@ -357,9 +354,10 @@ def test_solver_rejects_a_base_angle_inside_the_margin():
         equal_bisector_report(0.9, 1e-10)
 
 
-def test_bracketed_hybrid_stops_at_its_evaluation_budget():
+def test_bracketed_hybrid_stops_at_its_evaluation_budget(monkeypatch):
+    monkeypatch.setattr(steiner_lehmus, "_MAX_EVALS", 3)
     with pytest.raises(NonConvergence, match="^no convergence after 3 evaluations$"):
-        _bracketed_hybrid(math.cos, 0.0, 3.0, max_iter=3)
+        _bracketed_hybrid(math.cos, 0.0, 3.0)
 
 
 def test_bracketed_hybrid_returns_an_exact_zero_at_an_end():
