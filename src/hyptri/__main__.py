@@ -6,8 +6,9 @@ generation, so the interpreter's last collection at exit, a pass over every
 object still alive that only frees memory the OS takes back anyway, finds
 nothing to scan. The rest of the shutdown still runs: atexit handlers, the
 flush of the std streams and module teardown. The freeze comes after
-``main`` returns, when every output is written and closed and ``scan``'s
-forked child is reaped.
+``main`` returns, when every output is written and closed; the helper
+process that ``scan`` and ``study`` fork is reaped after it, by its atexit
+handler.
 
 Call ``cli.main(argv)`` itself to run a command in a long-lived process: it
 never freezes, so that process's garbage is still collected.

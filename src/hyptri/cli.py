@@ -5,7 +5,8 @@ stdout in text, json, or csv; diagnostics go to stderr. Exit codes:
 0 success, 1 verification failure, 2 usage/parse error, 3 domain rejection,
 4 output failure. Nothing is read from the environment; all behavior comes
 from flags, so equal invocations produce byte-identical reports. The CPU
-affinity picks how many processes `scan` runs in, never its bytes.
+affinity decides whether `scan` and `study` share their work with a helper
+process, never their bytes.
 
 The command line is read against one grammar table, `_COMMANDS`, in the
 forms argparse accepts: options anywhere after the subcommand, `--name

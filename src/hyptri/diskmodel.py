@@ -31,6 +31,14 @@ __all__ = _public_names(__name__)
 
 _COLLINEAR_TOL = 1e-12
 _ORTHO_TOL = 1e-12
+# |p - center|^2 - radius^2 of an arc's end, relative to max(1, radius^2)
+# as in the orthogonality test, above which the circle misses the end. On
+# geodesic_arc's own outputs it reached 6.3e-14 for uniform pairs, 2.5e-12
+# near diameters and 7.8e-12 near the boundary, but 3.0e-4 for two points
+# about 1e-12 apart near the boundary, where the center solve divides by a
+# cross product just over _COLLINEAR_TOL (about 1.5 million arcs); 1e-2 is
+# about thirty times that.
+_ON_CIRCLE_TOL = 1e-2
 
 
 class DiskPoint(_Frozen):
@@ -55,7 +63,9 @@ class DiskPoint(_Frozen):
 class GeodesicArc(_Frozen):
     """The geodesic through two disk points: a diameter segment when they are
     collinear with the origin, otherwise an arc of the unique circle through
-    both that meets the unit circle at right angles."""
+    both that meets the unit circle at right angles. An arc must have a
+    finite center and radius, a circle orthogonal to the unit circle, and
+    both points on it, each within the float error of ``geodesic_arc``."""
 
     __slots__ = __match_args__ = ("p", "q", "kind", "center", "radius")
     p: DiskPoint
@@ -80,6 +90,12 @@ class GeodesicArc(_Frozen):
             residual = abs(cx * cx + cy * cy - rr - 1.0)
             if residual > _ORTHO_TOL * max(1.0, rr):
                 raise NumericalFailure(f"arc circle not orthogonal to the boundary: {residual!r}")
+            for name, end in (("p", p), ("q", q)):
+                dx = end.x - cx
+                dy = end.y - cy
+                miss = abs(dx * dx + dy * dy - rr)
+                if miss > _ON_CIRCLE_TOL * max(1.0, rr):
+                    raise InvalidInput(f"arc circle misses its end {name}: residual {miss!r}")
         elif kind != "segment":
             raise InvalidInput(f"unknown geodesic kind {kind!r}")
         _set(self, "p", p)

@@ -21,6 +21,7 @@ The strict sign law was confirmed on a dense parameter grid before being
 relied on here.
 """
 
+import atexit
 import marshal
 import math
 import os
@@ -314,10 +315,15 @@ def _bracketed_hybrid(g, lo, hi):
 _SWEEP_BAND = 1e-12
 
 
-def _count_sign_changes(A, B, lo, hi, points, g):
-    """Sign changes of g = _gap_in_C(A, B) along lo, the midpoints of
-    ``points`` equal steps, and hi; the ends count, so a root within half a
-    step of one is seen. A zero or nan value has no sign and is skipped.
+def _count_sign_changes(A, B, lo, hi, points, g, start, stop):
+    """(first sign, last sign, sign changes) of g = _gap_in_C(A, B) over the
+    grid indices ``start`` to ``stop - 1`` of the sweep: index -1 is lo,
+    index i in 0 to ``points - 1`` the midpoint of step i of ``points``
+    equal steps, and index ``points`` is hi. The ends count, so a root
+    within half a step of one is seen. A zero or nan value has no sign and
+    is skipped; a range with no signed value gives (0, 0, 0). The whole
+    sweep is indices -1 to ``points``, and ``_merge_signs`` joins two
+    consecutive ranges into the count of one.
 
     One of two pinned inline copies of the shared kernels (``_evidence`` is
     the other): it runs the kernels that g calls inline,
@@ -365,8 +371,8 @@ def _count_sign_changes(A, B, lo, hi, points, g):
     angles = [A, B, lo]  # fsum's argument, C in the last slot
     step = (hi - lo) / points
     changes = 0
-    prev = 0
-    for i in range(-1, points + 1):
+    first = prev = 0
+    for i in range(start, stop):
         C = lo if i < 0 else hi if i == points else lo + (i + 0.5) * step
         # the kernels g calls, inline up to xB and xC
         angles[2] = C
@@ -403,8 +409,21 @@ def _count_sign_changes(A, B, lo, hi, points, g):
         if sgn != prev:
             if prev:
                 changes += 1
+            else:
+                first = sgn
             prev = sgn
-    return changes
+    return first, prev, changes
+
+
+def _merge_signs(lower: tuple, upper: tuple) -> tuple:
+    """The (first sign, last sign, sign changes) of two consecutive index
+    ranges of one sweep, from theirs: the counts add, plus one where the
+    lower range's last sign and the upper range's first are both signed and
+    differ. So the two ranges merged give the one-range count exactly."""
+    first, last, changes = lower
+    upper_first, upper_last, upper_changes = upper
+    changes += upper_changes + (last != 0 and upper_first != 0 and last != upper_first)
+    return first or upper_first, upper_last or last, changes
 
 
 def equal_bisector_report(
@@ -418,16 +437,35 @@ def equal_bisector_report(
     admissible when the isosceles triangle (A, B, B) is valid under ``tol``
     and B exceeds ``tol.eps_angle``, where the bracket starts. The sweep
     evaluates both bracket ends and the midpoints of ``sweep_points`` equal
-    steps between them."""
+    steps between them.
+
+    Where ``_sweep_splits`` allows, the helper process sweeps the upper half
+    of the grid while the caller solves for the root and sweeps the lower
+    half, and the halves merge exactly (``_merge_signs``), so the result is
+    the same bits split or not. The first rejection in grid order raises,
+    with its class and message: the root solve's comes first, and the
+    caller sweeps the upper half itself when the helper failed."""
     _check_count("sweep point", sweep_points)
     _check_angles(A, B, B, tol)
     if B <= tol.eps_angle:
         raise InvalidTriangle(f"angle B must exceed the margin {tol.eps_angle}, got {B!r}")
-    hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
+    lo = tol.eps_angle
+    hi = math.fsum((math.pi, -A, -B, -lo))
+    end = sweep_points + 1  # one past hi's grid index
 
     g = _gap_in_C(A, B)
-    root, evals = _bracketed_hybrid(g, tol.eps_angle, hi)
-    changes = _count_sign_changes(A, B, tol.eps_angle, hi, sweep_points, g)
+    if _sweep_splits(sweep_points):
+        cut = sweep_points // 2
+        (root, evals, lower), upper = _beside_helper(
+            ("sweep", (A, B, lo, hi, sweep_points, cut, end)),
+            lambda: (*_bracketed_hybrid(g, lo, hi),
+                     _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, cut)),
+            lambda: _count_sign_changes(A, B, lo, hi, sweep_points, g, cut, end),
+        )
+        changes = _merge_signs(lower, upper)[2]
+    else:
+        root, evals = _bracketed_hybrid(g, lo, hi)
+        changes = _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, end)[2]
     return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
 
 
@@ -718,24 +756,49 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
     )
 
 
-# Blocks per part below which a forked part may cost more than it saves.
-# Forced two-part splits against one process (Python 3.11, shared 2-vCPU
-# host; ten alternating pairs, each side the fastest call in 1 s of calls)
-# won 7 of 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8
-# in a 16 MiB caller. In a 93 MiB caller one fork, exit and wait took
-# 4.1-4.5 ms against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of
-# 10 on a busy host.
+# Blocks per part below which a scan does not start the helper: the part is
+# too short to pay for a fork. Forced two-part splits against one process,
+# with a child forked per call (Python 3.11, shared 2-vCPU host; ten
+# alternating pairs, each side the fastest call in 1 s of calls) won 7 of
+# 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8 in a
+# 16 MiB caller. In a 93 MiB caller one fork, exit and wait took 4.1-4.5 ms
+# against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of 10 on a
+# busy host.
 # 8 keeps two blocks over the smallest size that won every pair, so a
-# 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
+# 2000-triangle scan (16 blocks) starts the helper and a 1920-triangle one
+# does not. A live helper takes a part of any scan of two blocks or more:
+# with one block per part a split took 0.76 ms against 1.39 ms in one
+# process (won 6 of 6 alternating rounds, each side the fastest call in
+# 0.4 s of calls, same host).
 _MIN_PART_BLOCKS = 8
 
+# Sweep points below which an equality report does not split its sweep.
+# An idle helper's round trip (an empty sweep range, 20,000 requests) took
+# 8 us at best and 27 us at the median.
+# Forced splits against one process, with a live helper (Python 3.11,
+# shared 2-vCPU host; six alternating rounds, each side the median report
+# over 20 study pairs for 0.5 s) won 0 of 6 rounds at 8 points, 5 at 16,
+# and all 6 at 32, 48 and 64, where a report took 137 us against 173 us.
+# 64 is twice the smallest count that won every round; a one-point sweep
+# stays in one process.
+_MIN_SWEEP_POINTS = 64
 
-def _scan_splits(blocks: int) -> bool:
-    """Whether a forked child scans part of ``blocks`` blocks: on at least two
-    usable CPUs, with at least ``_MIN_PART_BLOCKS`` blocks in each of the two
-    parts, and only where ``fork`` is there and safe, that is, where the
-    caller runs no second thread and ``SIGCHLD`` is neither handled nor
-    ignored, so that no one else reaps the child and its pid is not reused."""
+# The helper: one forked process per caller process, started lazily and
+# reused across calls, that computes one part of a scan or a sweep while
+# the caller computes the rest. It reads marshalled requests from one pipe
+# and writes each reply to another, one request in flight at a time.
+# (pid, request write end, reply read end) while it runs, else None.
+_helper = None
+# equality reports in this process so far that passed the split gate: the
+# second one starts the helper, so a one-shot report never forks
+_splittable_reports = 0
+
+
+def _can_fork() -> bool:
+    """Whether the helper may be started or used: where ``fork`` is there
+    and safe, that is, where the caller runs no second thread and
+    ``SIGCHLD`` is neither handled nor ignored, so that no one else reaps
+    the helper and its pid is not reused, and on at least two usable CPUs."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return False
@@ -743,48 +806,173 @@ def _scan_splits(blocks: int) -> bool:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
-    if cpus < 2 or blocks < 2 * _MIN_PART_BLOCKS:
+    if cpus < 2:
         return False
     import signal
 
     return signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
 
 
-def _fork_part(
-    seed: int, start: int, stop: int, tol: ToleranceConfig, mask: set
-) -> tuple[int, int] | None:
-    """Start a child that scans triangles ``start`` to ``stop - 1`` and writes
-    their aggregates to a pipe, marshalled in one write, the only write it
-    makes; returns (child pid, read end), or None when no child could be
-    made. The caller blocks SIGINT around this call, and the child restores
-    the signal ``mask`` only inside its ``try``, so a Ctrl-C cannot send the
-    child back into the caller. The child leaves by ``os._exit``: it never
-    returns into the caller or flushes the caller's buffers, and on any
-    exception it writes nothing."""
+def _scan_splits(blocks: int) -> bool:
+    """Whether a scan of ``blocks`` blocks hands a part to the helper: where
+    ``_can_fork`` allows, with a block or more in each of the two parts
+    where the helper runs, and with ``_MIN_PART_BLOCKS`` or more where the
+    helper has to be started, and could be."""
+    if blocks < 2 or not _can_fork():
+        return False
+    return _helper is not None or (blocks >= 2 * _MIN_PART_BLOCKS and _start_helper())
+
+
+def _sweep_splits(points: int) -> bool:
+    """Whether an equality report of ``points`` sweep points hands half its
+    sweep to the helper: with at least ``_MIN_SWEEP_POINTS`` points, where
+    ``_can_fork`` allows, and where the helper runs, or this is the second
+    such report in the process and the helper could be started."""
+    global _splittable_reports
+    if points < _MIN_SWEEP_POINTS or not _can_fork():
+        return False
+    _splittable_reports += 1
+    return _helper is not None or (_splittable_reports > 1 and _start_helper())
+
+
+def _start_helper() -> bool:
+    """Fork the helper; False where no pipe or no child could be made, with
+    every pipe end closed again. SIGINT is blocked from before the fork
+    until the helper is recorded, so a Ctrl-C can neither leave a helper
+    unrecorded nor send the helper back into the caller."""
+    global _helper
+    import signal
+
+    fds = []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
         try:
+            fds += os.pipe()  # requests: read end, write end
+            fds += os.pipe()  # replies: read end, write end
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return False
+        if pid == 0:
+            _serve(fds, mask)
+        os.close(fds[0])
+        os.close(fds[3])
+        _helper = (pid, fds[1], fds[2])
+        return True
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _serve(fds: list, mask: set) -> None:
+    """The helper's loop: read a request, compute its part, write the
+    marshalled result, or None where the part raised, until EOF on the
+    request pipe. It ignores SIGINT, since a Ctrl-C is the caller's to
+    handle, and closes its copies of the caller's pipe ends: with a copy of
+    the request write end open, it would never see EOF. It never returns
+    into the caller or flushes the caller's buffers: it leaves by
+    ``os._exit``, 0 on EOF and 1 on any failure of its own."""
+    status = 1
+    try:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        requests, caller_requests, caller_replies, replies = fds
+        os.close(caller_requests)
+        os.close(caller_replies)
+        while True:
+            # one request in flight, written whole: one read takes all of it
+            data = os.read(requests, 4096)
+            if not data:
+                status = 0
+                break
+            kind, args = marshal.loads(data)
+            try:
+                if kind == "scan":
+                    seed, start, stop, rtol, eps = args
+                    reply = _scan_part(seed, start, stop, ToleranceConfig(rtol, eps))
+                else:
+                    A, B, lo, hi, points, start, stop = args
+                    reply = _count_sign_changes(A, B, lo, hi, points, _gap_in_C(A, B), start, stop)
+            except Exception:
+                reply = None  # the caller computes the part itself, and raises
+            os.write(replies, marshal.dumps(reply))
+    finally:
+        os._exit(status)
+
+
+def _stop_helper(kill: bool = False) -> None:
+    """Close the caller's ends of the helper's pipes and reap it: on the EOF
+    an idle helper exits. ``kill`` sends it SIGKILL first, for a helper
+    whose reply will not be read. Does nothing where no helper runs."""
+    global _helper
+    if _helper is None:
+        return
+    pid, requests, replies = _helper
+    _helper = None
+    os.close(requests)
+    os.close(replies)
+    try:
+        if kill:
             import signal
 
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            data = marshal.dumps(_scan_part(seed, start, stop, tol))
-            # about 53 bytes: below PIPE_BUF, so the write is whole or nothing
-            if os.write(w, data) == len(data):
-                status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # already reaped
+
+
+def _forget_helper() -> None:
+    """In a forked child: drop the parent's helper without a word to it, so
+    that the child never writes to it, and count the child's own reports
+    from zero."""
+    global _helper, _splittable_reports
+    if _helper is not None:
+        for fd in _helper[1:]:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        _helper = None
+    _splittable_reports = 0
+
+
+# no helper outlives its caller: it is reaped at exit, and a forked child
+# of the caller does not inherit it
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _beside_helper(request: tuple, own, rest) -> tuple:
+    """(own(), rest()) with rest() computed by the helper from its marshalled
+    ``request`` while the caller runs own(). Where the helper returns an
+    error or has died, the caller computes rest() itself, so a part that
+    raises raises here with its own class and message. A request whose
+    reply is not read, because own() raised or the caller was interrupted,
+    kills and reaps the helper."""
+    sent = True  # from here until the reply is read, one may be in flight
+    try:
+        try:
+            os.write(_helper[1], marshal.dumps(request))  # below PIPE_BUF: whole
+        except OSError:  # the helper has died
+            _stop_helper()
+            sent = False
+        mine = own()
+        reply = None
+        if sent:
+            data = os.read(_helper[2], 4096)
+            sent = False
+            if data:
+                reply = marshal.loads(data)
+            else:  # the helper died without a reply
+                _stop_helper()
+    except BaseException:
+        if sent:
+            _stop_helper(kill=True)
+        raise
+    return mine, rest() if reply is None else reply
 
 
 def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
@@ -802,47 +990,28 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
 
     Where ``_scan_splits`` allows, the blocks are cut in two contiguous
     parts at ``mid``, half the blocks: the caller scans triangles 0 to
-    ``mid - 1`` and one forked child the rest (``_scan_part`` for both), and
-    the parts merge in index order by the reduction's own rule, so the report
-    is the same bits split or not. The first failing triangle in index order
-    raises, with its own class and message, since the caller scans the
-    child's part itself when the child failed or could not be made. No child
-    outlives the call.
+    ``mid - 1`` and the helper process the rest (``_scan_part`` for both),
+    and the parts merge in index order by the reduction's own rule, so the
+    report is the same bits split or not. The first failing triangle in
+    index order raises, with its own class and message, since the caller
+    scans the helper's part itself when the helper failed or could not be
+    made. The helper is started by the first scan of ``_MIN_PART_BLOCKS``
+    blocks or more per part and serves later calls; no helper outlives its
+    caller.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs
     blocks = -(-n // _SCAN_BLOCK)
-    # mid < n exactly when a child scans triangles mid to n - 1
-    mid = blocks // 2 * _SCAN_BLOCK if _scan_splits(blocks) else n
-    child = None  # (pid, read end), once forked
-    try:
-        if mid < n:
-            import signal
-
-            # no SIGINT between the fork and the record of its child
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                child = _fork_part(seed, mid, n, tol, mask)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        totals = _scan_part(seed, 0, mid, tol)
-        if mid < n:
-            # the child's one write is whole, so one read takes all of it, or
-            # b"" once the child has exited without a result
-            data = os.read(child[1], 4096) if child is not None else b""
-            part = marshal.loads(data) if data else _scan_part(seed, mid, n, tol)
-            totals = _merge_parts(totals, part)
-    finally:
-        # the child has sent its part, or the call fails and no unread part
-        # is waited for: kill and reap it
-        if child is not None:
-            pid, r = child
-            os.close(r)
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # already reaped
+    if _scan_splits(blocks):
+        mid = blocks // 2 * _SCAN_BLOCK
+        totals, part = _beside_helper(
+            ("scan", (seed, mid, n, tol.rtol_identity, tol.eps_angle)),
+            lambda: _scan_part(seed, 0, mid, tol),
+            lambda: _scan_part(seed, mid, n, tol),
+        )
+        totals = _merge_parts(totals, part)
+    else:
+        totals = _scan_part(seed, 0, n, tol)
     max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties = totals
     return ScanReport(
         samples=n,

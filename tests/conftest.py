@@ -15,11 +15,23 @@ from hyptri import (  # noqa: E402
     TriangleAngles,
     solve_from_angles,
 )
+from hyptri import steiner_lehmus  # noqa: E402
 from hyptri.core import _MAX_SIDE  # noqa: E402
 from hyptri.steiner_lehmus import sample_angles  # noqa: E402
 
 # validation margin relaxed enough for oracle sub-triangle solves
 ORACLE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-300)
+
+
+@pytest.fixture(autouse=True)
+def no_helper(monkeypatch):
+    """Every test starts and ends without the forked helper of
+    ``steiner_lehmus`` and with no equality report counted, so a helper a
+    test uses is forked in that test, after its monkeypatches."""
+    steiner_lehmus._stop_helper()
+    monkeypatch.setattr(steiner_lehmus, "_splittable_reports", 0)
+    yield
+    steiner_lehmus._stop_helper()
 
 
 def special_floats():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -167,6 +168,76 @@ def test_degenerate_geodesics_are_rejected():
         GeodesicArc(p, q, "arc", center=(math.nan, 0.0), radius=math.nan)
     with pytest.raises(InvalidInput, match=message + r"\(0\.0, 2\.0\) and inf$"):
         GeodesicArc(p, q, "arc", center=(0.0, 2.0), radius=math.inf)
+
+
+def arc_end_residual(arc):
+    """The larger |end - center|^2 - radius^2 of an arc's two ends, relative
+    to max(1, radius^2): how far its circle misses p and q."""
+    cx, cy = arc.center
+    rr = arc.radius * arc.radius
+    return max(abs((z.x - cx) ** 2 + (z.y - cy) ** 2 - rr) / max(1.0, rr) for z in (arc.p, arc.q))
+
+
+def test_arc_refuses_a_circle_that_misses_its_ends():
+    p, q = DiskPoint(0.2, -0.3), DiskPoint(-0.4, 0.1)
+    # orthogonal to the boundary (4 - 3 - 1 = 0), but p lies 2.31 from the
+    # center, not sqrt(3)
+    with pytest.raises(InvalidInput) as info:
+        GeodesicArc(p, q, "arc", center=(0.0, 2.0), radius=math.sqrt(3.0))
+    assert type(info.value) is InvalidInput
+    assert str(info.value) == "arc circle misses its end p: residual 2.3299999999999996"
+    # the geodesic circle through p and another point misses q
+    through_p = geodesic_arc(p, DiskPoint(0.5, 0.5))
+    with pytest.raises(InvalidInput, match="^arc circle misses its end q: residual "):
+        GeodesicArc(p, q, "arc", center=through_p.center, radius=through_p.radius)
+    # the orthogonality test still comes first
+    with pytest.raises(NumericalFailure, match="^arc circle not orthogonal to the boundary: 2.0$"):
+        GeodesicArc(p, q, "arc", center=(0.0, 0.0), radius=1.0)
+
+
+def test_arc_accepts_its_worst_measured_circle():
+    # two points about 1e-12 apart near the boundary: the center solve
+    # divides by a cross product just over the collinear cutoff, so the
+    # circle misses them by the largest residual measured, 3.0e-4
+    p = DiskPoint(-0.837666170277522, -0.5461825544497718)
+    q = DiskPoint(-0.8376661702843278, -0.5461825544529942)
+    arc = geodesic_arc(p, q)
+    assert arc.kind == "arc"
+    assert arc_end_residual(arc) == pytest.approx(3.0456e-4, rel=1e-3)
+    assert arc_end_residual(arc) < 1e-2 / 30
+
+
+@pytest.mark.parametrize("family", ["uniform", "near-diameter", "near-boundary", "close"])
+def test_arc_accepts_every_geodesic_arc_circle(family):
+    # geodesic_arc's own circles, near-diameter ones (huge centers)
+    # included, pass the constructor's on-circle test with a margin
+    rnd = random.Random(family)
+    worst = 0.0
+    for _ in range(4000):
+        th = rnd.uniform(-math.pi, math.pi)
+        if family == "uniform":
+            r1, r2, th2 = rnd.uniform(0.0, 0.999), rnd.uniform(0.0, 0.999), rnd.uniform(-4.0, 4.0)
+        elif family == "near-diameter":
+            r1, r2 = rnd.uniform(-0.9999, 0.9999), rnd.uniform(-0.9999, 0.9999)
+            th2 = th + rnd.choice((-1, 1)) * 10 ** rnd.uniform(-16, -1)
+        elif family == "near-boundary":
+            r1, r2 = 1 - 10 ** rnd.uniform(-15, -1), 1 - 10 ** rnd.uniform(-15, -1)
+            th2 = rnd.uniform(-4.0, 4.0)
+        else:
+            r1 = r2 = 1 - 10 ** rnd.uniform(-16, -0.01)
+            th2 = th + 10 ** rnd.uniform(-12.1, -11) / r1
+        p = DiskPoint(r1 * math.cos(th), r1 * math.sin(th))
+        q = DiskPoint(r2 * math.cos(th2), r2 * math.sin(th2))
+        if p == q:
+            continue
+        try:
+            arc = geodesic_arc(p, q)
+        except NumericalFailure:
+            continue  # a collapsed circle
+        if arc.kind == "arc":
+            worst = max(worst, arc_end_residual(arc))
+    bound = {"uniform": 1e-12, "near-diameter": 1e-10, "near-boundary": 1e-10, "close": 1e-3}
+    assert worst < bound[family]
 
 
 def test_foot_placement_consistent_with_sides():

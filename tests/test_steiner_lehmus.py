@@ -6,11 +6,14 @@ import random
 import re
 import signal
 import struct
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,7 +52,8 @@ from hyptri.cevian import _adjacent_split
 from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
 from hyptri.rng import _LANES
 from hyptri.steiner_lehmus import (
-    _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C, _merge_parts, _scan_part,
+    _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C, _merge_parts, _merge_signs,
+    _scan_part,
 )
 
 from conftest import angle_triples, seeded_triangles
@@ -455,13 +459,45 @@ def count_sign_changes(g, lo, hi, points):
     return changes
 
 
+def fused_count(A, B, lo, hi, points, g):
+    """The fused sweep's count over its whole grid, indices -1 to points."""
+    return _count_sign_changes(A, B, lo, hi, points, g, -1, points + 1)[2]
+
+
+def merged_count(A, B, lo, hi, points, g, cut):
+    """The fused sweep's count as two ranges cut before index ``cut``, merged
+    as ``equal_bisector_report`` merges its halves."""
+    lower = _count_sign_changes(A, B, lo, hi, points, g, -1, cut)
+    upper = _count_sign_changes(A, B, lo, hi, points, g, cut, points + 1)
+    return _merge_signs(lower, upper)[2]
+
+
 def sweep_outcomes(A, B, lo, hi, points):
     """The fused sweep's and the oracle's outcome on the same grid of g."""
     g = _gap_in_C(A, B)
     return (
-        outcome(_count_sign_changes, A, B, lo, hi, points, g),
+        outcome(fused_count, A, B, lo, hi, points, g),
         outcome(count_sign_changes, g, lo, hi, points),
     )
+
+
+def cuts(points):
+    """Every cut of a grid of ``points`` steps, from index -1 (all in the
+    upper range) to ``points + 1`` (all in the lower); a 1000-point grid
+    gets its ends, both sides of its middle and every 97th index."""
+    if points > 20:
+        return sorted({-1, 0, 1, points // 2, points // 2 + 1, points, points + 1,
+                       *range(-1, points + 2, 97)})
+    return range(-1, points + 2)
+
+
+def assert_merges_at_every_cut(A, B, lo, hi, points, g=None):
+    """The merged count equals the one-pass count, or raises as it does, at
+    every cut."""
+    g = g or _gap_in_C(A, B)
+    whole = outcome(fused_count, A, B, lo, hi, points, g)
+    for cut in cuts(points):
+        assert outcome(merged_count, A, B, lo, hi, points, g, cut) == whole, (A, B, points, cut)
 
 
 @pytest.mark.parametrize("tol", [SCAN_TOL, DEFAULT_TOL])
@@ -499,12 +535,12 @@ def test_sweep_reads_near_ties_from_g():
         C = B + k * 2.0**-53
         lo, hi = 0.5, 2.0 * C - 0.5
         calls.clear()
-        assert _count_sign_changes(A, B, lo, hi, 1, spy) == count_sign_changes(g, lo, hi, 1)
+        assert fused_count(A, B, lo, hi, 1, spy) == count_sign_changes(g, lo, hi, 1)
         assert calls == [C]
     # the same tie on finer grids of [0.5, 1.0]
     for points in (3, 5):
         calls.clear()
-        assert _count_sign_changes(A, B, 0.5, 1.0, points, spy) == 1
+        assert fused_count(A, B, 0.5, 1.0, points, spy) == 1
         assert calls == [B]
         assert count_sign_changes(g, 0.5, 1.0, points) == 1
 
@@ -530,6 +566,58 @@ def test_sweep_raises_like_generic_sweep_off_the_simplex():
         (DomainCap, "angles too small for float sides: a product of two sines underflows to 0"),
     )
     assert sweep_outcomes(1e-200, 0.7, 1e-9, 2.0, 1000) == (0, 0)
+
+
+def test_sweep_merges_at_every_cut_on_seeded_pairs():
+    for tol in (SCAN_TOL, DEFAULT_TOL):
+        for A, B in reference_pairs(20, 7):
+            hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
+            for points in (1, 2, 3, 7, 1000):
+                assert_merges_at_every_cut(A, B, tol.eps_angle, hi, points)
+    for A, B in near_end_pairs():
+        eps = DEFAULT_TOL.eps_angle
+        hi = math.fsum((math.pi, -A, -B, -eps))
+        for points in (1, 2, 7):
+            assert_merges_at_every_cut(A, B, eps, hi, points)
+
+
+def test_sweep_merges_at_every_cut_off_the_simplex():
+    # the rejections of the one-pass sweep, and an all-nan sweep, at every cut
+    for A, B, C in gap_triples()[::200]:
+        rest = math.pi - A - B
+        for lo, hi in ((-C, 0.5 * rest), (0.5 * rest, rest + C)):
+            for points in (1, 7):
+                assert_merges_at_every_cut(A, B, lo, hi, points)
+    assert_merges_at_every_cut(1e-320, 0.7, 1e-9, 1.0, 7)
+    assert_merges_at_every_cut(1e-200, 0.7, 1e-9, 2.0, 7)
+
+
+def test_sweep_merges_zeros_and_nans_at_and_beside_the_cut(monkeypatch):
+    # with an infinite band the sweep reads every sign from g, so a scripted g
+    # puts a zero or a nan at any grid point: every sequence of +, -, 0 and
+    # nan on grids of 1 to 3 steps, cut at every index, merges to the
+    # one-pass count and to the generic sweep's
+    monkeypatch.setattr(steiner_lehmus, "_SWEEP_BAND", math.inf)
+    A, B, lo, hi = 0.9, 0.75, 0.5, 1.0
+    for points in (1, 2, 3):
+        step = (hi - lo) / points
+        grid = (lo, *[lo + (i + 0.5) * step for i in range(points)], hi)
+        for values in product((1.0, -1.0, 0.0, math.nan), repeat=len(grid)):
+            script = dict(zip(grid, values))
+            expected = count_sign_changes(script.__getitem__, lo, hi, points)
+            assert fused_count(A, B, lo, hi, points, script.__getitem__) == expected, values
+            for cut in cuts(points):
+                merged = merged_count(A, B, lo, hi, points, script.__getitem__, cut)
+                assert merged == expected, (values, cut)
+
+
+def test_merge_signs_joins_two_ranges():
+    assert _merge_signs((1, -1, 1), (1, 1, 0)) == (1, 1, 2)
+    assert _merge_signs((1, -1, 1), (-1, 1, 1)) == (1, 1, 2)
+    # a range without a signed value leaves the other's signs and count
+    assert _merge_signs((0, 0, 0), (-1, 1, 3)) == (-1, 1, 3)
+    assert _merge_signs((1, -1, 1), (0, 0, 0)) == (1, -1, 1)
+    assert _merge_signs((0, 0, 0), (0, 0, 0)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("points", [0, -5])
@@ -891,10 +979,11 @@ def public_scan(n, seed, tol=SCAN_TOL):
 
 @pytest.fixture
 def scan_parts(monkeypatch):
-    """``force(split)`` makes scan_random fork a child for any two blocks or
-    more when ``split`` is true, and stay in the caller when it is false,
-    and returns the list that each fork appends to. After the test no child
-    of this process is left."""
+    """``force(split)`` makes scan_random hand a part to the helper for any
+    two blocks or more, and equal_bisector_report half its sweep, when
+    ``split`` is true, and keeps both in the caller when it is false; it
+    returns the list that each fork appends to. After the test the helper
+    is stopped and no child of this process is left."""
     forks = []
     fork = os.fork
 
@@ -910,6 +999,7 @@ def scan_parts(monkeypatch):
         return forks
 
     yield force
+    steiner_lehmus._stop_helper()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -958,6 +1048,29 @@ def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     blocks = 2 * steiner_lehmus._MIN_PART_BLOCKS
     assert steiner_lehmus._scan_splits(blocks) is (count == 2 and hasattr(os, "fork"))
+
+
+def test_live_helper_takes_a_part_of_any_scan_of_two_blocks(scan_parts, monkeypatch):
+    # 2000 triangles (16 blocks) start the helper and 1920 (15) do not, but
+    # a live helper takes a part of any scan of two blocks or more
+    forks = scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", 8)
+    assert scan_random(1920, 31) == public_scan(1920, 31)
+    assert forks == []
+    assert scan_random(2000, 31) == public_scan(2000, 31)
+    assert len(forks) == 1
+    cuts = []
+    beside = steiner_lehmus._beside_helper
+
+    def recording(request, own, rest):
+        cuts.append(request[1][1:3])  # the helper's triangles start to stop - 1
+        return beside(request, own, rest)
+
+    monkeypatch.setattr(steiner_lehmus, "_beside_helper", recording)
+    for n in (128, 129, 256, 1920):
+        assert scan_random(n, 31) == public_scan(n, 31)
+    assert cuts == [(128, 129), (128, 256), (896, 1920)]
+    assert len(forks) == 1
 
 
 def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
@@ -1152,7 +1265,8 @@ def test_scan_scans_a_part_itself_when_fork_fails(scan_parts, monkeypatch):
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", no_fork)
     assert scan_random(1000, 31) == expected
-    assert len(pipes) == 2
+    assert steiner_lehmus._helper is None
+    assert len(pipes) == 4  # the request and the reply pipe
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -1174,7 +1288,8 @@ def test_scan_scans_a_part_itself_when_its_child_fails(scan_parts, monkeypatch):
 
 
 def test_scan_interrupted_in_part_0_leaves_no_child(scan_parts, monkeypatch):
-    # the child would take 30 s: an interrupted call stops it, not waits
+    # the helper would take 30 s: an interrupted call kills and reaps it, not
+    # waits for it
     forks = scan_parts(True)
     parent = os.getpid()
 
@@ -1190,6 +1305,9 @@ def test_scan_interrupted_in_part_0_leaves_no_child(scan_parts, monkeypatch):
         scan_random(1000, 31)
     assert time.monotonic() - began < 10
     assert len(forks) == 1
+    assert steiner_lehmus._helper is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_scan_does_not_fork_beside_a_live_thread(scan_parts, monkeypatch):
@@ -1241,8 +1359,8 @@ def test_scan_does_not_fork_unless_sigchld_is_default(change, scan_parts):
     assert forks == []
 
 
-def test_scan_tolerates_a_child_reaped_elsewhere(scan_parts, monkeypatch):
-    # a child already reaped (ChildProcessError from waitpid) ends the call
+def test_scan_tolerates_a_helper_reaped_elsewhere(scan_parts, monkeypatch):
+    # a helper already reaped (ChildProcessError from waitpid) stops
     # normally; the fixture checks that no child is left
     expected = public_scan(1000, 31)
     forks = scan_parts(True)
@@ -1255,13 +1373,14 @@ def test_scan_tolerates_a_child_reaped_elsewhere(scan_parts, monkeypatch):
 
     monkeypatch.setattr(os, "waitpid", reaped_elsewhere)
     assert scan_random(1000, 31) == expected
+    steiner_lehmus._stop_helper()
     assert len(forks) == len(reaped) == 1
 
 
-def test_scan_defers_sigint_until_the_child_is_recorded(scan_parts, monkeypatch):
-    # a Ctrl-C reaches the caller and its child just after the fork: the
-    # caller raises KeyboardInterrupt with the child recorded, killed and
-    # reaped, and the child leaves by os._exit, not back into this test
+def test_scan_defers_sigint_until_the_helper_is_recorded(scan_parts, monkeypatch):
+    # a Ctrl-C reaches the caller and its helper just after the fork: the
+    # caller raises KeyboardInterrupt with the helper recorded, so that it is
+    # reaped, and the helper ignores it and never returns into this test
     scan_parts(True)
     parent = os.getpid()
     fork = os.fork
@@ -1282,3 +1401,209 @@ def test_scan_defers_sigint_until_the_child_is_recorded(scan_parts, monkeypatch)
         if os.getpid() != parent:
             os._exit(3)
         signal.signal(signal.SIGINT, before)
+    pid = steiner_lehmus._helper[0]
+    # the helper still serves: the SIGINT sent to it was ignored
+    assert scan_random(2000, 31) == public_scan(2000, 31)
+    assert steiner_lehmus._helper[0] == pid
+
+
+def one_process_report(A, B, tol=SCAN_TOL):
+    """equal_bisector_report(A, B, tol) computed in this process alone."""
+    g = _gap_in_C(A, B)
+    hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
+    root, evals = _bracketed_hybrid(g, tol.eps_angle, hi)
+    changes = fused_count(A, B, tol.eps_angle, hi, 1000, g)
+    return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
+
+
+def test_split_sweep_equals_one_pass_on_study_pairs(scan_parts):
+    forks = scan_parts(True)
+    for A, B in reference_pairs(300, 42):
+        assert equal_bisector_report(A, B, SCAN_TOL) == one_process_report(A, B), (A, B)
+    assert len(forks) == 1
+    assert steiner_lehmus._helper is not None
+
+
+def test_helper_sweep_rejection_is_raised_by_the_caller(scan_parts, monkeypatch):
+    # a DomainCap in the helper's half comes back as an error reply; the
+    # caller sweeps that half itself and raises it, class and message, and
+    # the helper serves on
+    message = "angles too small for float sides: a product of two sines underflows to 0"
+    count = _count_sign_changes
+
+    def failing_upper_half(A, B, lo, hi, points, g, start, stop):
+        if start >= 0:
+            raise DomainCap(message)
+        return count(A, B, lo, hi, points, g, start, stop)
+
+    forks = scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", failing_upper_half)
+    # the first report sweeps in one range, from index -1
+    assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
+    assert forks == []
+    for _ in range(3):
+        with pytest.raises(DomainCap) as info:
+            equal_bisector_report(0.9, 0.7)
+        assert type(info.value) is DomainCap
+        assert str(info.value) == message
+    assert len(forks) == 1
+    pid = steiner_lehmus._helper[0]
+    monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", count)
+    assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
+    assert steiner_lehmus._helper[0] == pid
+
+
+def test_report_root_failure_kills_the_helper(scan_parts, monkeypatch):
+    # the root solve raises before the helper's reply is read: the helper is
+    # killed and reaped, and the next splittable report starts a new one
+    forks = scan_parts(True)
+    equal_bisector_report(0.9, 0.7)
+    equal_bisector_report(0.9, 0.7)
+    assert len(forks) == 1
+    budget = steiner_lehmus._MAX_EVALS
+    monkeypatch.setattr(steiner_lehmus, "_MAX_EVALS", 3)
+    with pytest.raises(NonConvergence, match="^no convergence after 3 evaluations$"):
+        equal_bisector_report(0.9, 0.7)
+    assert steiner_lehmus._helper is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(steiner_lehmus, "_MAX_EVALS", budget)
+    assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
+    assert len(forks) == 2
+
+
+def test_calls_fork_the_helper_once(scan_parts):
+    forks = scan_parts(True)
+    # one report does not pay for a fork, nor does a sweep below the split
+    # gate count; the second splittable report starts the helper
+    equal_bisector_report(0.9, 0.7, sweep_points=steiner_lehmus._MIN_SWEEP_POINTS - 1)
+    equal_bisector_report(0.9, 0.7)
+    assert forks == [] and steiner_lehmus._helper is None
+    equal_bisector_report(0.9, 0.7)
+    assert len(forks) == 1 and steiner_lehmus._helper is not None
+    for seed in range(4):
+        assert scan_random(1000, seed) == public_scan(1000, seed)
+        assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
+    assert equality_study(5, 42) == equality_study(5, 42)
+    assert len(forks) == 1
+
+
+def test_verify_forks_nothing(scan_parts, capsys):
+    from hyptri import cli
+
+    forks = scan_parts(True)
+    assert cli.main(["verify", "0.9", "0.7"]) == 0
+    assert forks == []
+    assert steiner_lehmus._helper is None
+
+
+def test_helper_is_reaped_when_its_caller_exits(tmp_path):
+    # a process that scans with a helper and then exits leaves no child: its
+    # helper is gone by the time it has exited
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from hyptri import scan_random, steiner_lehmus\n"
+        "scan_random(2000, 42)\n"
+        "print(steiner_lehmus._helper[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(done.stdout), 0)
+
+
+def test_forked_child_never_writes_to_its_parents_helper(scan_parts):
+    # the child drops the parent's helper at the fork: its pipe ends are
+    # closed in the child, which forks a helper of its own; the parent's
+    # helper still answers the parent
+    forks = scan_parts(True)
+    assert scan_random(1000, 31) == public_scan(1000, 31)
+    pid, requests, replies = steiner_lehmus._helper
+    status_r, status_w = os.pipe()
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            ends_closed = True
+            for fd in (requests, replies):
+                try:
+                    os.fstat(fd)
+                    ends_closed = False
+                except OSError:
+                    pass
+            dropped = steiner_lehmus._helper is None and ends_closed
+            same = scan_random(1000, 31) == public_scan(1000, 31)
+            own = steiner_lehmus._helper is not None and steiner_lehmus._helper[0] != pid
+            steiner_lehmus._stop_helper()
+            os.write(status_w, bytes([dropped, same, own]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(status_w)
+    _, status = os.waitpid(child, 0)
+    flags = os.read(status_r, 3)
+    os.close(status_r)
+    assert status == 0 and flags == bytes([1, 1, 1])
+    assert steiner_lehmus._helper == (pid, requests, replies)
+    assert scan_random(1000, 32) == public_scan(1000, 32)
+    assert len(forks) == 2  # the parent's helper and the child
+
+
+def test_live_helper_is_not_used_beside_a_live_thread(scan_parts, monkeypatch):
+    scan_parts(True)
+    equal_bisector_report(0.9, 0.7)
+    assert scan_random(1000, 31) == public_scan(1000, 31)
+    assert steiner_lehmus._helper is not None
+
+    def no_helper(*args):
+        raise AssertionError("the helper was used beside a live thread")
+
+    monkeypatch.setattr(steiner_lehmus, "_beside_helper", no_helper)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert scan_random(1000, 32) == public_scan(1000, 32)
+        assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_helper_killed_between_calls_falls_back_to_the_same_bytes(scan_parts):
+    # a helper that died between calls is reaped by the next call, which
+    # computes the part itself; the call after starts a new helper
+    forks = scan_parts(True)
+    expected = public_scan(1000, 31)
+    assert scan_random(1000, 31) == expected
+    os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
+    assert repr(scan_random(1000, 31)) == repr(expected)
+    assert steiner_lehmus._helper is None
+    assert len(forks) == 1
+    equal_bisector_report(0.9, 0.7)
+    equal_bisector_report(0.9, 0.7)  # the second report starts a helper
+    os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
+    report = equal_bisector_report(0.9, 0.7)
+    assert repr(report) == repr(one_process_report(0.9, 0.7, DEFAULT_TOL))
+    assert steiner_lehmus._helper is None
+    assert len(forks) == 2
+
+
+def test_helper_dying_in_a_request_falls_back_to_the_same_bytes(scan_parts, monkeypatch):
+    expected = public_scan(1000, 31)
+    forks = scan_parts(True)
+    parent = os.getpid()
+
+    def dying_in_children(seed, start, stop, tol):
+        if os.getpid() != parent:
+            os._exit(5)
+        return _scan_part(seed, start, stop, tol)
+
+    monkeypatch.setattr(steiner_lehmus, "_scan_part", dying_in_children)
+    assert scan_random(1000, 31) == expected
+    assert steiner_lehmus._helper is None
+    assert len(forks) == 1
