@@ -756,20 +756,16 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
     )
 
 
-# Blocks per part below which a scan does not start the helper: the part is
-# too short to pay for a fork. Forced two-part splits against one process,
-# with a child forked per call (Python 3.11, shared 2-vCPU host; ten
-# alternating pairs, each side the fastest call in 1 s of calls) won 7 of
-# 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8 in a
-# 16 MiB caller. In a 93 MiB caller one fork, exit and wait took 4.1-4.5 ms
-# against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of 10 on a
-# busy host.
+# Blocks per part below which a scan does not hand a part to the helper:
+# the part is too short to pay for a fork. Forced two-part splits against
+# one process, with a child forked per call (Python 3.11, shared 2-vCPU
+# host; ten alternating pairs, each side the fastest call in 1 s of calls)
+# won 7 of 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8
+# in a 16 MiB caller. In a 93 MiB caller one fork, exit and wait took
+# 4.1-4.5 ms against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of
+# 10 on a busy host.
 # 8 keeps two blocks over the smallest size that won every pair, so a
-# 2000-triangle scan (16 blocks) starts the helper and a 1920-triangle one
-# does not. A live helper takes a part of any scan of two blocks or more:
-# with one block per part a split took 0.76 ms against 1.39 ms in one
-# process (won 6 of 6 alternating rounds, each side the fastest call in
-# 0.4 s of calls, same host).
+# 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
 _MIN_PART_BLOCKS = 8
 
 # Sweep points below which an equality report does not split its sweep.
@@ -783,14 +779,28 @@ _MIN_PART_BLOCKS = 8
 # stays in one process.
 _MIN_SWEEP_POINTS = 64
 
+# Seconds an idle helper waits for a request before it leaves. While it
+# runs it keeps the pages the caller had at the fork, which the caller may
+# have freed or rewritten since (a 256 MiB buffer freed after the fork
+# stayed resident in the helper until it left). Leaving when idle gives
+# them back about this long after the caller's last call. A call that
+# finds the helper gone forks a new one, 2-4.5 ms in 16-93 MiB callers, so
+# calls further apart than this pay under 0.5% of the gap for it.
+_HELPER_IDLE_S = 1.0
+
 # The helper: one forked process per caller process, started lazily and
-# reused across calls, that computes one part of a scan or a sweep while
-# the caller computes the rest. It reads marshalled requests from one pipe
-# and writes each reply to another, one request in flight at a time.
+# reused across calls until it idles for _HELPER_IDLE_S, that computes one
+# part of a scan or a sweep while the caller computes the rest. It reads
+# marshalled requests from one pipe and writes each reply to another, one
+# request in flight at a time.
 # (pid, request write end, reply read end) while it runs, else None.
 _helper = None
 # equality reports in this process so far that passed the split gate: the
-# second one starts the helper, so a one-shot report never forks
+# second one starts the helper, so a one-shot report never forks. Cold
+# starts of `hyptri verify 0.9 0.7` took 94.2 ms without the fork and
+# 105.7 ms with it (medians of 30 alternating pairs, Python 3.11, shared
+# 2-vCPU host; the one without it faster in 23): the fork and the reaping
+# at exit cost more than one split sweep saves.
 _splittable_reports = 0
 
 
@@ -798,7 +808,10 @@ def _can_fork() -> bool:
     """Whether the helper may be started or used: where ``fork`` is there
     and safe, that is, where the caller runs no second thread and
     ``SIGCHLD`` is neither handled nor ignored, so that no one else reaps
-    the helper and its pid is not reused, and on at least two usable CPUs."""
+    the helper and its pid is not reused; where ``SIGPIPE`` is ignored, as
+    CPython sets it, so that a write to a helper that has died fails with
+    an error the caller handles instead of killing the caller; and on at
+    least two usable CPUs."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return False
@@ -810,17 +823,21 @@ def _can_fork() -> bool:
         return False
     import signal
 
-    return signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+    return (
+        signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+        and signal.getsignal(signal.SIGPIPE) == signal.SIG_IGN
+    )
 
 
 def _scan_splits(blocks: int) -> bool:
-    """Whether a scan of ``blocks`` blocks hands a part to the helper: where
-    ``_can_fork`` allows, with a block or more in each of the two parts
-    where the helper runs, and with ``_MIN_PART_BLOCKS`` or more where the
-    helper has to be started, and could be."""
-    if blocks < 2 or not _can_fork():
-        return False
-    return _helper is not None or (blocks >= 2 * _MIN_PART_BLOCKS and _start_helper())
+    """Whether a scan of ``blocks`` blocks hands a part to the helper: with
+    ``_MIN_PART_BLOCKS`` or more in each of the two parts, where
+    ``_can_fork`` allows, and where the helper runs or could be started."""
+    return (
+        blocks >= 2 * _MIN_PART_BLOCKS
+        and _can_fork()
+        and (_helper_runs() or _start_helper())
+    )
 
 
 def _sweep_splits(points: int) -> bool:
@@ -832,7 +849,20 @@ def _sweep_splits(points: int) -> bool:
     if points < _MIN_SWEEP_POINTS or not _can_fork():
         return False
     _splittable_reports += 1
-    return _helper is not None or (_splittable_reports > 1 and _start_helper())
+    return _helper_runs() or (_splittable_reports > 1 and _start_helper())
+
+
+def _helper_runs() -> bool:
+    """Whether the helper runs. One that has left, idle or killed, is
+    reaped here, so that the call may start a new one."""
+    if _helper is not None:
+        try:
+            gone = os.waitpid(_helper[0], os.WNOHANG)[0] != 0
+        except ChildProcessError:  # reaped elsewhere
+            gone = True
+        if gone:
+            _stop_helper()
+    return _helper is not None
 
 
 def _start_helper() -> bool:
@@ -855,7 +885,7 @@ def _start_helper() -> bool:
                 os.close(fd)
             return False
         if pid == 0:
-            _serve(fds, mask)
+            _serve(fds[0], fds[3], mask)
         os.close(fds[0])
         os.close(fds[3])
         _helper = (pid, fds[1], fds[2])
@@ -864,28 +894,33 @@ def _start_helper() -> bool:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _serve(fds: list, mask: set) -> None:
+def _serve(requests: int, replies: int, mask: set) -> None:
     """The helper's loop: read a request, compute its part, write the
-    marshalled result, or None where the part raised, until EOF on the
-    request pipe. It ignores SIGINT, since a Ctrl-C is the caller's to
-    handle, and closes its copies of the caller's pipe ends: with a copy of
-    the request write end open, it would never see EOF. It never returns
-    into the caller or flushes the caller's buffers: it leaves by
-    ``os._exit``, 0 on EOF and 1 on any failure of its own."""
+    marshalled result, or None where the part raised. It ignores SIGINT,
+    since a Ctrl-C is the caller's to handle, and closes every file
+    descriptor but its own two pipe ends: with a copy of the request write
+    end it would never see EOF, and with a copy of any other (a socket, a
+    pipe to another process, stdout) it would hold that open for as long as
+    it runs. It never returns into the caller or flushes the caller's
+    buffers: it leaves by ``os._exit``, 0 on EOF or after ``_HELPER_IDLE_S``
+    without a request, and 1 on any failure of its own."""
     status = 1
     try:
+        import select
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        requests, caller_requests, caller_replies, replies = fds
-        os.close(caller_requests)
-        os.close(caller_replies)
-        while True:
+        low, high = sorted((requests, replies))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        waiting = select.poll()
+        waiting.register(requests, select.POLLIN)
+        while waiting.poll(round(_HELPER_IDLE_S * 1000)):
             # one request in flight, written whole: one read takes all of it
             data = os.read(requests, 4096)
             if not data:
-                status = 0
                 break
             kind, args = marshal.loads(data)
             try:
@@ -898,6 +933,7 @@ def _serve(fds: list, mask: set) -> None:
             except Exception:
                 reply = None  # the caller computes the part itself, and raises
             os.write(replies, marshal.dumps(reply))
+        status = 0
     finally:
         os._exit(status)
 
@@ -949,30 +985,40 @@ def _beside_helper(request: tuple, own, rest) -> tuple:
     """(own(), rest()) with rest() computed by the helper from its marshalled
     ``request`` while the caller runs own(). Where the helper returns an
     error or has died, the caller computes rest() itself, so a part that
-    raises raises here with its own class and message. A request whose
-    reply is not read, because own() raised or the caller was interrupted,
-    kills and reaps the helper."""
-    sent = True  # from here until the reply is read, one may be in flight
+    raises raises here with its own class and message. Where own() raises
+    an exception, the helper's bounded part is awaited and the helper kept;
+    where the caller is interrupted (Ctrl-C, ``SystemExit``) before the
+    reply is read, the helper is killed and reaped."""
     try:
-        try:
-            os.write(_helper[1], marshal.dumps(request))  # below PIPE_BUF: whole
-        except OSError:  # the helper has died
-            _stop_helper()
-            sent = False
+        os.write(_helper[1], marshal.dumps(request))  # below PIPE_BUF: whole
+    except OSError:  # the helper has died
+        _stop_helper()
+        return own(), rest()
+    try:
         mine = own()
-        reply = None
-        if sent:
-            data = os.read(_helper[2], 4096)
-            sent = False
-            if data:
-                reply = marshal.loads(data)
-            else:  # the helper died without a reply
-                _stop_helper()
-    except BaseException:
-        if sent:
-            _stop_helper(kill=True)
+    except Exception:
+        _take_reply()
         raise
+    except BaseException:
+        _stop_helper(kill=True)
+        raise
+    reply = _take_reply()
     return mine, rest() if reply is None else reply
+
+
+def _take_reply():
+    """The helper's reply to the request in flight: its part, or None where
+    the part raised or the helper died (it is then reaped). A read cut
+    short by an interruption kills and reaps the helper."""
+    try:
+        data = os.read(_helper[2], 4096)
+    except BaseException:
+        _stop_helper(kill=True)
+        raise
+    if not data:  # the helper died without a reply
+        _stop_helper()
+        return None
+    return marshal.loads(data)
 
 
 def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
@@ -996,8 +1042,8 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     index order raises, with its own class and message, since the caller
     scans the helper's part itself when the helper failed or could not be
     made. The helper is started by the first scan of ``_MIN_PART_BLOCKS``
-    blocks or more per part and serves later calls; no helper outlives its
-    caller.
+    blocks or more per part and serves later calls until it idles for
+    ``_HELPER_IDLE_S``; no helper outlives its caller.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs

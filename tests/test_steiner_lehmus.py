@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import select
 import signal
 import struct
 import subprocess
@@ -1050,29 +1051,6 @@ def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
     assert steiner_lehmus._scan_splits(blocks) is (count == 2 and hasattr(os, "fork"))
 
 
-def test_live_helper_takes_a_part_of_any_scan_of_two_blocks(scan_parts, monkeypatch):
-    # 2000 triangles (16 blocks) start the helper and 1920 (15) do not, but
-    # a live helper takes a part of any scan of two blocks or more
-    forks = scan_parts(True)
-    monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", 8)
-    assert scan_random(1920, 31) == public_scan(1920, 31)
-    assert forks == []
-    assert scan_random(2000, 31) == public_scan(2000, 31)
-    assert len(forks) == 1
-    cuts = []
-    beside = steiner_lehmus._beside_helper
-
-    def recording(request, own, rest):
-        cuts.append(request[1][1:3])  # the helper's triangles start to stop - 1
-        return beside(request, own, rest)
-
-    monkeypatch.setattr(steiner_lehmus, "_beside_helper", recording)
-    for n in (128, 129, 256, 1920):
-        assert scan_random(n, 31) == public_scan(n, 31)
-    assert cuts == [(128, 129), (128, 256), (896, 1920)]
-    assert len(forks) == 1
-
-
 def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
     # about a fifth of the triangles have nan sides and residuals, which the
     # maxima skip by max's rule and the inequality verdict counts as failed
@@ -1453,23 +1431,36 @@ def test_helper_sweep_rejection_is_raised_by_the_caller(scan_parts, monkeypatch)
     assert steiner_lehmus._helper[0] == pid
 
 
-def test_report_root_failure_kills_the_helper(scan_parts, monkeypatch):
-    # the root solve raises before the helper's reply is read: the helper is
-    # killed and reaped, and the next splittable report starts a new one
+def test_report_root_failure_keeps_the_helper(scan_parts, monkeypatch):
+    # the root solve raises while the helper sweeps its half: the caller
+    # reads the helper's reply before it raises, and the helper serves on
     forks = scan_parts(True)
     equal_bisector_report(0.9, 0.7)
     equal_bisector_report(0.9, 0.7)
     assert len(forks) == 1
+    pid = steiner_lehmus._helper[0]
     budget = steiner_lehmus._MAX_EVALS
     monkeypatch.setattr(steiner_lehmus, "_MAX_EVALS", 3)
-    with pytest.raises(NonConvergence, match="^no convergence after 3 evaluations$"):
-        equal_bisector_report(0.9, 0.7)
-    assert steiner_lehmus._helper is None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for _ in range(3):
+        with pytest.raises(NonConvergence, match="^no convergence after 3 evaluations$"):
+            equal_bisector_report(0.9, 0.7)
+    assert steiner_lehmus._helper[0] == pid
     monkeypatch.setattr(steiner_lehmus, "_MAX_EVALS", budget)
     assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
-    assert len(forks) == 2
+    assert steiner_lehmus._helper[0] == pid
+    assert len(forks) == 1
+
+
+def test_scan_rejection_in_the_callers_part_keeps_the_helper(scan_parts, monkeypatch):
+    forks = scan_parts(True)
+    assert scan_random(1000, 7) == public_scan(1000, 7)
+    pid = steiner_lehmus._helper[0]
+    fail_at(monkeypatch, 7, {100: "triangle 100 fails"})
+    with pytest.raises(NumericalFailure, match="^triangle 100 fails$"):
+        scan_random(1000, 7)
+    assert steiner_lehmus._helper[0] == pid
+    assert scan_random(1000, 8) == public_scan(1000, 8)
+    assert len(forks) == 1
 
 
 def test_calls_fork_the_helper_once(scan_parts):
@@ -1574,23 +1565,98 @@ def test_live_helper_is_not_used_beside_a_live_thread(scan_parts, monkeypatch):
     assert not thread.is_alive()
 
 
+def wait_for_exit(pid):
+    """Wait up to 10 s for child ``pid`` to exit, leaving it unreaped."""
+    flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+    deadline = time.monotonic() + 10
+    while os.waitid(os.P_PID, pid, flags) is None:
+        assert time.monotonic() < deadline, f"child {pid} did not exit"
+        time.sleep(0.01)
+
+
 def test_helper_killed_between_calls_falls_back_to_the_same_bytes(scan_parts):
-    # a helper that died between calls is reaped by the next call, which
-    # computes the part itself; the call after starts a new helper
+    # a call that writes to a helper that died since the last call reaps it
+    # and computes the part itself
     forks = scan_parts(True)
     expected = public_scan(1000, 31)
     assert scan_random(1000, 31) == expected
     os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
-    assert repr(scan_random(1000, 31)) == repr(expected)
+    wait_for_exit(steiner_lehmus._helper[0])
+    request = ("scan", (31, 512, 1000, SCAN_TOL.rtol_identity, SCAN_TOL.eps_angle))
+    mine, part = steiner_lehmus._beside_helper(
+        request,
+        lambda: _scan_part(31, 0, 512, SCAN_TOL),
+        lambda: _scan_part(31, 512, 1000, SCAN_TOL),
+    )
     assert steiner_lehmus._helper is None
-    assert len(forks) == 1
+    assert repr(steiner_lehmus._merge_parts(mine, part)) == repr(_scan_part(31, 0, 1000, SCAN_TOL))
+    # a call that finds a dead helper before it writes reaps it and starts a
+    # new one
+    assert repr(scan_random(1000, 31)) == repr(expected)
+    assert len(forks) == 2
     equal_bisector_report(0.9, 0.7)
-    equal_bisector_report(0.9, 0.7)  # the second report starts a helper
     os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
+    wait_for_exit(steiner_lehmus._helper[0])
     report = equal_bisector_report(0.9, 0.7)
     assert repr(report) == repr(one_process_report(0.9, 0.7, DEFAULT_TOL))
-    assert steiner_lehmus._helper is None
+    assert steiner_lehmus._helper is not None
+    assert len(forks) == 3
+
+
+def test_idle_helper_leaves_and_the_next_call_forks_anew(scan_parts, monkeypatch):
+    # an idle helper exits, giving back the caller's pages it kept from the
+    # fork; the next call reaps it and forks a new one
+    forks = scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_HELPER_IDLE_S", 0.05)
+    assert scan_random(1000, 31) == public_scan(1000, 31)
+    pid = steiner_lehmus._helper[0]
+    wait_for_exit(pid)
+    assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status == 0
+    assert scan_random(1000, 31) == public_scan(1000, 31)
+    assert steiner_lehmus._helper[0] != pid
     assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # the old helper was reaped
+
+
+def test_helper_holds_no_descriptor_of_its_caller(scan_parts, monkeypatch):
+    # the helper keeps only its own two pipe ends: a pipe the caller opened
+    # before the fork sees EOF once the caller closes its write end, while
+    # the helper still runs
+    scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_HELPER_IDLE_S", 60.0)
+    read_end, write_end = os.pipe()
+    try:
+        assert scan_random(1000, 31) == public_scan(1000, 31)
+        pid = steiner_lehmus._helper[0]
+        os.close(write_end)
+        assert select.select([read_end], [], [], 10)[0] == [read_end]
+        assert os.read(read_end, 1) == b""
+        assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        assert scan_random(1000, 32) == public_scan(1000, 32)
+        assert steiner_lehmus._helper[0] == pid
+    finally:
+        os.close(read_end)
+
+
+def test_no_helper_is_used_unless_sigpipe_is_ignored(scan_parts):
+    # with SIGPIPE at its default, a write to a helper that has died would
+    # kill the caller: the call then runs in one process, and the caller
+    # lives
+    forks = scan_parts(True)
+    expected = public_scan(1000, 31)
+    assert scan_random(1000, 31) == expected
+    os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
+    wait_for_exit(steiner_lehmus._helper[0])
+    before = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        assert repr(scan_random(1000, 31)) == repr(expected)
+        assert repr(equal_bisector_report(0.9, 0.7)) == repr(
+            one_process_report(0.9, 0.7, DEFAULT_TOL)
+        )
+    finally:
+        signal.signal(signal.SIGPIPE, before)
+    assert len(forks) == 1
 
 
 def test_helper_dying_in_a_request_falls_back_to_the_same_bytes(scan_parts, monkeypatch):
