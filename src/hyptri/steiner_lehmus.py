@@ -321,9 +321,9 @@ def _count_sign_changes(A, B, lo, hi, points, g, start, stop):
     index i in 0 to ``points - 1`` the midpoint of step i of ``points``
     equal steps, and index ``points`` is hi. The ends count, so a root
     within half a step of one is seen. A zero or nan value has no sign and
-    is skipped; a range with no signed value gives (0, 0, 0). The whole
-    sweep is indices -1 to ``points``, and ``_merge_signs`` joins two
-    consecutive ranges into the count of one.
+    is skipped; a range with no signed value gives (0, 0, 0).
+    ``equal_bisector_report`` sweeps indices -1 to ``points`` as two
+    consecutive ranges, and ``_merge_signs`` joins them into the count of one.
 
     One of two pinned inline copies of the shared kernels (``_evidence`` is
     the other): it runs the kernels that g calls inline,
@@ -439,34 +439,29 @@ def equal_bisector_report(
     evaluates both bracket ends and the midpoints of ``sweep_points`` equal
     steps between them.
 
-    Where ``_sweep_splits`` allows, the helper process sweeps the upper half
-    of the grid while the caller solves for the root and sweeps the lower
-    half, and the halves merge exactly (``_merge_signs``), so the result is
-    the same bits split or not. The first rejection in grid order raises,
-    with its class and message: the root solve's comes first, and the
-    caller sweeps the upper half itself when the helper failed."""
+    Every report sweeps two halves, the lower after the root solve, and
+    merges them exactly (``_merge_signs``). Where ``_sweep_splits`` allows,
+    the helper process sweeps the upper half while the caller solves for the
+    root and sweeps the lower, so the result is the same bits wherever the
+    upper half runs. The first rejection in grid order raises, with its
+    class and message: the root solve's comes first, and the caller sweeps
+    the upper half itself when the helper failed."""
     _check_count("sweep point", sweep_points)
     _check_angles(A, B, B, tol)
     if B <= tol.eps_angle:
         raise InvalidTriangle(f"angle B must exceed the margin {tol.eps_angle}, got {B!r}")
     lo = tol.eps_angle
     hi = math.fsum((math.pi, -A, -B, -lo))
-    end = sweep_points + 1  # one past hi's grid index
 
     g = _gap_in_C(A, B)
-    if _sweep_splits(sweep_points):
-        cut = sweep_points // 2
-        (root, evals, lower), upper = _beside_helper(
-            ("sweep", (A, B, lo, hi, sweep_points, cut, end)),
-            lambda: (*_bracketed_hybrid(g, lo, hi),
-                     _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, cut)),
-            lambda: _count_sign_changes(A, B, lo, hi, sweep_points, g, cut, end),
-        )
-        changes = _merge_signs(lower, upper)[2]
-    else:
-        root, evals = _bracketed_hybrid(g, lo, hi)
-        changes = _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, end)[2]
-    return EqualBisectorSolve(c=root, iterations=evals, sign_changes=changes)
+    cut = sweep_points // 2
+    (root, evals, lower), upper = _beside_helper(
+        _sweep_splits(sweep_points),
+        ("sweep", (A, B, lo, hi, sweep_points, cut, sweep_points + 1)),
+        lambda: (*_bracketed_hybrid(g, lo, hi),
+                 _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, cut)),
+    )
+    return EqualBisectorSolve(c=root, iterations=evals, sign_changes=_merge_signs(lower, upper)[2])
 
 
 def sample_angles(rng: SplitMix64, eps_angle: float) -> tuple[float, float, float]:
@@ -922,14 +917,8 @@ def _serve(requests: int, replies: int, mask: set) -> None:
             data = os.read(requests, 4096)
             if not data:
                 break
-            kind, args = marshal.loads(data)
             try:
-                if kind == "scan":
-                    seed, start, stop, rtol, eps = args
-                    reply = _scan_part(seed, start, stop, ToleranceConfig(rtol, eps))
-                else:
-                    A, B, lo, hi, points, start, stop = args
-                    reply = _count_sign_changes(A, B, lo, hi, points, _gap_in_C(A, B), start, stop)
+                reply = _part(*marshal.loads(data))
             except Exception:
                 reply = None  # the caller computes the part itself, and raises
             os.write(replies, marshal.dumps(reply))
@@ -981,19 +970,33 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _beside_helper(request: tuple, own, rest) -> tuple:
-    """(own(), rest()) with rest() computed by the helper from its marshalled
-    ``request`` while the caller runs own(). Where the helper returns an
-    error or has died, the caller computes rest() itself, so a part that
-    raises raises here with its own class and message. Where own() raises
-    an exception, the helper's bounded part is awaited and the helper kept;
-    where the caller is interrupted (Ctrl-C, ``SystemExit``) before the
-    reply is read, the helper is killed and reaped."""
-    try:
-        os.write(_helper[1], marshal.dumps(request))  # below PIPE_BUF: whole
-    except OSError:  # the helper has died
-        _stop_helper()
-        return own(), rest()
+def _part(kind: str, args: tuple) -> tuple:
+    """The part that a marshalled request names, run by the helper and by
+    the caller alike: ``("scan", (seed, start, stop, rtol, eps))`` or
+    ``("sweep", (A, B, lo, hi, points, start, stop))``."""
+    if kind == "scan":
+        seed, start, stop, rtol, eps = args
+        return _scan_part(seed, start, stop, ToleranceConfig(rtol, eps))
+    A, B, lo, hi, points, start, stop = args
+    return _count_sign_changes(A, B, lo, hi, points, _gap_in_C(A, B), start, stop)
+
+
+def _beside_helper(split: bool, request: tuple, own) -> tuple:
+    """(own(), _part(*request)). Where ``split`` is true the helper computes
+    the part while the caller runs own(); otherwise, or where the write to
+    the helper fails, the caller runs both in that order. Where the helper
+    returns an error or has died, the caller computes the part itself, so it
+    raises here with its own class and message. Where own() raises an
+    exception, the helper's bounded part is awaited and the helper kept;
+    where the caller is interrupted (Ctrl-C, ``SystemExit``), the helper is killed."""
+    if split:
+        try:
+            os.write(_helper[1], marshal.dumps(request))  # below PIPE_BUF: whole
+        except OSError:  # the helper has died
+            _stop_helper()
+            split = False
+    if not split:
+        return own(), _part(*request)
     try:
         mine = own()
     except Exception:
@@ -1003,7 +1006,7 @@ def _beside_helper(request: tuple, own, rest) -> tuple:
         _stop_helper(kill=True)
         raise
     reply = _take_reply()
-    return mine, rest() if reply is None else reply
+    return mine, _part(*request) if reply is None else reply
 
 
 def _take_reply():
@@ -1034,30 +1037,27 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
     ``hyptri.rng``). Each process of the scan holds one block of draws at a
     time, whatever ``n``.
 
-    Where ``_scan_splits`` allows, the blocks are cut in two contiguous
-    parts at ``mid``, half the blocks: the caller scans triangles 0 to
-    ``mid - 1`` and the helper process the rest (``_scan_part`` for both),
-    and the parts merge in index order by the reduction's own rule, so the
-    report is the same bits split or not. The first failing triangle in
-    index order raises, with its own class and message, since the caller
-    scans the helper's part itself when the helper failed or could not be
-    made. The helper is started by the first scan of ``_MIN_PART_BLOCKS``
-    blocks or more per part and serves later calls until it idles for
+    The blocks are cut in two contiguous parts at ``mid``, half the blocks
+    rounded down (0 for one block), each scanned by ``_scan_part`` and
+    merged in index order by the reduction's own rule. Where
+    ``_scan_splits`` allows, the helper process scans triangles ``mid`` on
+    while the caller scans the rest, so the report is the same bits
+    wherever the second part runs. The first failing triangle in index
+    order raises, with its own class and message, since the caller scans
+    the second part itself when the helper failed or could not be made.
+    The helper is started by the first scan of ``_MIN_PART_BLOCKS`` blocks
+    or more per part and serves later calls until it idles for
     ``_HELPER_IDLE_S``; no helper outlives its caller.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs
     blocks = -(-n // _SCAN_BLOCK)
-    if _scan_splits(blocks):
-        mid = blocks // 2 * _SCAN_BLOCK
-        totals, part = _beside_helper(
-            ("scan", (seed, mid, n, tol.rtol_identity, tol.eps_angle)),
-            lambda: _scan_part(seed, 0, mid, tol),
-            lambda: _scan_part(seed, mid, n, tol),
-        )
-        totals = _merge_parts(totals, part)
-    else:
-        totals = _scan_part(seed, 0, n, tol)
+    mid = blocks // 2 * _SCAN_BLOCK
+    totals = _merge_parts(*_beside_helper(
+        _scan_splits(blocks),
+        ("scan", (seed, mid, n, tol.rtol_identity, tol.eps_angle)),
+        lambda: _scan_part(seed, 0, mid, tol),
+    ))
     max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties = totals
     return ScanReport(
         samples=n,

@@ -621,6 +621,50 @@ def test_merge_signs_joins_two_ranges():
     assert _merge_signs((0, 0, 0), (0, 0, 0)) == (0, 0, 0)
 
 
+def external_bisector_tanh(x, y, angle):
+    """tanh of the external bisector of ``angle`` between sides x and y, in
+    the Beltrami-Klein model centred at that vertex, where the Euclidean
+    external bisector 2pq sin(angle/2)/|p - q| carries over with p = tanh x
+    and q = tanh y. At 1 or more the bisector misses the opposite side's
+    line, so the negative control compares these values, not lengths."""
+    p, q = math.tanh(x), math.tanh(y)
+    return 2.0 * p * q * math.sin(0.5 * angle) / abs(p - q)
+
+
+def klein_chord_tanh(x, y, angle):
+    """The same radius, constructed: the chord from (tanh x, 0) to tanh y
+    (cos angle, sin angle) met by the line through the centre at angle
+    angle/2 + pi/2."""
+    p, q = math.tanh(x), math.tanh(y)
+    ex, ey = q * math.cos(angle) - p, q * math.sin(angle)
+    dx, dy = -math.sin(0.5 * angle), math.cos(0.5 * angle)
+    return abs(p * ey / (dx * ey - dy * ex))
+
+
+def test_equal_external_bisectors_do_not_force_an_isosceles_triangle():
+    # a false neighbour of the theorem: at (A, B) = (0.15, 2.95) the external
+    # bisectors of B and C are equal at C = 0.0113, far from B, and the
+    # equality verdict rejects that root
+    A, B = 0.15, 2.95
+
+    def gap(C):
+        a, b, c = _sides_from_angles(A, B, C)
+        return external_bisector_tanh(a, c, B) - external_bisector_tanh(a, b, C)
+
+    a, b, c = _sides_from_angles(A, B, 1e-3)
+    assert external_bisector_tanh(a, b, 1e-3) == pytest.approx(7.17, abs=5e-3)
+    root, evals = _bracketed_hybrid(gap, 1e-3, math.pi - A - B - 1e-9)
+    assert (root, evals) == (0.011280703177730134, 25)
+    a, b, c = _sides_from_angles(A, B, root)
+    tanh_tB = external_bisector_tanh(a, c, B)
+    tanh_tC = external_bisector_tanh(a, b, root)
+    assert math.atanh(tanh_tB) == 0.7118687228830399
+    assert math.atanh(tanh_tC) == pytest.approx(math.atanh(tanh_tB), rel=1e-14)
+    assert tanh_tB == pytest.approx(klein_chord_tanh(a, c, B), rel=1e-14)
+    assert tanh_tC == pytest.approx(klein_chord_tanh(a, b, root), rel=1e-14)
+    assert EqualBisectorSolve(root, evals, 1).failures(B) == ["|c - B| not below 1e-10"]
+
+
 @pytest.mark.parametrize("points", [0, -5])
 def test_equal_bisector_report_rejects_empty_sweep(points):
     with pytest.raises(ValueError, match=f"^sweep point count must be >= 1, got {points}$"):
@@ -1021,7 +1065,9 @@ def test_scan_forks_one_child_on_eight_cpus(scan_parts, monkeypatch):
 
 
 # 255-257 and 383-385 put the cut after one block of an odd count of blocks
-# (the child takes the larger part) and on a short or full last block
+# (the child takes the larger part) and on a short or full last block; on
+# one CPU the caller scans both parts, the first empty (mid = 0) for n up to
+# 128
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 385, 255, 256, 257, 383, 384])
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
@@ -1416,15 +1462,14 @@ def test_helper_sweep_rejection_is_raised_by_the_caller(scan_parts, monkeypatch)
 
     forks = scan_parts(True)
     monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", failing_upper_half)
-    # the first report sweeps in one range, from index -1
-    assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
-    assert forks == []
-    for _ in range(3):
+    # the first report forks nothing and sweeps the upper half itself; the
+    # second starts the helper
+    for report in range(4):
         with pytest.raises(DomainCap) as info:
             equal_bisector_report(0.9, 0.7)
         assert type(info.value) is DomainCap
         assert str(info.value) == message
-    assert len(forks) == 1
+        assert len(forks) == (report > 0)
     pid = steiner_lehmus._helper[0]
     monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", count)
     assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
@@ -1544,15 +1589,18 @@ def test_forked_child_never_writes_to_its_parents_helper(scan_parts):
 
 
 def test_live_helper_is_not_used_beside_a_live_thread(scan_parts, monkeypatch):
-    scan_parts(True)
+    forks = scan_parts(True)
     equal_bisector_report(0.9, 0.7)
     assert scan_random(1000, 31) == public_scan(1000, 31)
-    assert steiner_lehmus._helper is not None
+    requests = steiner_lehmus._helper[1]
+    write = os.write
 
-    def no_helper(*args):
-        raise AssertionError("the helper was used beside a live thread")
+    def no_request(fd, data):
+        if fd == requests:
+            raise AssertionError("the helper was used beside a live thread")
+        return write(fd, data)
 
-    monkeypatch.setattr(steiner_lehmus, "_beside_helper", no_helper)
+    monkeypatch.setattr(os, "write", no_request)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -1563,6 +1611,7 @@ def test_live_helper_is_not_used_beside_a_live_thread(scan_parts, monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    assert len(forks) == 1
 
 
 def wait_for_exit(pid):
@@ -1584,9 +1633,7 @@ def test_helper_killed_between_calls_falls_back_to_the_same_bytes(scan_parts):
     wait_for_exit(steiner_lehmus._helper[0])
     request = ("scan", (31, 512, 1000, SCAN_TOL.rtol_identity, SCAN_TOL.eps_angle))
     mine, part = steiner_lehmus._beside_helper(
-        request,
-        lambda: _scan_part(31, 0, 512, SCAN_TOL),
-        lambda: _scan_part(31, 512, 1000, SCAN_TOL),
+        True, request, lambda: _scan_part(31, 0, 512, SCAN_TOL)
     )
     assert steiner_lehmus._helper is None
     assert repr(steiner_lehmus._merge_parts(mine, part)) == repr(_scan_part(31, 0, 1000, SCAN_TOL))
