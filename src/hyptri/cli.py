@@ -61,10 +61,11 @@ from .core import (
 )
 
 
-def _tolerance(args: SimpleNamespace, base: ToleranceConfig) -> ToleranceConfig:
+def _tolerance(args: SimpleNamespace) -> ToleranceConfig:
+    """DEFAULT_TOL, with ``--rtol`` in place of its identity tolerance."""
     if args.rtol is None:
-        return base
-    return ToleranceConfig(args.rtol, base.eps_angle)
+        return DEFAULT_TOL
+    return ToleranceConfig(args.rtol, DEFAULT_TOL.eps_angle)
 
 
 def _triangle_from_args(args: SimpleNamespace, tol: ToleranceConfig) -> Triangle:
@@ -114,7 +115,7 @@ def _verdict(study: str, failures: list[str]) -> int:
 
 
 def _cmd_solve(args: SimpleNamespace) -> int:
-    tol = _tolerance(args, DEFAULT_TOL)
+    tol = _tolerance(args)
     t = _triangle_from_args(args, tol)
     payload = {
         "a": t.a, "b": t.b, "c": t.c,
@@ -129,7 +130,7 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 def _cmd_bisect(args: SimpleNamespace) -> int:
     from .cevian import bisector_lengths, subtriangle_residuals
 
-    tol = _tolerance(args, DEFAULT_TOL)
+    tol = _tolerance(args)
     t = _triangle_from_args(args, tol)
     d = bisector_lengths(t, tol)
     res = subtriangle_residuals(t, d)
@@ -171,10 +172,9 @@ def _report(study: str, report, fmt: str) -> int:
 
 
 def _cmd_scan(args: SimpleNamespace) -> int:
-    from .steiner_lehmus import SCAN_TOL, scan_random
+    from .steiner_lehmus import scan_random
 
-    tol = _tolerance(args, SCAN_TOL)
-    return _report("scan", scan_random(args.n, args.seed, tol), args.format)
+    return _report("scan", scan_random(args.n, args.seed, _tolerance(args)), args.format)
 
 
 def _cmd_study(args: SimpleNamespace) -> int:
@@ -187,7 +187,7 @@ def _cmd_figure(args: SimpleNamespace) -> int:
     from .cevian import bisector_lengths
     from .diskmodel import render_svg
 
-    tol = _tolerance(args, DEFAULT_TOL)
+    tol = _tolerance(args)
     t = _triangle_from_args(args, tol)
     d = bisector_lengths(t, tol)
     render_svg(t, d, args.out)

@@ -51,9 +51,10 @@ from .rng import _GAMMA, _LANES, _MASK64, SplitMix64
 
 __all__ = _public_names(__name__)
 
-# The scan harness samples with a wider angle margin and accepts identity
-# residuals up to 1e-9; strict per-value validation keeps the 1e-10 default.
-SCAN_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
+# An alias of DEFAULT_TOL, the one policy of the library and the CLI; nothing
+# here reads it. The benchmark's perfbench/layers.py and perfbench/workloads.py
+# import it, and the benchmark change that drops those imports deletes it.
+SCAN_TOL = DEFAULT_TOL
 
 # |C - B| below this, scaled by min(1, max(B, C)), exempts strict-sign
 # assertions; inside the band the gap must vanish to
@@ -752,15 +753,18 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
 
 
 # Blocks per part below which a scan does not hand a part to the helper:
-# the part is too short to pay for a fork. Forced two-part splits against
-# one process, with a child forked per call (Python 3.11, shared 2-vCPU
-# host; ten alternating pairs, each side the fastest call in 1 s of calls)
-# won 7 of 10 pairs at 4 blocks per part, 9 at 5, and all 10 at 6, 7 and 8
-# in a 16 MiB caller. In a 93 MiB caller one fork, exit and wait took
-# 4.1-4.5 ms against 1.8-1.9 ms, and 8 and 16 blocks per part won only 5 of
-# 10 on a busy host.
-# 8 keeps two blocks over the smallest size that won every pair, so a
-# 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
+# the part is too short to pay for starting one. Forced two-part splits
+# against one process (Python 3.11, shared 2-vCPU host, 16 MiB caller; ten
+# alternating pairs, each side the fastest call in 1 s of calls): with the
+# helper already running, the split won all 10 pairs at every size from 1
+# block per part (0.85 ms against 1.50 ms) to 8 (6.97 ms against 13.24 ms),
+# so a running helper's round trip costs less than one block. With the
+# helper forked inside each call, the split lost all 10 at 2 blocks per part
+# (4.92 ms against 3.42 ms) and won 10, 8, 10, 7 and 10 of 10 at 4, 5, 6, 7
+# and 8 (9.71 ms against 13.04 ms at 8). So the bound matters only for the
+# call that starts the helper, and in a 93 MiB caller a fork, exit and wait
+# took 4.1-4.5 ms. 8 keeps that first call well clear of the fork's cost, so
+# a 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
 _MIN_PART_BLOCKS = 8
 
 # Sweep points below which an equality report does not split its sweep.
@@ -1024,7 +1028,7 @@ def _take_reply():
     return marshal.loads(data)
 
 
-def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanReport:
+def scan_random(n: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScanReport:
     """Solve ``n`` seeded random triangles and aggregate every identity
     residual, strict-sign check, and monotonicity verdict (ordered reduction,
     so reports are reproducible).
@@ -1075,7 +1079,7 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = SCAN_TOL) -> ScanRepor
 
 
 def equality_study(pairs: int, seed: int) -> EqualityStudy:
-    """Run ``equal_bisector_report(A, B, SCAN_TOL)`` on ``pairs`` seeded random
+    """Run ``equal_bisector_report(A, B)`` on ``pairs`` seeded random
     admissible pairs and aggregate the gaps |c - B|, the root iterations and
     the pairs that fail ``EqualBisectorSolve.failures(B)``.
 
@@ -1083,7 +1087,8 @@ def equality_study(pairs: int, seed: int) -> EqualityStudy:
     ``SplitMix64(seed)``: A = 0.05 + 2.55 r, then, only when
     b_max = (pi - A - 0.1) / 2 exceeds 0.06, B = 0.05 + r (b_max - 0.05);
     an A without room for B is skipped. The worst pair replays as
-    ``equal_bisector_report(worst_A, worst_B, SCAN_TOL)``, bit for bit.
+    ``equal_bisector_report(worst_A, worst_B)``, and so as ``hyptri verify
+    worst_A worst_B``, bit for bit.
     """
     _check_count("pair", pairs)
     rng = SplitMix64(seed)
@@ -1097,7 +1102,7 @@ def equality_study(pairs: int, seed: int) -> EqualityStudy:
         if b_max <= 0.06:
             continue
         B = 0.05 + rng.random() * (b_max - 0.05)
-        result = equal_bisector_report(A, B, SCAN_TOL)
+        result = equal_bisector_report(A, B)
         gap = abs(result.c - B)
         # the first pair, then max's rule: replace only on >, nan included
         if solved == 0 or gap > max_gap:
@@ -1109,7 +1114,7 @@ def equality_study(pairs: int, seed: int) -> EqualityStudy:
     return EqualityStudy(
         pairs=pairs,
         seed=seed,
-        eps_angle=SCAN_TOL.eps_angle,
+        eps_angle=DEFAULT_TOL.eps_angle,
         max_root_gap=max_gap,
         worst_A=worst_A,
         worst_B=worst_B,

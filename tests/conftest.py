@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hyptri import (  # noqa: E402
-    SCAN_TOL,
     SplitMix64,
     ToleranceConfig,
     TriangleAngles,
@@ -21,6 +20,10 @@ from hyptri.steiner_lehmus import sample_angles  # noqa: E402
 
 # validation margin relaxed enough for oracle sub-triangle solves
 ORACLE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-300)
+# a second policy beside DEFAULT_TOL, looser in both fields: identity
+# residuals up to 1e-9 and every angle 1e-3 from the domain's edge. The
+# seeded ensembles and the pins recorded under it keep it.
+LOOSE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +74,7 @@ def seeded_triangles(n, seed=1234, eps=1e-3):
     rng = SplitMix64(seed)
     for _ in range(n):
         A, B, C = sample_angles(rng, eps)
-        yield solve_from_angles(TriangleAngles(A, B, C, tol=SCAN_TOL), tol=SCAN_TOL)
+        yield solve_from_angles(TriangleAngles(A, B, C, tol=LOOSE_TOL), tol=LOOSE_TOL)
 
 
 @pytest.fixture(scope="session")

@@ -196,9 +196,9 @@ def test_study_passes_and_prints_its_report():
     assert result.returncode == 0
     assert result.stderr == b""
     assert result.stdout.decode() == (
-        "pairs = 20\nseed = 42\neps_angle = 0.001\nmax_root_gap = 3.8191672047105385e-14\n"
-        "worst_A = 1.359160096621481\nworst_B = 0.4614429876743421\n"
-        "root_iterations = 480\nfailing_pairs = 0\n"
+        "pairs = 20\nseed = 42\neps_angle = 1e-09\nmax_root_gap = 1.942890293094024e-14\n"
+        "worst_A = 1.7000912952917977\nworst_B = 0.5355240476867072\n"
+        "root_iterations = 484\nfailing_pairs = 0\n"
     )
 
 
@@ -242,8 +242,8 @@ def test_figure_unwritable_path(tmp_path):
 @pytest.mark.parametrize(
     "rtol, message",
     [
-        ("1e-15", "law of cosines residual 1.0128080393272694e-15 exceeds 1e-15"),
-        ("3e-15", "law of sines residual 5.290115606060029e-15 exceeds 3e-15"),
+        ("1e-15", "sub-triangle sine-law residual 1.2848211280275125e-15 exceeds 1e-15"),
+        ("3e-15", "foot segments do not sum to the side: u + U - b = 9.367506770274758e-17"),
     ],
 )
 def test_scan_rtol_rejection_is_pinned(rtol, message):

@@ -47,7 +47,7 @@ from hyptri.core import (
     _check_sides,
 )
 
-from conftest import ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
+from conftest import LOOSE_TOL, ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
 
 # frozen closed-form expectations, cross-checked against a disk-model
 # embedding before being relied on
@@ -156,7 +156,7 @@ def _reference(value):
 
 def _core_values():
     return [
-        DEFAULT_TOL, ToleranceConfig(), SCAN_TOL, LOW_EPS,
+        DEFAULT_TOL, ToleranceConfig(), LOOSE_TOL, LOW_EPS,
         # equal floats in two types
         TriangleAngles(0.5, 0.5, 0.5), TriangleSides(0.5, 0.5, 0.5),
         solve_from_angles(TriangleAngles(0.6, 0.5, 0.9)),
@@ -246,10 +246,12 @@ def test_core_types_take_keywords():
     angles = TriangleAngles(A=0.6, B=0.5, C=0.9, tol=DEFAULT_TOL)
     sides = solve_from_angles(angles).sides
     assert angles == TriangleAngles(0.6, 0.5, 0.9)
-    assert TriangleSides(a=sides.a, b=sides.b, c=sides.c, tol=SCAN_TOL) == sides
+    assert TriangleSides(a=sides.a, b=sides.b, c=sides.c, tol=LOOSE_TOL) == sides
     assert Triangle(sides=sides, angles=angles, tol=DEFAULT_TOL) == solve_from_angles(angles)
     tol = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
-    assert tol == ToleranceConfig(1e-9, 1e-3) == SCAN_TOL
+    assert tol == ToleranceConfig(1e-9, 1e-3) == LOOSE_TOL
+    # the scan's policy is the one default, under its old name too
+    assert SCAN_TOL is DEFAULT_TOL
     assert ToleranceConfig(eps_angle=1e-3).eps_angle == 1e-3
     # the side cap and the ordering tie band are constants, not fields
     for kwargs in ({"atol_equal": 1e-12}, {"max_side": 50.0}):
@@ -650,7 +652,7 @@ def _mismatches(fn, ref, grid):
     return bad, seen
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE_TOL])
 def test_check_angles_matches_loop_form(tol):
     grid = [(*abc, tol) for abc in product(special_floats(), repeat=3)]
     bad, seen = _mismatches(_check_angles, _ref_check_angles, grid)
@@ -666,7 +668,7 @@ NEAR_TIES = [
 ]
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL, ORACLE_TOL])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE_TOL, ORACLE_TOL])
 def test_check_sides_matches_loop_form(tol):
     # the side rule reads no field of tol: TriangleSides decides every triple
     # alike under each ToleranceConfig in use. The cap keeps every side that
@@ -751,7 +753,7 @@ def test_triangle_matches_loop_form_on_solved_triangles():
 
     seen = set()
     for tri in seeded_triangles(200, seed=5):
-        for t in (SCAN_TOL, ToleranceConfig(rtol_identity=1e-16)):
+        for t in (LOOSE_TOL, ToleranceConfig(rtol_identity=1e-16)):
             got = outcome(build, tri.sides, tri.angles, t)
             args = (*tri.sides.as_tuple(), *tri.angles.as_tuple(), t)
             assert got == outcome(_ref_check_solved, *args)

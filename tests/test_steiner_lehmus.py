@@ -29,7 +29,6 @@ from hyptri import (
     NoBracket,
     NonConvergence,
     NumericalFailure,
-    SCAN_TOL,
     ScanReport,
     SplitMix64,
     ToleranceConfig,
@@ -49,15 +48,16 @@ from hyptri import (
     TriangleSides,
 )
 import hyptri.steiner_lehmus as steiner_lehmus
+from hyptri import cli
 from hyptri.cevian import _adjacent_split
 from hyptri.core import _MAX_SIDE, _cevian_length, _sides_from_angles
 from hyptri.rng import _LANES
 from hyptri.steiner_lehmus import (
     _bracketed_hybrid, _count_sign_changes, _evidence, _gap_in_C, _merge_parts, _merge_signs,
-    _scan_part,
+    _scan_part, _sign_law,
 )
 
-from conftest import angle_triples, seeded_triangles
+from conftest import LOOSE_TOL, angle_triples, seeded_triangles
 
 
 def test_trace_isosceles_is_neutral():
@@ -77,14 +77,14 @@ def test_trace_D_matches_its_sum_form_and_the_sign_of_B_minus_C():
     rng = SplitMix64(42)
     outside = 0
     for _ in range(2000):
-        A, B, C = sample_angles(rng, SCAN_TOL.eps_angle)
-        t = solve_from_angles(TriangleAngles(A, B, C, tol=SCAN_TOL), tol=SCAN_TOL)
-        d = bisector_lengths(t, SCAN_TOL)
-        D = proof_trace(t, d, SCAN_TOL).D
+        A, B, C = sample_angles(rng, LOOSE_TOL.eps_angle)
+        t = solve_from_angles(TriangleAngles(A, B, C, tol=LOOSE_TOL), tol=LOOSE_TOL)
+        d = bisector_lengths(t, LOOSE_TOL)
+        D = proof_trace(t, d, LOOSE_TOL).D
         first = math.sinh(t.b) / math.sinh(d.u)
         second = math.sinh(t.c) / math.sinh(d.v)
         assert abs(D - (first - second)) <= 1e-12 * max(first, second)
-        if not check_monotonicity(t, SCAN_TOL, d).in_tie_band:
+        if not check_monotonicity(t, LOOSE_TOL, d).in_tie_band:
             outside += 1
             sign = (B > C) - (B < C)
             assert (D > 0.0) - (D < 0.0) == sign
@@ -155,13 +155,13 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
         c = 50.0 * rng.random()
         A = math.pi * rng.random()
         try:
-            t = solve_from_sas(b, A, c, SCAN_TOL)
+            t = solve_from_sas(b, A, c, LOOSE_TOL)
         except HypTriError as exc:
             seen[type(exc).__name__] += 1
             continue
-        row = public_fields(t, SCAN_TOL)
+        row = public_fields(t, LOOSE_TOL)
         in_band, passed = row[-2:]
-        R3 = proof_trace(t, tol=SCAN_TOL).R3
+        R3 = proof_trace(t, tol=LOOSE_TOL).R3
         seen["accepted"] += 1
         seen["below the fixed bound"] += abs(t.C - t.B) < steiner_lehmus.TIE_BAND_ANGLE
         seen["in the band"] += in_band
@@ -173,7 +173,7 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
     fields = iter([row for _, row in rows])
     monkeypatch.setattr(steiner_lehmus, "_angles_from_draws", lambda *draws: next(triples))
     monkeypatch.setattr(steiner_lehmus, "_evidence", lambda A, B, C, tol: next(fields))
-    mono, proof_steps, ties = _scan_part(42, 0, len(rows), SCAN_TOL)[4:]
+    mono, proof_steps, ties = _scan_part(42, 0, len(rows), LOOSE_TOL)[4:]
     seen["scan monotonicity failures"] = mono
     seen["scan proof-step failures"] = proof_steps
     seen["scan tie-band samples"] = ties
@@ -225,7 +225,7 @@ def per_triangle_gap(A, B, C):
 def gap_triples():
     """1000 uniform simplex triples, then 1000 needles and slivers: A and B
     log-uniform in [1e-9, 2.5], C a log-uniform fraction of what is left."""
-    triples = sampled(8, 1000, SCAN_TOL.eps_angle)
+    triples = sampled(8, 1000, LOOSE_TOL.eps_angle)
     rnd = random.Random(8)
 
     def log_uniform(lo, hi):
@@ -296,7 +296,7 @@ def solved_bisectors(A, B, C, tol):
             "36585403380b3960114057119795bfad47b86328fc11d1c29bea4bd5d4bfcf9c",
         ),
         (
-            SCAN_TOL,
+            LOOSE_TOL,
             {"accepted": 1690, "solve": 310},
             "e5233cf456553675d7c18bf615241b16c11353d5214f9c0b743f4d0a7fcffb56",
         ),
@@ -335,7 +335,7 @@ def test_solver_outputs_are_pinned():
     assert equal_bisector_report(0.9, 0.7) == EqualBisectorSolve(
         c=0.7000000000000086, iterations=26, sign_changes=1
     )
-    assert equal_bisector_report(0.3, 0.4, SCAN_TOL) == EqualBisectorSolve(
+    assert equal_bisector_report(0.3, 0.4, LOOSE_TOL) == EqualBisectorSolve(
         c=0.40000000000000047, iterations=28, sign_changes=1
     )
 
@@ -501,7 +501,7 @@ def assert_merges_at_every_cut(A, B, lo, hi, points, g=None):
         assert outcome(merged_count, A, B, lo, hi, points, g, cut) == whole, (A, B, points, cut)
 
 
-@pytest.mark.parametrize("tol", [SCAN_TOL, DEFAULT_TOL])
+@pytest.mark.parametrize("tol", [LOOSE_TOL, DEFAULT_TOL])
 def test_sweep_equals_generic_sweep_on_seeded_pairs(tol):
     for A, B in reference_pairs(60, 7):
         hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
@@ -570,7 +570,7 @@ def test_sweep_raises_like_generic_sweep_off_the_simplex():
 
 
 def test_sweep_merges_at_every_cut_on_seeded_pairs():
-    for tol in (SCAN_TOL, DEFAULT_TOL):
+    for tol in (LOOSE_TOL, DEFAULT_TOL):
         for A, B in reference_pairs(20, 7):
             hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
             for points in (1, 2, 3, 7, 1000):
@@ -663,6 +663,78 @@ def test_equal_external_bisectors_do_not_force_an_isosceles_triangle():
     assert tanh_tB == pytest.approx(klein_chord_tanh(a, c, B), rel=1e-14)
     assert tanh_tC == pytest.approx(klein_chord_tanh(a, b, root), rel=1e-14)
     assert EqualBisectorSolve(root, evals, 1).failures(B) == ["|c - B| not below 1e-10"]
+
+
+def cevian_length(x, y, angle, lam):
+    """Length of the cevian that leaves ``angle`` at lam * angle from side x,
+    between sides x and y, from the Beltrami-Klein model centred at that
+    vertex. The chord from (tanh x, 0) to tanh y (cos angle, sin angle),
+    split by area, gives tanh t = pq sin(angle) / (p sin(phi) + q sin(angle -
+    phi)) with p = tanh x, q = tanh y and phi = lam * angle. In coth form,
+    with coth s - 1 = 2/expm1(2s) and sin(phi) + sin(rest) - sin(angle) =
+    4 sin(angle/2) sin(phi/2) sin(rest/2), every term of w = coth t - 1 is
+    positive, and t = log1p(2/w)/2. At lam = 1/2 it is the Klein bisector
+    length of test_cevian."""
+    phi = lam * angle
+    rest = angle - phi
+    w = (
+        2.0 * math.sin(phi) / math.expm1(2.0 * y)
+        + 2.0 * math.sin(rest) / math.expm1(2.0 * x)
+        + 4.0 * math.sin(0.5 * angle) * math.sin(0.5 * phi) * math.sin(0.5 * rest)
+    ) / math.sin(angle)
+    return 0.5 * math.log1p(2.0 / w)
+
+
+def scan_sample_triangles():
+    """The first 2,000 triangles of the seed-42 scan, solved."""
+    triples = sampled(42, 2000, DEFAULT_TOL.eps_angle)
+    return [solve_from_angles(TriangleAngles(*triple)) for triple in triples]
+
+
+def test_cevian_oracle_is_the_bisector_at_one_half():
+    # against bisector_lengths the worst relative difference read 5.6e-15;
+    # against the tanh form, at every lam below, 7.9e-16
+    worst = 0.0
+    for t in scan_sample_triangles():
+        d = bisector_lengths(t)
+        tB, tC = cevian_length(t.a, t.c, t.B, 0.5), cevian_length(t.a, t.b, t.C, 0.5)
+        worst = max(worst, abs(tB - d.tB) / d.tB, abs(tC - d.tC) / d.tC)
+        for lam in (0.05, 0.25, 0.5, 0.75, 0.95):
+            for x, y, angle in ((t.a, t.c, t.B), (t.a, t.b, t.C)):
+                p, q, phi = math.tanh(x), math.tanh(y), lam * angle
+                tanh_t = p * q * math.sin(angle) / (p * math.sin(phi) + q * math.sin(angle - phi))
+                tanh_length = math.tanh(cevian_length(x, y, angle, lam))
+                assert tanh_length == pytest.approx(tanh_t, rel=2e-15)
+    assert worst < 8e-15
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_sign_law_holds_for_cevians_in_one_ratio(lam):
+    # cevians that split B and C in the same ratio keep the sign law on the
+    # sample: evidence at these points, not a theorem
+    violations = 0
+    for t in scan_sample_triangles():
+        tB, tC = cevian_length(t.a, t.c, t.B, lam), cevian_length(t.a, t.b, t.C, lam)
+        violations += not _sign_law(tB - tC, t.B, t.C, tB, tC)[1]
+    assert violations == 0
+
+
+def test_sign_law_reports_violations_for_external_bisectors():
+    # the negative control: the same check, fed the external bisectors of B
+    # and C where both meet the opposite side's line, fails on most of them,
+    # so the sign law is not a verdict that every pair of lengths passes
+    seen = Counter()
+    for t in scan_sample_triangles():
+        tanh_tB = external_bisector_tanh(t.a, t.c, t.B)
+        tanh_tC = external_bisector_tanh(t.a, t.b, t.C)
+        if not (tanh_tB < 1.0 and tanh_tC < 1.0):
+            seen["missing"] += 1
+            continue
+        tB, tC = math.atanh(tanh_tB), math.atanh(tanh_tC)
+        in_band, passed = _sign_law(tB - tC, t.B, t.C, tB, tC)
+        seen["in the band"] += in_band
+        seen["violations"] += not passed
+    assert dict(seen) == {"missing": 1891, "in the band": 0, "violations": 64}
 
 
 @pytest.mark.parametrize("points", [0, -5])
@@ -843,7 +915,7 @@ def test_sample_angles_matches_sorted():
         (0.0, -0.0, 0.0),
         (-0.0, 0.0, -0.0),
     }
-    for draws, eps in product(sorted(cases), (SCAN_TOL.eps_angle, -0.0)):
+    for draws, eps in product(sorted(cases), (LOOSE_TOL.eps_angle, -0.0)):
         got = PresetDraws([*draws, 0.9])
         ref = PresetDraws([*draws, 0.9])
         triple = sample_angles(got, eps)
@@ -871,11 +943,11 @@ TIE_BAND_CASES = [
 
 @pytest.mark.parametrize("seed", [3, 17, 2**63])
 def test_evidence_equals_public_path_on_samples(seed):
-    for A, B, C in sampled(seed, 500, SCAN_TOL.eps_angle):
-        assert _evidence(A, B, C, SCAN_TOL) == public_evidence(A, B, C, SCAN_TOL)
+    for A, B, C in sampled(seed, 500, LOOSE_TOL.eps_angle):
+        assert _evidence(A, B, C, LOOSE_TOL) == public_evidence(A, B, C, LOOSE_TOL)
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, SCAN_TOL])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE_TOL])
 @pytest.mark.parametrize("triple", TIE_BAND_CASES)
 def test_evidence_equals_public_path_in_tie_band(triple, tol):
     fused = _evidence(*triple, tol)
@@ -918,7 +990,7 @@ REJECTION_TRIPLES = [
 ]
 REJECTION_TOLS = [
     DEFAULT_TOL,
-    SCAN_TOL,
+    LOOSE_TOL,
     ToleranceConfig(rtol_identity=1e-15),
     ToleranceConfig(rtol_identity=1e-8, eps_angle=1e-6),  # loosest identity tolerance
     ToleranceConfig(rtol_identity=3e-16, eps_angle=1e-3),
@@ -965,7 +1037,7 @@ def test_evidence_accepts_a_near_tie_that_its_plain_sum_doubts(triple, monkeypat
             DEFAULT_TOL,
             {"accepted": 1924, "triangle": 40, "sub-triangle": 32, "foot": 3, "law": 1},
         ),
-        (SCAN_TOL, {"accepted": 1690, "angle": 310}),
+        (LOOSE_TOL, {"accepted": 1690, "angle": 310}),
     ],
 )
 def test_evidence_equals_public_path_on_needle_grid(tol, counts):
@@ -986,7 +1058,7 @@ def test_evidence_rejects_a_side_over_the_cap():
         assert outcome(evidence, math.pi - 1e-6, 1e-18, 1e-18, DEFAULT_TOL) == (DomainCap, message)
 
 
-def public_scan(n, seed, tol=SCAN_TOL):
+def public_scan(n, seed, tol=DEFAULT_TOL):
     """scan_random's reduction over the public per-triangle calls."""
     max_sine = max_cevian = max_ratio = max_side = 0.0
     mono_failures = ineq_failures = ties = 0
@@ -1106,11 +1178,11 @@ def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
 
     monkeypatch.setattr(steiner_lehmus, "_evidence", evidence)
     n = 1000
-    whole = _scan_part(77, 0, n, SCAN_TOL)
+    whole = _scan_part(77, 0, n, DEFAULT_TOL)
     assert whole[4] == 0 and 0 < whole[5] < n
     for mid in (128, 512, 896):
-        part = _scan_part(77, mid, n, SCAN_TOL)
-        assert _merge_parts(_scan_part(77, 0, mid, SCAN_TOL), part) == whole
+        part = _scan_part(77, mid, n, DEFAULT_TOL)
+        assert _merge_parts(_scan_part(77, 0, mid, DEFAULT_TOL), part) == whole
 
 
 def test_scan_draws_one_block_at_a_time(monkeypatch):
@@ -1168,7 +1240,7 @@ def test_equality_study_aggregates_the_pair_verdicts(monkeypatch):
     # the first pair's 0.0 as the worst, by max's rule
     seen = []
 
-    def stub(A, B, tol):
+    def stub(A, B):
         seen.append((A, B))
         c = math.nan if len(seen) == 3 else B
         changes = 2 if len(seen) == 2 else 1
@@ -1178,23 +1250,19 @@ def test_equality_study_aggregates_the_pair_verdicts(monkeypatch):
     study = equality_study(5, 42)
     assert seen == reference_pairs(5, 42)
     assert study == steiner_lehmus.EqualityStudy(
-        pairs=5, seed=42, eps_angle=SCAN_TOL.eps_angle, max_root_gap=0.0,
+        pairs=5, seed=42, eps_angle=DEFAULT_TOL.eps_angle, max_root_gap=0.0,
         worst_A=seen[0][0], worst_B=seen[0][1], root_iterations=15, failing_pairs=2,
     )
     assert study.failures() == ["2 of 5 pairs fail the equality-case criteria"]
 
 
-def test_study_worst_pair_solves_differently_under_default_tol():
-    # the worst pair of `hyptri study 1000 --seed 42`: the study brackets from
-    # SCAN_TOL.eps_angle = 1e-3, `hyptri verify` from DEFAULT_TOL's 1e-9
-    A, B = 2.566169289612388, 0.10791570449791021
-    assert equal_bisector_report(A, B, SCAN_TOL) == EqualBisectorSolve(
-        c=0.10791570449795182, iterations=19, sign_changes=1
-    )
-    assert abs(0.10791570449795182 - B) == 4.160560784782774e-14
-    assert equal_bisector_report(A, B, DEFAULT_TOL) == EqualBisectorSolve(
-        c=0.10791570449791023, iterations=29, sign_changes=1
-    )
+def test_scan_triangles_replay_through_bisect(capsys):
+    # the scan and `hyptri bisect` run one policy, so a scan triangle,
+    # replayed from its counter state, is accepted on the command line too
+    for i in (0, 1, 127, 128, 1023, 1024, 99_999):
+        A, B, C = triangle_angles(42, i)
+        assert cli.main(["bisect", "aaa", repr(A), repr(B), repr(C)]) == 0, i
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -1210,7 +1278,7 @@ def test_scan_triangle_replays_from_the_counter_state(seed, monkeypatch):
     scan_random(400, seed)
     for i in (0, 1, 127, 128, 129, 399):
         rng = SplitMix64((seed + 3 * i * GAMMA) % 2**64)
-        assert seen[i] == sample_angles(rng, SCAN_TOL.eps_angle)
+        assert seen[i] == sample_angles(rng, DEFAULT_TOL.eps_angle)
 
 
 def test_scan_rejection_is_pinned():
@@ -1222,12 +1290,12 @@ def test_scan_rejection_is_pinned():
     assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
 
 
-def triangle_angles(seed, i, tol=SCAN_TOL):
+def triangle_angles(seed, i, tol=DEFAULT_TOL):
     """Triangle i of scan_random(n, seed, tol), replayed from its counter state."""
     return sample_angles(SplitMix64((seed + 3 * i * GAMMA) % 2**64), tol.eps_angle)
 
 
-def fail_at(monkeypatch, seed, messages, tol=SCAN_TOL):
+def fail_at(monkeypatch, seed, messages, tol=DEFAULT_TOL):
     """Make _evidence raise NumericalFailure(messages[i]) at triangle i of
     the scan with this seed; the patch holds in forked children too."""
     at = {triangle_angles(seed, i, tol): message for i, message in messages.items()}
@@ -1431,7 +1499,7 @@ def test_scan_defers_sigint_until_the_helper_is_recorded(scan_parts, monkeypatch
     assert steiner_lehmus._helper[0] == pid
 
 
-def one_process_report(A, B, tol=SCAN_TOL):
+def one_process_report(A, B, tol=DEFAULT_TOL):
     """equal_bisector_report(A, B, tol) computed in this process alone."""
     g = _gap_in_C(A, B)
     hi = math.fsum((math.pi, -A, -B, -tol.eps_angle))
@@ -1443,7 +1511,7 @@ def one_process_report(A, B, tol=SCAN_TOL):
 def test_split_sweep_equals_one_pass_on_study_pairs(scan_parts):
     forks = scan_parts(True)
     for A, B in reference_pairs(300, 42):
-        assert equal_bisector_report(A, B, SCAN_TOL) == one_process_report(A, B), (A, B)
+        assert equal_bisector_report(A, B) == one_process_report(A, B), (A, B)
     assert len(forks) == 1
     assert steiner_lehmus._helper is not None
 
@@ -1525,8 +1593,6 @@ def test_calls_fork_the_helper_once(scan_parts):
 
 
 def test_verify_forks_nothing(scan_parts, capsys):
-    from hyptri import cli
-
     forks = scan_parts(True)
     assert cli.main(["verify", "0.9", "0.7"]) == 0
     assert forks == []
@@ -1631,12 +1697,12 @@ def test_helper_killed_between_calls_falls_back_to_the_same_bytes(scan_parts):
     assert scan_random(1000, 31) == expected
     os.kill(steiner_lehmus._helper[0], signal.SIGKILL)
     wait_for_exit(steiner_lehmus._helper[0])
-    request = ("scan", (31, 512, 1000, SCAN_TOL.rtol_identity, SCAN_TOL.eps_angle))
+    request = ("scan", (31, 512, 1000, DEFAULT_TOL.rtol_identity, DEFAULT_TOL.eps_angle))
     mine, part = steiner_lehmus._beside_helper(
-        True, request, lambda: _scan_part(31, 0, 512, SCAN_TOL)
+        True, request, lambda: _scan_part(31, 0, 512, DEFAULT_TOL)
     )
     assert steiner_lehmus._helper is None
-    assert repr(steiner_lehmus._merge_parts(mine, part)) == repr(_scan_part(31, 0, 1000, SCAN_TOL))
+    assert repr(steiner_lehmus._merge_parts(mine, part)) == repr(_scan_part(31, 0, 1000, DEFAULT_TOL))
     # a call that finds a dead helper before it writes reaps it and starts a
     # new one
     assert repr(scan_random(1000, 31)) == repr(expected)
