@@ -441,12 +441,15 @@ def equal_bisector_report(
     steps between them.
 
     Every report sweeps two halves, the lower after the root solve, and
-    merges them exactly (``_merge_signs``). Where ``_sweep_splits`` allows,
-    the helper process sweeps the upper half while the caller solves for the
+    merges them exactly (``_merge_signs``). Where ``_splits``, the one split
+    gate of scans and reports, allows (``_MIN_SWEEP_POINTS`` points or more;
+    only the second such report in the process may start the helper), the
+    helper process sweeps the upper half while the caller solves for the
     root and sweeps the lower, so the result is the same bits wherever the
     upper half runs. The first rejection in grid order raises, with its
     class and message: the root solve's comes first, and the caller sweeps
     the upper half itself when the helper failed."""
+    global _splittable_reports
     _check_count("sweep point", sweep_points)
     _check_angles(A, B, B, tol)
     if B <= tol.eps_angle:
@@ -454,10 +457,13 @@ def equal_bisector_report(
     lo = tol.eps_angle
     hi = math.fsum((math.pi, -A, -B, -lo))
 
+    enough = sweep_points >= _MIN_SWEEP_POINTS
+    if enough and _can_fork():
+        _splittable_reports += 1
     g = _gap_in_C(A, B)
     cut = sweep_points // 2
     (root, evals, lower), upper = _beside_helper(
-        _sweep_splits(sweep_points),
+        _splits(enough, _splittable_reports > 1),
         ("sweep", (A, B, lo, hi, sweep_points, cut, sweep_points + 1)),
         lambda: (*_bracketed_hybrid(g, lo, hi),
                  _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, cut)),
@@ -682,15 +688,15 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
 
 def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     """The running aggregates of ``scan_random(n, seed, tol)`` over its
-    triangles ``start`` to ``stop - 1``, ``start`` a multiple of
-    ``_SCAN_BLOCK``: (max sine residual, max sub-triangle residual, max
-    foot-ratio residual, max side, monotonicity failures, inequality
-    failures, tie-band samples).
+    triangles ``start`` to ``stop - 1``, for any ``start``, as the middle
+    cut of ``scan_random`` needs: (max sine residual, max sub-triangle
+    residual, max foot-ratio residual, max side, monotonicity failures,
+    inequality failures, tie-band samples).
 
     Triangle ``start`` starts at the counter state ``seed + 3 * start * GAMMA``,
     and the draws come from ``SplitMix64.randoms`` one block of
-    ``_SCAN_BLOCK`` triangles at a time, the last block shorter: the same
-    blocks, and the same floats, as a scan of all ``n`` from 0.
+    ``_SCAN_BLOCK`` triangles at a time from ``start``, the last block
+    shorter: the same floats as a scan of all ``n`` from 0.
     """
     sin = math.sin
     rng = SplitMix64((seed + 3 * start * _GAMMA) & _MASK64)
@@ -752,8 +758,9 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
     )
 
 
-# Blocks per part below which a scan does not hand a part to the helper:
-# the part is too short to pay for starting one. Forced two-part splits
+# Blocks per part below which a scan does not start the helper; a scan of
+# one block per part (2 * _SCAN_BLOCK triangles) or more still hands its
+# second half to a helper that runs. Forced two-part splits
 # against one process (Python 3.11, shared 2-vCPU host, 16 MiB caller; ten
 # alternating pairs, each side the fastest call in 1 s of calls): with the
 # helper already running, the split won all 10 pairs at every size from 1
@@ -764,7 +771,8 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
 # and 8 (9.71 ms against 13.04 ms at 8). So the bound matters only for the
 # call that starts the helper, and in a 93 MiB caller a fork, exit and wait
 # took 4.1-4.5 ms. 8 keeps that first call well clear of the fork's cost, so
-# a 2000-triangle scan (16 blocks) splits and a 1920-triangle one does not.
+# a 2000-triangle scan (16 blocks) starts the helper and a 1920-triangle one
+# (15 blocks) does not.
 _MIN_PART_BLOCKS = 8
 
 # Sweep points below which an equality report does not split its sweep.
@@ -794,12 +802,12 @@ _HELPER_IDLE_S = 1.0
 # request in flight at a time.
 # (pid, request write end, reply read end) while it runs, else None.
 _helper = None
-# equality reports in this process so far that passed the split gate: the
-# second one starts the helper, so a one-shot report never forks. Cold
-# starts of `hyptri verify 0.9 0.7` took 94.2 ms without the fork and
-# 105.7 ms with it (medians of 30 alternating pairs, Python 3.11, shared
-# 2-vCPU host; the one without it faster in 23): the fork and the reaping
-# at exit cost more than one split sweep saves.
+# equality reports in this process so far with enough sweep points where
+# _can_fork allowed: only the second and later may start the helper, so a
+# one-shot report never forks. Cold starts of `hyptri verify 0.9 0.7` took
+# 94.2 ms without the fork and 105.7 ms with it (medians of 30 alternating
+# pairs, Python 3.11, shared 2-vCPU host; the one without it faster in 23):
+# the fork and the reaping at exit cost more than one split sweep saves.
 _splittable_reports = 0
 
 
@@ -828,27 +836,12 @@ def _can_fork() -> bool:
     )
 
 
-def _scan_splits(blocks: int) -> bool:
-    """Whether a scan of ``blocks`` blocks hands a part to the helper: with
-    ``_MIN_PART_BLOCKS`` or more in each of the two parts, where
-    ``_can_fork`` allows, and where the helper runs or could be started."""
-    return (
-        blocks >= 2 * _MIN_PART_BLOCKS
-        and _can_fork()
-        and (_helper_runs() or _start_helper())
-    )
-
-
-def _sweep_splits(points: int) -> bool:
-    """Whether an equality report of ``points`` sweep points hands half its
-    sweep to the helper: with at least ``_MIN_SWEEP_POINTS`` points, where
-    ``_can_fork`` allows, and where the helper runs, or this is the second
-    such report in the process and the helper could be started."""
-    global _splittable_reports
-    if points < _MIN_SWEEP_POINTS or not _can_fork():
-        return False
-    _splittable_reports += 1
-    return _helper_runs() or (_splittable_reports > 1 and _start_helper())
+def _splits(enough: bool, may_start: bool) -> bool:
+    """Whether a scan or an equality report hands its second half to the
+    helper, the one gate of both: where the call has ``enough`` work, where
+    ``_can_fork`` allows, and where the helper runs or this call ``may_start``
+    it."""
+    return enough and _can_fork() and (_helper_runs() or (may_start and _start_helper()))
 
 
 def _helper_runs() -> bool:
@@ -1036,29 +1029,29 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScanRe
     The triangles are those of ``n`` calls of ``sample_angles`` on
     ``SplitMix64(seed)``, bit for bit, but their uniforms come from
     ``SplitMix64.randoms`` for a fixed block of ``_SCAN_BLOCK`` (128)
-    triangles at a time, the last block shorter: one wide-integer pass per
-    block, one 128-bit lane per draw, decoded from little-endian bytes (see
-    ``hyptri.rng``). Each process of the scan holds one block of draws at a
-    time, whatever ``n``.
+    triangles at a time, each part's last block shorter: one wide-integer
+    pass per block, one 128-bit lane per draw, decoded from little-endian
+    bytes (see ``hyptri.rng``). Each process of the scan holds one block of
+    draws at a time, whatever ``n``.
 
-    The blocks are cut in two contiguous parts at ``mid``, half the blocks
-    rounded down (0 for one block), each scanned by ``_scan_part`` and
-    merged in index order by the reduction's own rule. Where
-    ``_scan_splits`` allows, the helper process scans triangles ``mid`` on
-    while the caller scans the rest, so the report is the same bits
-    wherever the second part runs. The first failing triangle in index
-    order raises, with its own class and message, since the caller scans
-    the second part itself when the helper failed or could not be made.
-    The helper is started by the first scan of ``_MIN_PART_BLOCKS`` blocks
-    or more per part and serves later calls until it idles for
-    ``_HELPER_IDLE_S``; no helper outlives its caller.
+    The triangles are cut in two contiguous parts at the middle triangle,
+    ``mid = n // 2`` (1000 | 1000 for ``n = 2000``, 0 | 1 for ``n = 1``),
+    each scanned by ``_scan_part`` and merged in index order by the
+    reduction's own rule. Where ``_splits``, the one split gate of scans and
+    reports, allows (``2 * _SCAN_BLOCK`` triangles or more), the helper
+    process scans triangles ``mid`` on while the caller scans the rest, so
+    the report is the same bits wherever the second part runs. The first
+    failing triangle in index order raises, with its own class and message,
+    since the caller scans the second part itself when the helper failed or
+    could not be made. The helper is started by the first scan of
+    ``2 * _MIN_PART_BLOCKS`` blocks or more and serves later calls until it
+    idles for ``_HELPER_IDLE_S``; no helper outlives its caller.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs
-    blocks = -(-n // _SCAN_BLOCK)
-    mid = blocks // 2 * _SCAN_BLOCK
+    mid = n // 2
     totals = _merge_parts(*_beside_helper(
-        _scan_splits(blocks),
+        _splits(n >= 2 * _SCAN_BLOCK, -(-n // _SCAN_BLOCK) >= 2 * _MIN_PART_BLOCKS),
         ("scan", (seed, mid, n, tol.rtol_identity, tol.eps_angle)),
         lambda: _scan_part(seed, 0, mid, tol),
     ))

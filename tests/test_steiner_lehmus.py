@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import marshal
 import math
 import os
 import random
@@ -1097,10 +1098,10 @@ def public_scan(n, seed, tol=DEFAULT_TOL):
 @pytest.fixture
 def scan_parts(monkeypatch):
     """``force(split)`` makes scan_random hand a part to the helper for any
-    two blocks or more, and equal_bisector_report half its sweep, when
-    ``split`` is true, and keeps both in the caller when it is false; it
-    returns the list that each fork appends to. After the test the helper
-    is stopped and no child of this process is left."""
+    one block per part or more (256 triangles), and equal_bisector_report
+    half its sweep, when ``split`` is true, and keeps both in the caller
+    when it is false; it returns the list that each fork appends to. After
+    the test the helper is stopped and no child of this process is left."""
     forks = []
     fork = os.fork
 
@@ -1136,17 +1137,17 @@ def test_scan_forks_one_child_on_eight_cpus(scan_parts, monkeypatch):
     assert len(forks) == 1
 
 
-# 255-257 and 383-385 put the cut after one block of an odd count of blocks
-# (the child takes the larger part) and on a short or full last block; on
-# one CPU the caller scans both parts, the first empty (mid = 0) for n up to
-# 128
+# the middle cut n // 2 falls inside the first block (n up to 255, the first
+# part empty for n = 1), on its edge (256) and past it, at an even or odd n
+# (the helper takes the larger part) and before a short or full last block;
+# below 256 triangles, or on one CPU, the caller scans both parts
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 385, 255, 256, 257, 383, 384])
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
 def test_scan_equals_public_reduction_at_block_edges(seed, n, parts, scan_parts):
     forks = scan_parts(parts == 2)
     assert scan_random(n, seed) == public_scan(n, seed)
-    assert len(forks) == min(parts, -(-n // 128)) - 1
+    assert len(forks) == (parts == 2 and n >= 256)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -1154,9 +1155,15 @@ def test_scan_equals_public_reduction_at_block_edges(seed, n, parts, scan_parts)
     "blocks", [2 * steiner_lehmus._MIN_PART_BLOCKS - 1, 2 * steiner_lehmus._MIN_PART_BLOCKS]
 )
 def test_scan_splits_on_two_cpus_and_two_full_parts(blocks, cpus, monkeypatch):
+    # with no helper running, a scan of 2 * _MIN_PART_BLOCKS blocks (its
+    # last one short) starts one on two CPUs or more, and one block fewer
+    # does not
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = []
+    monkeypatch.setattr(steiner_lehmus, "_start_helper", lambda: started.append(1) or False)
+    scan_random((blocks - 1) * 128 + 1, 31)
     expected = cpus >= 2 and blocks >= 2 * steiner_lehmus._MIN_PART_BLOCKS
-    assert steiner_lehmus._scan_splits(blocks) is (expected and hasattr(os, "fork"))
+    assert len(started) == (expected and hasattr(os, "fork"))
 
 
 @pytest.mark.parametrize("count", [None, 1, 2])
@@ -1165,8 +1172,30 @@ def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
     # an unknown count (None) means one CPU
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    blocks = 2 * steiner_lehmus._MIN_PART_BLOCKS
-    assert steiner_lehmus._scan_splits(blocks) is (count == 2 and hasattr(os, "fork"))
+    assert steiner_lehmus._splits(True, True) is (count == 2 and hasattr(os, "fork"))
+
+
+@pytest.mark.parametrize("enough, may_start, running, can_fork", product([False, True], repeat=4))
+def test_one_gate_decides_every_split(enough, may_start, running, can_fork, monkeypatch):
+    # a call splits where it has enough work, may fork, and the helper runs
+    # or the call may start it; only such a call with no helper running
+    # starts one
+    started = []
+    monkeypatch.setattr(steiner_lehmus, "_can_fork", lambda: can_fork)
+    monkeypatch.setattr(steiner_lehmus, "_helper_runs", lambda: running)
+    monkeypatch.setattr(steiner_lehmus, "_start_helper", lambda: started.append(1) or True)
+    splits = steiner_lehmus._splits(enough, may_start)
+    assert splits is (enough and can_fork and (running or may_start))
+    assert len(started) == (enough and can_fork and not running and may_start)
+
+
+@pytest.mark.parametrize("seed", [31, 2**64 - 1])
+def test_middle_cut_merges_to_one_part(seed):
+    for n in (1, 2, 127, 128, 129, 255, 256, 257, 1999, 2000, 2001):
+        mid = n // 2
+        halves = _merge_parts(_scan_part(seed, 0, mid, DEFAULT_TOL),
+                              _scan_part(seed, mid, n, DEFAULT_TOL))
+        assert repr(halves) == repr(_scan_part(seed, 0, n, DEFAULT_TOL)), n
 
 
 def test_scan_parts_merge_to_one_part_nan_included(monkeypatch):
@@ -1195,7 +1224,8 @@ def test_scan_draws_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(SplitMix64, "randoms", spy)
     scan_random(385, 5)
-    assert counts == [384, 384, 384, 3]
+    # triangles 0-191 and 192-384, each part in blocks from its own start
+    assert counts == [384, 192, 384, 195]
 
 
 def test_scan_rejects_a_float_count_before_drawing(monkeypatch):
@@ -1310,7 +1340,7 @@ def fail_at(monkeypatch, seed, messages, tol=DEFAULT_TOL):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_scan_raises_a_failure_in_the_last_part(parts, scan_parts, monkeypatch):
-    # 1000 triangles in 2 parts: triangles 0-511 and 512-999
+    # 1000 triangles in 2 parts: triangles 0-499 and 500-999
     scan_parts(parts == 2)
     fail_at(monkeypatch, 7, {900: "triangle 900 fails"})
     with pytest.raises(NumericalFailure) as info:
@@ -1321,7 +1351,7 @@ def test_scan_raises_a_failure_in_the_last_part(parts, scan_parts, monkeypatch):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_scan_raises_the_first_rejection_in_index_order(parts, scan_parts, monkeypatch):
-    # triangle 798 fails in part 0 of 2 (triangles 0-1023), triangle 1900 in
+    # triangle 798 fails in part 0 of 2 (triangles 0-999), triangle 1900 in
     # part 1
     scan_parts(parts == 2)
     tol = ToleranceConfig(rtol_identity=8.7e-15, eps_angle=1e-3)
@@ -1589,6 +1619,31 @@ def test_calls_fork_the_helper_once(scan_parts):
         assert scan_random(1000, seed) == public_scan(1000, seed)
         assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7, DEFAULT_TOL)
     assert equality_study(5, 42) == equality_study(5, 42)
+    assert len(forks) == 1
+
+
+def test_running_helper_takes_half_of_any_scan_of_one_block_per_part(scan_parts, monkeypatch):
+    # only a scan of 2 * _MIN_PART_BLOCKS blocks starts the helper, but once
+    # it runs every scan of 256 triangles or more hands it the second half
+    min_part_blocks = steiner_lehmus._MIN_PART_BLOCKS
+    forks = scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", min_part_blocks)
+    assert scan_random(2000, 31) == public_scan(2000, 31)
+    assert len(forks) == 1
+    requests = steiner_lehmus._helper[1]
+    sent = []
+    write = os.write
+
+    def recording(fd, data):
+        if fd == requests:
+            sent.append(marshal.loads(data)[1][1:3])
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording)
+    for seed in (32, 33):
+        for n in (255, 256, 1920):
+            assert scan_random(n, seed) == public_scan(n, seed), (n, seed)
+    assert sent == 2 * [(128, 256), (960, 1920)]
     assert len(forks) == 1
 
 
