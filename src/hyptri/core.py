@@ -52,9 +52,7 @@ _set = object.__setattr__  # stores a field past the frozen __setattr__
 
 class _Frozen:
     """Base of the value types below and of the record types of ``cevian``
-    and ``diskmodel``, whose fields are their ``__slots__``. The triangle
-    types' ``__match_args__`` also name ``tol``, as their dataclass InitVar
-    did.
+    and ``diskmodel``, whose fields are their ``__slots__``.
 
     It gives them what a frozen ``@dataclass`` with slots would:
     ``repr``, ``==`` (same class only) and ``hash`` over the fields in
@@ -206,8 +204,7 @@ def _check_ordering(a: float, b: float, c: float, A: float, B: float, C: float) 
 class TriangleAngles(_Frozen):
     """Interior angles of a hyperbolic triangle; validates positivity and angle sum."""
 
-    __slots__ = ("A", "B", "C")
-    __match_args__ = ("A", "B", "C", "tol")
+    __slots__ = __match_args__ = ("A", "B", "C")
     A: float
     B: float
     C: float
@@ -227,8 +224,7 @@ class TriangleSides(_Frozen):
     triangle inequality, and the side cap. None of these rules reads ``tol``;
     the parameter stays so that the three triangle types are built alike."""
 
-    __slots__ = ("a", "b", "c")
-    __match_args__ = ("a", "b", "c", "tol")
+    __slots__ = __match_args__ = ("a", "b", "c")
     a: float
     b: float
     c: float
@@ -246,8 +242,7 @@ class TriangleSides(_Frozen):
 class Triangle(_Frozen):
     """A fully solved triangle: sides and angles, mutually consistent."""
 
-    __slots__ = ("sides", "angles")
-    __match_args__ = ("sides", "angles", "tol")
+    __slots__ = __match_args__ = ("sides", "angles")
     sides: TriangleSides
     angles: TriangleAngles
 

@@ -32,13 +32,13 @@ __all__ = _public_names(__name__)
 _COLLINEAR_TOL = 1e-12
 _ORTHO_TOL = 1e-12
 # |p - center|^2 - radius^2 of an arc's end, relative to max(1, radius^2)
-# as in the orthogonality test, above which the circle misses the end. On
-# geodesic_arc's own outputs it reached 6.3e-14 for uniform pairs, 2.5e-12
-# near diameters and 7.8e-12 near the boundary, but 3.0e-4 for two points
-# about 1e-12 apart near the boundary, where the center solve divides by a
-# cross product just over _COLLINEAR_TOL (about 1.5 million arcs); 1e-2 is
-# about thirty times that.
-_ON_CIRCLE_TOL = 1e-2
+# as in the orthogonality test, above which the circle misses the end.
+# geodesic_arc's circles meet their ends to rounding: on 40,000 draws of
+# each family of test_arc_accepts_every_geodesic_arc_circle the residual
+# reached 9.4e-16 (uniform, near-diameter and near-boundary pairs) and
+# 6.6e-24 (pairs about 1e-12 apart near the boundary); 3e-14 is about
+# thirty times the worst.
+_ON_CIRCLE_TOL = 3e-14
 
 
 class DiskPoint(_Frozen):
@@ -166,15 +166,14 @@ def geodesic_arc(p: DiskPoint, q: DiskPoint) -> GeodesicArc:
     cross = p.x * q.y - p.y * q.x
     if abs(cross) < _COLLINEAR_TOL:
         return GeodesicArc(p, q, "segment")
-    # 2 <c, p> = |p|^2 + 1 and 2 <c, q> = |q|^2 + 1 pin the orthogonal center
-    P = p.x * p.x + p.y * p.y + 1.0
-    Q = q.x * q.x + q.y * q.y + 1.0
-    cx = (P * q.y - Q * p.y) / (2.0 * cross)
-    cy = (p.x * Q - q.x * P) / (2.0 * cross)
-    rr = cx * cx + cy * cy - 1.0
-    if rr <= 0.0:
-        raise NumericalFailure("orthogonal circle collapsed; points too close to collinear")
-    return GeodesicArc(p, q, "arc", center=(cx, cy), radius=math.sqrt(rr))
+    # 2 <c, p> = |p|^2 + 1 and 2 <c, q> = |q|^2 + 1 pin the orthogonal
+    # center; it lies on the perpendicular bisector of pq, at
+    # c = (p + q)/2 + s rot90(p - q), so the circle passes through both ends
+    # however the rounding of s moves it along that line
+    s = (1.0 - (p.x * q.x + p.y * q.y)) / (2.0 * cross)
+    cx = 0.5 * (p.x + q.x) - s * (p.y - q.y)
+    cy = 0.5 * (p.y + q.y) + s * (p.x - q.x)
+    return GeodesicArc(p, q, "arc", center=(cx, cy), radius=math.hypot(cx - p.x, cy - p.y))
 
 
 # --- SVG rendering --------------------------------------------------------

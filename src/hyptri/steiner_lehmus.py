@@ -26,6 +26,7 @@ import marshal
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from itertools import chain
 
@@ -441,15 +442,13 @@ def equal_bisector_report(
     steps between them.
 
     Every report sweeps two halves, the lower after the root solve, and
-    merges them exactly (``_merge_signs``). Where ``_splits``, the one split
-    gate of scans and reports, allows (``_MIN_SWEEP_POINTS`` points or more;
-    only the second such report in the process may start the helper), the
+    merges them exactly (``_merge_signs``). Where ``_splits`` allows
+    (``_MIN_SWEEP_POINTS`` points or more, and its one start rule), the
     helper process sweeps the upper half while the caller solves for the
     root and sweeps the lower, so the result is the same bits wherever the
     upper half runs. The first rejection in grid order raises, with its
     class and message: the root solve's comes first, and the caller sweeps
     the upper half itself when the helper failed."""
-    global _splittable_reports
     _check_count("sweep point", sweep_points)
     _check_angles(A, B, B, tol)
     if B <= tol.eps_angle:
@@ -457,13 +456,10 @@ def equal_bisector_report(
     lo = tol.eps_angle
     hi = math.fsum((math.pi, -A, -B, -lo))
 
-    enough = sweep_points >= _MIN_SWEEP_POINTS
-    if enough and _can_fork():
-        _splittable_reports += 1
     g = _gap_in_C(A, B)
     cut = sweep_points // 2
     (root, evals, lower), upper = _beside_helper(
-        _splits(enough, _splittable_reports > 1),
+        _splits(sweep_points >= _MIN_SWEEP_POINTS, False),
         ("sweep", (A, B, lo, hi, sweep_points, cut, sweep_points + 1)),
         lambda: (*_bracketed_hybrid(g, lo, hi),
                  _count_sign_changes(A, B, lo, hi, sweep_points, g, -1, cut)),
@@ -758,9 +754,9 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
     )
 
 
-# Blocks per part below which a scan does not start the helper; a scan of
-# one block per part (2 * _SCAN_BLOCK triangles) or more still hands its
-# second half to a helper that runs. Forced two-part splits
+# Blocks per part below which a scan does not pay for the fork alone (see
+# _splits); a scan of one block per part (2 * _SCAN_BLOCK triangles) or more
+# still hands its second half to a helper that runs. Forced two-part splits
 # against one process (Python 3.11, shared 2-vCPU host, 16 MiB caller; ten
 # alternating pairs, each side the fastest call in 1 s of calls): with the
 # helper already running, the split won all 10 pairs at every size from 1
@@ -771,8 +767,8 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
 # and 8 (9.71 ms against 13.04 ms at 8). So the bound matters only for the
 # call that starts the helper, and in a 93 MiB caller a fork, exit and wait
 # took 4.1-4.5 ms. 8 keeps that first call well clear of the fork's cost, so
-# a 2000-triangle scan (16 blocks) starts the helper and a 1920-triangle one
-# (15 blocks) does not.
+# a 2000-triangle scan (16 blocks) starts the helper alone and a
+# 1920-triangle one (15 blocks) only in a burst.
 _MIN_PART_BLOCKS = 8
 
 # Sweep points below which an equality report does not split its sweep.
@@ -786,13 +782,15 @@ _MIN_PART_BLOCKS = 8
 # stays in one process.
 _MIN_SWEEP_POINTS = 64
 
-# Seconds an idle helper waits for a request before it leaves. While it
-# runs it keeps the pages the caller had at the fork, which the caller may
-# have freed or rewritten since (a 256 MiB buffer freed after the fork
-# stayed resident in the helper until it left). Leaving when idle gives
-# them back about this long after the caller's last call. A call that
-# finds the helper gone forks a new one, 2-4.5 ms in 16-93 MiB callers, so
-# calls further apart than this pay under 0.5% of the gap for it.
+# Seconds an idle helper waits for a request before it leaves, and the
+# window of a burst in _splits' start rule. While it runs it keeps the pages
+# the caller had at the fork, which the caller may have freed or rewritten
+# since (a 256 MiB buffer freed after the fork stayed resident in the helper
+# until it left); leaving when idle gives them back. A lone call does not
+# pay for a fork of 2-4.5 ms (16-93 MiB callers): cold starts of `hyptri
+# verify 0.9 0.7` took 94.2 ms without it and 105.7 ms with it (medians of
+# 30 alternating pairs, Python 3.11, shared 2-vCPU host; faster without it
+# in 23).
 _HELPER_IDLE_S = 1.0
 
 # The helper: one forked process per caller process, started lazily and
@@ -802,13 +800,9 @@ _HELPER_IDLE_S = 1.0
 # request in flight at a time.
 # (pid, request write end, reply read end) while it runs, else None.
 _helper = None
-# equality reports in this process so far with enough sweep points where
-# _can_fork allowed: only the second and later may start the helper, so a
-# one-shot report never forks. Cold starts of `hyptri verify 0.9 0.7` took
-# 94.2 ms without the fork and 105.7 ms with it (medians of 30 alternating
-# pairs, Python 3.11, shared 2-vCPU host; the one without it faster in 23):
-# the fork and the reaping at exit cost more than one split sweep saves.
-_splittable_reports = 0
+# time.monotonic() of this process's last call with enough work where
+# _can_fork allowed; -inf before the first.
+_last_call = -math.inf
 
 
 def _can_fork() -> bool:
@@ -836,12 +830,21 @@ def _can_fork() -> bool:
     )
 
 
-def _splits(enough: bool, may_start: bool) -> bool:
+def _splits(enough: bool, pays_alone: bool) -> bool:
     """Whether a scan or an equality report hands its second half to the
-    helper, the one gate of both: where the call has ``enough`` work, where
-    ``_can_fork`` allows, and where the helper runs or this call ``may_start``
-    it."""
-    return enough and _can_fork() and (_helper_runs() or (may_start and _start_helper()))
+    helper: the one gate of both, and the one rule that starts the helper.
+    A call qualifies where it has ``enough`` work and ``_can_fork`` allows.
+    It splits where the helper runs, or where it may start it: where it
+    ``pays_alone`` for the fork (a scan of ``2 * _MIN_PART_BLOCKS`` blocks),
+    or in a burst, where the process's previous qualifying call, of either
+    kind, came less than ``_HELPER_IDLE_S`` ago."""
+    global _last_call
+    if not (enough and _can_fork()):
+        return False
+    now = time.monotonic()
+    burst = now - _last_call < _HELPER_IDLE_S
+    _last_call = now
+    return _helper_runs() or ((pays_alone or burst) and _start_helper())
 
 
 def _helper_runs() -> bool:
@@ -947,9 +950,9 @@ def _stop_helper(kill: bool = False) -> None:
 
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper without a word to it, so
-    that the child never writes to it, and count the child's own reports
-    from zero."""
-    global _helper, _splittable_reports
+    that the child never writes to it, and the parent's last call, so that
+    the child's first call is not in a burst."""
+    global _helper, _last_call
     if _helper is not None:
         for fd in _helper[1:]:
             try:
@@ -957,7 +960,7 @@ def _forget_helper() -> None:
             except OSError:
                 pass
         _helper = None
-    _splittable_reports = 0
+    _last_call = -math.inf
 
 
 # no helper outlives its caller: it is reaped at exit, and a forked child
@@ -1037,15 +1040,13 @@ def scan_random(n: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScanRe
     The triangles are cut in two contiguous parts at the middle triangle,
     ``mid = n // 2`` (1000 | 1000 for ``n = 2000``, 0 | 1 for ``n = 1``),
     each scanned by ``_scan_part`` and merged in index order by the
-    reduction's own rule. Where ``_splits``, the one split gate of scans and
-    reports, allows (``2 * _SCAN_BLOCK`` triangles or more), the helper
-    process scans triangles ``mid`` on while the caller scans the rest, so
-    the report is the same bits wherever the second part runs. The first
-    failing triangle in index order raises, with its own class and message,
-    since the caller scans the second part itself when the helper failed or
-    could not be made. The helper is started by the first scan of
-    ``2 * _MIN_PART_BLOCKS`` blocks or more and serves later calls until it
-    idles for ``_HELPER_IDLE_S``; no helper outlives its caller.
+    reduction's own rule. Where ``_splits`` allows (``2 * _SCAN_BLOCK``
+    triangles or more, and its one start rule), the helper process scans
+    triangles ``mid`` on while the caller scans the rest, so the report is
+    the same bits wherever the second part runs. The first failing triangle
+    in index order raises, with its own class and message, since the caller
+    scans the second part itself when the helper failed or could not be
+    made. No helper outlives its caller.
     """
     _check_count("sample", n)
     SplitMix64(seed)  # rejects the seed before any part runs

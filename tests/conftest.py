@@ -29,10 +29,10 @@ LOOSE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
 @pytest.fixture(autouse=True)
 def no_helper(monkeypatch):
     """Every test starts and ends without the forked helper of
-    ``steiner_lehmus`` and with no equality report counted, so a helper a
-    test uses is forked in that test, after its monkeypatches."""
+    ``steiner_lehmus``, and starts with no qualifying call before it, so a
+    helper a test uses is forked in that test, after its monkeypatches."""
     steiner_lehmus._stop_helper()
-    monkeypatch.setattr(steiner_lehmus, "_splittable_reports", 0)
+    monkeypatch.setattr(steiner_lehmus, "_last_call", -math.inf)
     yield
     steiner_lehmus._stop_helper()
 
@@ -55,6 +55,22 @@ def outcome(fn, *args):
     except Exception as exc:  # the oracles compare every exception, whatever its class
         return type(exc), str(exc)
     return None if value is None else struct.pack("<d", value)
+
+
+def klein_bisector_length(x, y, angle):
+    """Length of the bisector of ``angle`` between sides x and y, from the
+    Beltrami-Klein model centred at that vertex, an oracle that needs no foot.
+
+    There a point at distance s from the centre lies at Euclidean radius
+    tanh s, geodesics are chords and angles at the centre are Euclidean, so
+    the Euclidean bisector length 2pq cos(angle/2)/(p+q) carries over as
+    coth t = (coth x + coth y) / (2 cos(angle/2)). With coth s - 1 =
+    2/expm1(2s) and 1 - cos(angle/2) = 2 sin^2(angle/4) every term of
+    w = coth t - 1 is positive, and t = log1p(2/w)/2.
+    """
+    w = (2.0 / math.expm1(2.0 * x) + 2.0 / math.expm1(2.0 * y)
+         + 4.0 * math.sin(0.25 * angle) ** 2) / (2.0 * math.cos(0.5 * angle))
+    return 0.5 * math.log1p(2.0 / w)
 
 
 @st.composite

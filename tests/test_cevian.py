@@ -28,7 +28,10 @@ from hyptri import (
 from hyptri.cevian import _check_feet, _rel
 from hyptri.steiner_lehmus import sample_angles
 
-from conftest import LOOSE_TOL, ORACLE_TOL, angle_triples, outcome, seeded_triangles, special_floats
+from conftest import (
+    LOOSE_TOL, ORACLE_TOL, angle_triples, klein_bisector_length, outcome, seeded_triangles,
+    special_floats,
+)
 
 EQUILATERAL_UNIT_BISECTOR = 0.8340252289813307  # acosh(cosh 1 / cosh 0.5)
 
@@ -132,22 +135,6 @@ def test_ratio_product_check():
         d = bisector_lengths(t)
         lhs = (math.sinh(d.u) / math.sinh(d.v)) * (math.sinh(d.tC) / math.sinh(d.tB))
         assert lhs == pytest.approx(math.sin(d.beta) / math.sin(d.gamma), rel=1e-10)
-
-
-def klein_bisector_length(x, y, angle):
-    """Length of the bisector of ``angle`` between sides x and y, from the
-    Beltrami-Klein model centred at that vertex, an oracle that needs no foot.
-
-    There a point at distance s from the centre lies at Euclidean radius
-    tanh s, geodesics are chords and angles at the centre are Euclidean, so
-    the Euclidean bisector length 2pq cos(angle/2)/(p+q) carries over as
-    coth t = (coth x + coth y) / (2 cos(angle/2)). With coth s - 1 =
-    2/expm1(2s) and 1 - cos(angle/2) = 2 sin^2(angle/4) every term of
-    w = coth t - 1 is positive, and t = log1p(2/w)/2.
-    """
-    w = (2.0 / math.expm1(2.0 * x) + 2.0 / math.expm1(2.0 * y)
-         + 4.0 * math.sin(0.25 * angle) ** 2) / (2.0 * math.cos(0.5 * angle))
-    return 0.5 * math.log1p(2.0 / w)
 
 
 def test_klein_oracle_pins_the_equilateral_bisector():

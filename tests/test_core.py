@@ -188,7 +188,10 @@ def _check_dataclass_parity(values):
     for value, ref in zip(values, refs):
         assert repr(value) == repr(ref)
         assert hash(value) == hash(ref)
-        assert type(value).__match_args__ == type(ref).__match_args__
+        # a class pattern binds every name of __match_args__, so each is a
+        # field the value holds; the reference's InitVar tol is not
+        assert type(value).__match_args__ == FIELDS[type(value)]
+        assert all(hasattr(value, name) for name in type(value).__match_args__)
         assert not hasattr(value, "__dict__")
     assert [[x == y for y in values] for x in values] == [[x == y for y in refs] for x in refs]
     assert [[x != y for y in values] for x in values] == [[x != y for y in refs] for x in refs]
@@ -199,6 +202,16 @@ def test_core_types_behave_as_frozen_slotted_dataclasses():
     _check_dataclass_parity(values)
     assert TriangleAngles(0.5, 0.5, 0.5) != TriangleSides(0.5, 0.5, 0.5)
     assert values[6] == values[7] and values[6] is not values[7]
+    match values[4]:
+        case TriangleAngles(A, B, C):
+            assert (A, B, C) == (0.5, 0.5, 0.5)
+        case _:
+            pytest.fail("no match")
+    # a pattern that names tol is refused, not silently never matched
+    with pytest.raises(TypeError, match=r"accepts 3 positional sub-patterns \(4 given\)"):
+        match values[4]:
+            case TriangleAngles(_, _, _, _):
+                pass
 
 
 def test_record_types_behave_as_frozen_slotted_dataclasses():

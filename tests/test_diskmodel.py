@@ -196,21 +196,25 @@ def test_arc_refuses_a_circle_that_misses_its_ends():
 
 
 def test_arc_accepts_its_worst_measured_circle():
-    # two points about 1e-12 apart near the boundary: the center solve
-    # divides by a cross product just over the collinear cutoff, so the
-    # circle misses them by the largest residual measured, 3.0e-4
+    # two points about 1e-12 apart near the boundary, where the center
+    # solve divides by a cross product just over the collinear cutoff: the
+    # center's error moves it along the perpendicular bisector of pq, so the
+    # circle still meets both ends to rounding
     p = DiskPoint(-0.837666170277522, -0.5461825544497718)
     q = DiskPoint(-0.8376661702843278, -0.5461825544529942)
     arc = geodesic_arc(p, q)
     assert arc.kind == "arc"
-    assert arc_end_residual(arc) == pytest.approx(3.0456e-4, rel=1e-3)
-    assert arc_end_residual(arc) < 1e-2 / 30
+    assert arc.radius == pytest.approx(1.6201157e-08, rel=1e-6)
+    assert arc_end_residual(arc) < 1e-27
+    cx, cy = arc.center
+    assert abs(cx * cx + cy * cy - arc.radius**2 - 1.0) == pytest.approx(1.32e-13, rel=1e-2)
 
 
 @pytest.mark.parametrize("family", ["uniform", "near-diameter", "near-boundary", "close"])
 def test_arc_accepts_every_geodesic_arc_circle(family):
     # geodesic_arc's own circles, near-diameter ones (huge centers)
-    # included, pass the constructor's on-circle test with a margin
+    # included, meet their ends to rounding, far inside the constructor's
+    # on-circle test
     rnd = random.Random(family)
     worst = 0.0
     for _ in range(4000):
@@ -233,10 +237,10 @@ def test_arc_accepts_every_geodesic_arc_circle(family):
         try:
             arc = geodesic_arc(p, q)
         except NumericalFailure:
-            continue  # a collapsed circle
+            continue  # a circle that rounding leaves off orthogonal
         if arc.kind == "arc":
             worst = max(worst, arc_end_residual(arc))
-    bound = {"uniform": 1e-12, "near-diameter": 1e-10, "near-boundary": 1e-10, "close": 1e-3}
+    bound = {"uniform": 2e-15, "near-diameter": 2e-15, "near-boundary": 2e-15, "close": 1e-20}
     assert worst < bound[family]
 
 

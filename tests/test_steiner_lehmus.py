@@ -14,6 +14,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from itertools import permutations, product
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from hyptri.steiner_lehmus import (
     _scan_part, _sign_law,
 )
 
-from conftest import LOOSE_TOL, angle_triples, seeded_triangles
+from conftest import LOOSE_TOL, angle_triples, klein_bisector_length, seeded_triangles
 
 
 def test_trace_isosceles_is_neutral():
@@ -319,6 +320,90 @@ def test_bisector_lengths_is_pinned_on_needle_grid(tol, counts, digest):
             seen[result[1].split(" ")[0]] += 1
     assert dict(seen) == counts
     assert sha.hexdigest() == digest
+
+
+def decimal_sin(x, power=1):
+    """sin(x) of a Decimal, or cos(x) with ``power=0``, by its Taylor series
+    to the context's precision."""
+    term = total = x**power
+    while True:
+        term = -term * x * x / ((power + 1) * (power + 2))
+        power += 2
+        if total + term == total:
+            return total
+        total += term
+
+
+def decimal_sinh(x):
+    e = x.exp()
+    return (e - 1 / e) / 2
+
+
+def decimal_cevian_length(adjacent, segment, sinh_adjacent, sinh_segment, half_apex):
+    """``core._cevian_length`` in Decimal."""
+    h = decimal_sinh((adjacent - segment) / 2)
+    y = (h * h + sinh_adjacent * sinh_segment * half_apex * half_apex).sqrt()
+    return 2 * (y + (y * y + 1).sqrt()).ln()
+
+
+def decimal_bisectors(a, b, c, A):
+    """(tB, tC) of ``bisector_lengths``' formulas in Decimal, from the float
+    triangle: the feet by ``_adjacent_split``, then ``_cevian_length``."""
+    a, b, c, A = map(Decimal, (a, b, c, A))
+    sinh_a, sinh_b, sinh_c = decimal_sinh(a), decimal_sinh(b), decimal_sinh(c)
+    half_A = decimal_sin(A / 2)
+
+    def split(side, k):
+        return ((1 + k * side.exp()).ln() - (1 + k * (-side).exp()).ln()) / 2
+
+    u = split(b, sinh_c / sinh_a)
+    v = split(c, sinh_b / sinh_a)
+    return (decimal_cevian_length(c, u, sinh_c, decimal_sinh(u), half_A),
+            decimal_cevian_length(b, v, sinh_b, decimal_sinh(v), half_A))
+
+
+def decimal_klein(x, y, angle):
+    """``klein_bisector_length`` in Decimal."""
+    x, y, angle = map(Decimal, (x, y, angle))
+    w = (2 / ((2 * x).exp() - 1) + 2 / ((2 * y).exp() - 1)
+         + 4 * decimal_sin(angle / 4) ** 2) / (2 * decimal_sin(angle / 2, 0))
+    return (1 + 2 / w).ln() / 2
+
+
+def test_bisector_kernels_forward_error_on_needles():
+    # relative errors against 50-digit evaluations of the same formulas, on
+    # the 1,924 triangles of gap_triples() that DEFAULT_TOL accepts. The
+    # Klein form is within a few ulps at the float (a, c, B) and (a, b, C)
+    # (worst 4.0e-16), and so is _cevian_length at its own float arguments
+    # (3.3e-16). But bisector_lengths is up to 3.6e-11 from its formulas
+    # evaluated from the float (a, b, c, A): the foot u's rounding enters
+    # sinh(0.5 * (c - u)), which cancels where the bisector is short beside
+    # its sides (the worst: A = 2.1e-6, c = 0.4256, c - u = 6.9e-6 and
+    # tB = 7.0e-6; tC's is b - v)
+    rel = lambda x, exact: abs(Decimal(x) - exact) / exact
+    accepted = 0
+    klein = kernel = library = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for A, B, C in gap_triples():
+            try:
+                t = solve_from_angles(TriangleAngles(A, B, C))
+                d = bisector_lengths(t)
+            except HypTriError:
+                continue
+            accepted += 1
+            klein = max(klein, rel(klein_bisector_length(t.a, t.c, t.B), decimal_klein(t.a, t.c, t.B)),
+                        rel(klein_bisector_length(t.a, t.b, t.C), decimal_klein(t.a, t.b, t.C)))
+            half_A = math.sin(0.5 * t.A)
+            for side, foot, length in ((t.c, d.u, d.tB), (t.b, d.v, d.tC)):
+                args = (side, foot, math.sinh(side), math.sinh(foot), half_A)
+                assert _cevian_length(*args) == length
+                kernel = max(kernel, rel(length, decimal_cevian_length(*map(Decimal, args))))
+            tB, tC = decimal_bisectors(t.a, t.b, t.c, t.A)
+            library = max(library, rel(d.tB, tB), rel(d.tC, tC))
+    assert accepted == 1924
+    assert klein < 4 * 2**-52 and kernel < 4 * 2**-52
+    assert float(library) == pytest.approx(3.63e-11, rel=0.05)
 
 
 def test_solver_recovers_equal_angle():
@@ -1155,9 +1240,9 @@ def test_scan_equals_public_reduction_at_block_edges(seed, n, parts, scan_parts)
     "blocks", [2 * steiner_lehmus._MIN_PART_BLOCKS - 1, 2 * steiner_lehmus._MIN_PART_BLOCKS]
 )
 def test_scan_splits_on_two_cpus_and_two_full_parts(blocks, cpus, monkeypatch):
-    # with no helper running, a scan of 2 * _MIN_PART_BLOCKS blocks (its
-    # last one short) starts one on two CPUs or more, and one block fewer
-    # does not
+    # with no helper running and no call before it, a scan of
+    # 2 * _MIN_PART_BLOCKS blocks (its last one short) starts one on two
+    # CPUs or more, and one block fewer does not
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     started = []
     monkeypatch.setattr(steiner_lehmus, "_start_helper", lambda: started.append(1) or False)
@@ -1175,18 +1260,31 @@ def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
     assert steiner_lehmus._splits(True, True) is (count == 2 and hasattr(os, "fork"))
 
 
-@pytest.mark.parametrize("enough, may_start, running, can_fork", product([False, True], repeat=4))
-def test_one_gate_decides_every_split(enough, may_start, running, can_fork, monkeypatch):
-    # a call splits where it has enough work, may fork, and the helper runs
-    # or the call may start it; only such a call with no helper running
-    # starts one
+@pytest.mark.parametrize(
+    "enough, pays_alone, burst, running, can_fork", product([False, True], repeat=5)
+)
+def test_one_gate_decides_every_split(enough, pays_alone, burst, running, can_fork, monkeypatch):
+    # a call qualifies where it has enough work and may fork; it splits
+    # where the helper runs, or where it may start it: it pays for the fork
+    # alone, or the last qualifying call came less than _HELPER_IDLE_S ago.
+    # Only a qualifying call with no helper running and leave to start one
+    # starts it, and every qualifying call, and no other, is the last call
+    idle = steiner_lehmus._HELPER_IDLE_S
+    now = time.monotonic()
+    last = now - (0.5 if burst else 1.5) * idle
     started = []
+    monkeypatch.setattr(steiner_lehmus, "_last_call", last)
     monkeypatch.setattr(steiner_lehmus, "_can_fork", lambda: can_fork)
     monkeypatch.setattr(steiner_lehmus, "_helper_runs", lambda: running)
     monkeypatch.setattr(steiner_lehmus, "_start_helper", lambda: started.append(1) or True)
-    splits = steiner_lehmus._splits(enough, may_start)
-    assert splits is (enough and can_fork and (running or may_start))
-    assert len(started) == (enough and can_fork and not running and may_start)
+    splits = steiner_lehmus._splits(enough, pays_alone)
+    qualifies = enough and can_fork
+    assert splits is (qualifies and (running or pays_alone or burst))
+    assert len(started) == (qualifies and not running and (pays_alone or burst))
+    if qualifies:
+        assert now <= steiner_lehmus._last_call <= time.monotonic()
+    else:
+        assert steiner_lehmus._last_call == last
 
 
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
@@ -1561,7 +1659,7 @@ def test_helper_sweep_rejection_is_raised_by_the_caller(scan_parts, monkeypatch)
     forks = scan_parts(True)
     monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", failing_upper_half)
     # the first report forks nothing and sweeps the upper half itself; the
-    # second starts the helper
+    # second, in a burst, starts the helper
     for report in range(4):
         with pytest.raises(DomainCap) as info:
             equal_bisector_report(0.9, 0.7)
@@ -1608,8 +1706,8 @@ def test_scan_rejection_in_the_callers_part_keeps_the_helper(scan_parts, monkeyp
 
 def test_calls_fork_the_helper_once(scan_parts):
     forks = scan_parts(True)
-    # one report does not pay for a fork, nor does a sweep below the split
-    # gate count; the second splittable report starts the helper
+    # one report does not pay for a fork, and a sweep below the split gate
+    # does not qualify; the next report, in a burst, starts the helper
     equal_bisector_report(0.9, 0.7, sweep_points=steiner_lehmus._MIN_SWEEP_POINTS - 1)
     equal_bisector_report(0.9, 0.7)
     assert forks == [] and steiner_lehmus._helper is None
@@ -1623,7 +1721,7 @@ def test_calls_fork_the_helper_once(scan_parts):
 
 
 def test_running_helper_takes_half_of_any_scan_of_one_block_per_part(scan_parts, monkeypatch):
-    # only a scan of 2 * _MIN_PART_BLOCKS blocks starts the helper, but once
+    # a scan of 2 * _MIN_PART_BLOCKS blocks starts the helper alone, and once
     # it runs every scan of 256 triangles or more hands it the second half
     min_part_blocks = steiner_lehmus._MIN_PART_BLOCKS
     forks = scan_parts(True)
@@ -1652,6 +1750,63 @@ def test_verify_forks_nothing(scan_parts, capsys):
     assert cli.main(["verify", "0.9", "0.7"]) == 0
     assert forks == []
     assert steiner_lehmus._helper is None
+
+
+def test_sparse_reports_fork_nothing(scan_parts, monkeypatch):
+    # reports further apart than _HELPER_IDLE_S, the time after which an
+    # idle helper would leave, are no burst: none of them forks
+    forks = scan_parts(True)
+    for _ in range(8):
+        assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7)
+        idle = steiner_lehmus._HELPER_IDLE_S
+        monkeypatch.setattr(steiner_lehmus, "_last_call", steiner_lehmus._last_call - idle)
+    assert forks == [] and steiner_lehmus._helper is None
+
+
+@pytest.mark.parametrize("first", ["scan", "report"])
+def test_a_burst_of_mid_size_scans_starts_the_helper_on_its_second_call(first, scan_parts,
+                                                                        monkeypatch):
+    # scan_random(1000) is 8 blocks, under the 2 * _MIN_PART_BLOCKS that pay
+    # for the fork alone: a burst's first call, a scan or a report, runs in
+    # one process, its second starts the helper, and later calls use it
+    min_part_blocks = steiner_lehmus._MIN_PART_BLOCKS
+    forks = scan_parts(True)
+    monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", min_part_blocks)
+    expected = [public_scan(1000, seed) for seed in (31, 32, 33)]
+    if first == "scan":
+        assert scan_random(1000, 30) == public_scan(1000, 30)
+    else:
+        equal_bisector_report(0.9, 0.7)
+    assert forks == [] and steiner_lehmus._helper is None
+    assert [scan_random(1000, seed) for seed in (31, 32, 33)] == expected
+    assert len(forks) == 1 and steiner_lehmus._helper is not None
+
+
+def test_a_forked_childs_first_call_is_not_in_a_burst(scan_parts):
+    # the child forgets its parent's last call: its first report, just after
+    # the parent's, forks nothing, and its second starts its own helper
+    forks = scan_parts(True)
+    equal_bisector_report(0.9, 0.7)
+    status_r, status_w = os.pipe()
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            equal_bisector_report(0.9, 0.7)
+            alone = steiner_lehmus._helper is None
+            equal_bisector_report(0.9, 0.7)
+            started = steiner_lehmus._helper is not None
+            steiner_lehmus._stop_helper()
+            os.write(status_w, bytes([alone, started]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(status_w)
+    _, status = os.waitpid(child, 0)
+    flags = os.read(status_r, 2)
+    os.close(status_r)
+    assert status == 0 and flags == bytes([1, 1])
+    assert len(forks) == 1 and steiner_lehmus._helper is None  # the child alone
 
 
 def test_helper_is_reaped_when_its_caller_exits(tmp_path):
