@@ -30,15 +30,12 @@ from .core import (
 __all__ = _public_names(__name__)
 
 _COLLINEAR_TOL = 1e-12
+# The bound, relative to max(1, radius^2), on both residuals of an arc's
+# circle: |center|^2 - radius^2 - 1, its miss of orthogonality, and
+# |end - center|^2 - radius^2 at each end, its miss of that end. On 40,000
+# draws of each family of test_arc_accepts_every_geodesic_arc_circle,
+# geodesic_arc's own circles reached 2.0e-14 and 9.4e-16.
 _ORTHO_TOL = 1e-12
-# |p - center|^2 - radius^2 of an arc's end, relative to max(1, radius^2)
-# as in the orthogonality test, above which the circle misses the end.
-# geodesic_arc's circles meet their ends to rounding: on 40,000 draws of
-# each family of test_arc_accepts_every_geodesic_arc_circle the residual
-# reached 9.4e-16 (uniform, near-diameter and near-boundary pairs) and
-# 6.6e-24 (pairs about 1e-12 apart near the boundary); 3e-14 is about
-# thirty times the worst.
-_ON_CIRCLE_TOL = 3e-14
 
 
 class DiskPoint(_Frozen):
@@ -64,8 +61,9 @@ class GeodesicArc(_Frozen):
     """The geodesic through two disk points: a diameter segment when they are
     collinear with the origin, otherwise an arc of the unique circle through
     both that meets the unit circle at right angles. An arc must have a
-    finite center and radius, a circle orthogonal to the unit circle, and
-    both points on it, each within the float error of ``geodesic_arc``."""
+    finite center and radius, and a circle orthogonal to the unit circle
+    through both points, each residual within 1e-12 of max(1, radius^2);
+    ``geodesic_arc``'s own circles meet their ends to rounding."""
 
     __slots__ = __match_args__ = ("p", "q", "kind", "center", "radius")
     p: DiskPoint
@@ -94,7 +92,7 @@ class GeodesicArc(_Frozen):
                 dx = end.x - cx
                 dy = end.y - cy
                 miss = abs(dx * dx + dy * dy - rr)
-                if miss > _ON_CIRCLE_TOL * max(1.0, rr):
+                if miss > _ORTHO_TOL * max(1.0, rr):
                     raise InvalidInput(f"arc circle misses its end {name}: residual {miss!r}")
         elif kind != "segment":
             raise InvalidInput(f"unknown geodesic kind {kind!r}")

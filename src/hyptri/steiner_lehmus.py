@@ -26,7 +26,6 @@ import marshal
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from itertools import chain
 
@@ -768,7 +767,7 @@ def _merge_parts(totals: tuple, part: tuple) -> tuple:
 # call that starts the helper, and in a 93 MiB caller a fork, exit and wait
 # took 4.1-4.5 ms. 8 keeps that first call well clear of the fork's cost, so
 # a 2000-triangle scan (16 blocks) starts the helper alone and a
-# 1920-triangle one (15 blocks) only in a burst.
+# 1920-triangle one (15 blocks) only after an earlier call.
 _MIN_PART_BLOCKS = 8
 
 # Sweep points below which an equality report does not split its sweep.
@@ -782,15 +781,13 @@ _MIN_PART_BLOCKS = 8
 # stays in one process.
 _MIN_SWEEP_POINTS = 64
 
-# Seconds an idle helper waits for a request before it leaves, and the
-# window of a burst in _splits' start rule. While it runs it keeps the pages
-# the caller had at the fork, which the caller may have freed or rewritten
-# since (a 256 MiB buffer freed after the fork stayed resident in the helper
-# until it left); leaving when idle gives them back. A lone call does not
-# pay for a fork of 2-4.5 ms (16-93 MiB callers): cold starts of `hyptri
-# verify 0.9 0.7` took 94.2 ms without it and 105.7 ms with it (medians of
-# 30 alternating pairs, Python 3.11, shared 2-vCPU host; faster without it
-# in 23).
+# Seconds an idle helper waits for a request before it leaves. While it
+# runs it keeps the pages the caller had at the fork, which the caller may
+# have freed or rewritten since (a 256 MiB buffer freed after the fork
+# stayed resident in the helper until it left). Leaving when idle gives
+# them back about this long after the caller's last call. A call that
+# finds the helper gone forks a new one, 2-4.5 ms in 16-93 MiB callers, so
+# calls further apart than this pay under 0.5% of the gap for it.
 _HELPER_IDLE_S = 1.0
 
 # The helper: one forked process per caller process, started lazily and
@@ -800,9 +797,14 @@ _HELPER_IDLE_S = 1.0
 # request in flight at a time.
 # (pid, request write end, reply read end) while it runs, else None.
 _helper = None
-# time.monotonic() of this process's last call with enough work where
-# _can_fork allowed; -inf before the first.
-_last_call = -math.inf
+# whether this process has made a call with enough work where _can_fork
+# allowed: a call that does not pay for the fork alone may start the helper
+# only after one, so a one-shot call never forks. Cold starts of `hyptri
+# verify 0.9 0.7` took 94.2 ms without the fork and 105.7 ms with it
+# (medians of 30 alternating pairs, Python 3.11, shared 2-vCPU host; the one
+# without it faster in 23): the fork and the reaping at exit cost more than
+# one split sweep saves.
+_qualified = False
 
 
 def _can_fork() -> bool:
@@ -836,15 +838,12 @@ def _splits(enough: bool, pays_alone: bool) -> bool:
     A call qualifies where it has ``enough`` work and ``_can_fork`` allows.
     It splits where the helper runs, or where it may start it: where it
     ``pays_alone`` for the fork (a scan of ``2 * _MIN_PART_BLOCKS`` blocks),
-    or in a burst, where the process's previous qualifying call, of either
-    kind, came less than ``_HELPER_IDLE_S`` ago."""
-    global _last_call
+    or where the process made a qualifying call, of either kind, before."""
+    global _qualified
     if not (enough and _can_fork()):
         return False
-    now = time.monotonic()
-    burst = now - _last_call < _HELPER_IDLE_S
-    _last_call = now
-    return _helper_runs() or ((pays_alone or burst) and _start_helper())
+    earlier, _qualified = _qualified, True
+    return _helper_runs() or ((pays_alone or earlier) and _start_helper())
 
 
 def _helper_runs() -> bool:
@@ -950,9 +949,9 @@ def _stop_helper(kill: bool = False) -> None:
 
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper without a word to it, so
-    that the child never writes to it, and the parent's last call, so that
-    the child's first call is not in a burst."""
-    global _helper, _last_call
+    that the child never writes to it, and the parent's qualifying calls,
+    so that the child's first call starts no helper unless it pays alone."""
+    global _helper, _qualified
     if _helper is not None:
         for fd in _helper[1:]:
             try:
@@ -960,7 +959,7 @@ def _forget_helper() -> None:
             except OSError:
                 pass
         _helper = None
-    _last_call = -math.inf
+    _qualified = False
 
 
 # no helper outlives its caller: it is reaped at exit, and a forked child

@@ -29,10 +29,10 @@ LOOSE_TOL = ToleranceConfig(rtol_identity=1e-9, eps_angle=1e-3)
 @pytest.fixture(autouse=True)
 def no_helper(monkeypatch):
     """Every test starts and ends without the forked helper of
-    ``steiner_lehmus``, and starts with no qualifying call before it, so a
+    ``steiner_lehmus``, and with no qualifying call before it, so a
     helper a test uses is forked in that test, after its monkeypatches."""
     steiner_lehmus._stop_helper()
-    monkeypatch.setattr(steiner_lehmus, "_last_call", -math.inf)
+    monkeypatch.setattr(steiner_lehmus, "_qualified", False)
     yield
     steiner_lehmus._stop_helper()
 

@@ -190,6 +190,19 @@ def test_arc_refuses_a_circle_that_misses_its_ends():
     through_p = geodesic_arc(p, DiskPoint(0.5, 0.5))
     with pytest.raises(InvalidInput, match="^arc circle misses its end q: residual "):
         GeodesicArc(p, q, "arc", center=through_p.center, radius=through_p.radius)
+    # an orthogonal circle through p, its center moved off the geodesic's
+    # along the line of such centers, misses q by 3.4e-11 of max(1, r^2)
+    # when moved 1e-9 (refused) and by 3.4e-13 when moved 1e-11 (accepted)
+    cx, cy = geodesic_arc(p, q).center
+    n = math.hypot(p.x, p.y)
+    for shift, accepted in ((1e-9, False), (1e-11, True)):
+        center = (cx - shift * p.y / n, cy + shift * p.x / n)
+        radius = math.sqrt(center[0] ** 2 + center[1] ** 2 - 1.0)
+        if accepted:
+            GeodesicArc(p, q, "arc", center=center, radius=radius)
+        else:
+            with pytest.raises(InvalidInput, match="^arc circle misses its end q: "):
+                GeodesicArc(p, q, "arc", center=center, radius=radius)
     # the orthogonality test still comes first
     with pytest.raises(NumericalFailure, match="^arc circle not orthogonal to the boundary: 2.0$"):
         GeodesicArc(p, q, "arc", center=(0.0, 0.0), radius=1.0)

@@ -1261,30 +1261,24 @@ def test_scan_splits_counts_cpus_without_affinity(count, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "enough, pays_alone, burst, running, can_fork", product([False, True], repeat=5)
+    "enough, pays_alone, earlier, running, can_fork", product([False, True], repeat=5)
 )
-def test_one_gate_decides_every_split(enough, pays_alone, burst, running, can_fork, monkeypatch):
+def test_one_gate_decides_every_split(enough, pays_alone, earlier, running, can_fork, monkeypatch):
     # a call qualifies where it has enough work and may fork; it splits
     # where the helper runs, or where it may start it: it pays for the fork
-    # alone, or the last qualifying call came less than _HELPER_IDLE_S ago.
-    # Only a qualifying call with no helper running and leave to start one
-    # starts it, and every qualifying call, and no other, is the last call
-    idle = steiner_lehmus._HELPER_IDLE_S
-    now = time.monotonic()
-    last = now - (0.5 if burst else 1.5) * idle
+    # alone, or the process made a qualifying call before. Only a qualifying
+    # call with no helper running and leave to start one starts it, and
+    # every qualifying call, and no other, is recorded
     started = []
-    monkeypatch.setattr(steiner_lehmus, "_last_call", last)
+    monkeypatch.setattr(steiner_lehmus, "_qualified", earlier)
     monkeypatch.setattr(steiner_lehmus, "_can_fork", lambda: can_fork)
     monkeypatch.setattr(steiner_lehmus, "_helper_runs", lambda: running)
     monkeypatch.setattr(steiner_lehmus, "_start_helper", lambda: started.append(1) or True)
     splits = steiner_lehmus._splits(enough, pays_alone)
     qualifies = enough and can_fork
-    assert splits is (qualifies and (running or pays_alone or burst))
-    assert len(started) == (qualifies and not running and (pays_alone or burst))
-    if qualifies:
-        assert now <= steiner_lehmus._last_call <= time.monotonic()
-    else:
-        assert steiner_lehmus._last_call == last
+    assert splits is (qualifies and (running or pays_alone or earlier))
+    assert len(started) == (qualifies and not running and (pays_alone or earlier))
+    assert steiner_lehmus._qualified is (qualifies or earlier)
 
 
 @pytest.mark.parametrize("seed", [31, 2**64 - 1])
@@ -1659,7 +1653,7 @@ def test_helper_sweep_rejection_is_raised_by_the_caller(scan_parts, monkeypatch)
     forks = scan_parts(True)
     monkeypatch.setattr(steiner_lehmus, "_count_sign_changes", failing_upper_half)
     # the first report forks nothing and sweeps the upper half itself; the
-    # second, in a burst, starts the helper
+    # second starts the helper
     for report in range(4):
         with pytest.raises(DomainCap) as info:
             equal_bisector_report(0.9, 0.7)
@@ -1707,7 +1701,7 @@ def test_scan_rejection_in_the_callers_part_keeps_the_helper(scan_parts, monkeyp
 def test_calls_fork_the_helper_once(scan_parts):
     forks = scan_parts(True)
     # one report does not pay for a fork, and a sweep below the split gate
-    # does not qualify; the next report, in a burst, starts the helper
+    # does not qualify; the next report starts the helper
     equal_bisector_report(0.9, 0.7, sweep_points=steiner_lehmus._MIN_SWEEP_POINTS - 1)
     equal_bisector_report(0.9, 0.7)
     assert forks == [] and steiner_lehmus._helper is None
@@ -1752,23 +1746,12 @@ def test_verify_forks_nothing(scan_parts, capsys):
     assert steiner_lehmus._helper is None
 
 
-def test_sparse_reports_fork_nothing(scan_parts, monkeypatch):
-    # reports further apart than _HELPER_IDLE_S, the time after which an
-    # idle helper would leave, are no burst: none of them forks
-    forks = scan_parts(True)
-    for _ in range(8):
-        assert equal_bisector_report(0.9, 0.7) == one_process_report(0.9, 0.7)
-        idle = steiner_lehmus._HELPER_IDLE_S
-        monkeypatch.setattr(steiner_lehmus, "_last_call", steiner_lehmus._last_call - idle)
-    assert forks == [] and steiner_lehmus._helper is None
-
-
 @pytest.mark.parametrize("first", ["scan", "report"])
-def test_a_burst_of_mid_size_scans_starts_the_helper_on_its_second_call(first, scan_parts,
-                                                                        monkeypatch):
+def test_mid_size_scans_start_the_helper_after_an_earlier_call(first, scan_parts, monkeypatch):
     # scan_random(1000) is 8 blocks, under the 2 * _MIN_PART_BLOCKS that pay
-    # for the fork alone: a burst's first call, a scan or a report, runs in
-    # one process, its second starts the helper, and later calls use it
+    # for the fork alone: the process's first qualifying call, a scan or a
+    # report, runs in one process, the next scan starts the helper, and
+    # later scans use it
     min_part_blocks = steiner_lehmus._MIN_PART_BLOCKS
     forks = scan_parts(True)
     monkeypatch.setattr(steiner_lehmus, "_MIN_PART_BLOCKS", min_part_blocks)
@@ -1782,9 +1765,9 @@ def test_a_burst_of_mid_size_scans_starts_the_helper_on_its_second_call(first, s
     assert len(forks) == 1 and steiner_lehmus._helper is not None
 
 
-def test_a_forked_childs_first_call_is_not_in_a_burst(scan_parts):
-    # the child forgets its parent's last call: its first report, just after
-    # the parent's, forks nothing, and its second starts its own helper
+def test_a_forked_child_forgets_its_parents_calls(scan_parts):
+    # the child's first report, after the parent's, is its own first
+    # qualifying call and forks nothing; its second starts its own helper
     forks = scan_parts(True)
     equal_bisector_report(0.9, 0.7)
     status_r, status_w = os.pipe()
