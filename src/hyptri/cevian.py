@@ -5,9 +5,11 @@ u (next to A) and U (next to C) with sinh u / sinh U = sinh c / sinh a;
 mirror-symmetrically the bisector from C splits side AB into v and V.
 tB and tC are the bisector lengths BB' and CC'.
 
-The foot position and the cevian length are computed in closed form; the
-four sub-triangle sine-law identities are kept as residual checks so they
-stay independent evidence rather than part of the computation path.
+The foot position and the cevian length are computed in closed form, each
+foot segment as one log1p of a ratio of positive terms, free of
+cancellation on short sides (``_adjacent_split``); the four sub-triangle
+sine-law identities are kept as residual checks so they stay independent
+evidence rather than part of the computation path.
 ``bisector_lengths`` runs the whole bisector stage (feet, lengths and
 checks), and it alone writes the stage's rejections. The equality kernel
 ``_gap_in_C`` in ``steiner_lehmus`` calls its kernels for the feet u, v and
@@ -102,15 +104,18 @@ class RatioResiduals(_Frozen):
         _set(self, "idV", idV)
 
 
-def _adjacent_split(side: float, k: float) -> float:
+def _adjacent_split(side: float, sinh_side: float, k: float) -> float:
     """Segment of ``side`` next to the shared vertex when the foot divides it
-    with sinh(near)/sinh(far) = k.
+    with sinh(near)/sinh(far) = k; ``sinh_side`` is sinh(side).
 
-    Solves tanh x = k sinh(side) / (1 + k cosh(side)) in the logarithmic form
-    x = (log1p(k e^side) - log1p(k e^-side)) / 2, which stays accurate when
-    tanh saturates for large sides.
+    Solves tanh x = y = k sinh(side) / (1 + k cosh(side)) as
+    x = atanh y = log1p(2y / (1 - y)) / 2, and
+    (1 + y)/(1 - y) = (1 + k e^side)/(1 + k e^-side) makes that
+    x = log1p(2k sinh(side) / (1 + k e^-side)) / 2: one log1p of a ratio of
+    positive terms, with no cancellation on short sides and no saturation
+    of tanh on long ones.
     """
-    return 0.5 * (math.log1p(k * math.exp(side)) - math.log1p(k * math.exp(-side)))
+    return 0.5 * math.log1p(2.0 * k * sinh_side / (1.0 + k * math.exp(-side)))
 
 
 def _rel(x: float, y: float) -> float:
@@ -174,10 +179,10 @@ def bisector_lengths(t: Triangle, tol: ToleranceConfig = DEFAULT_TOL) -> Bisecto
     sinh_b = sinh(b)
     sinh_c = sinh(c)
     half_A = math.sin(0.5 * t.A)
-    u = _adjacent_split(b, sinh_c / sinh_a)
-    U = _adjacent_split(b, sinh_a / sinh_c)
-    v = _adjacent_split(c, sinh_b / sinh_a)
-    V = _adjacent_split(c, sinh_a / sinh_b)
+    u = _adjacent_split(b, sinh_b, sinh_c / sinh_a)
+    U = _adjacent_split(b, sinh_b, sinh_a / sinh_c)
+    v = _adjacent_split(c, sinh_c, sinh_b / sinh_a)
+    V = _adjacent_split(c, sinh_c, sinh_a / sinh_b)
     tB = _cevian_length(c, u, sinh_c, sinh(u), half_A)
     tC = _cevian_length(b, v, sinh_b, sinh(v), half_A)
     _check_feet(b, c, u, U, v, V, tB, tC, tol)

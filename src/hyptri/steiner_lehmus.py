@@ -254,8 +254,8 @@ def _gap_in_C(A: float, B: float):
         sinh_a = sinh(a)
         sinh_b = sinh(b)
         sinh_c = sinh(c)
-        u = _adjacent_split(b, sinh_c / sinh_a)
-        v = _adjacent_split(c, sinh_b / sinh_a)
+        u = _adjacent_split(b, sinh_b, sinh_c / sinh_a)
+        v = _adjacent_split(c, sinh_c, sinh_b / sinh_a)
         tB = _cevian_length(c, u, sinh_c, sinh(u), half_A)
         tC = _cevian_length(b, v, sinh_b, sinh(v), half_A)
         return tB - tC
@@ -345,9 +345,10 @@ def _count_sign_changes(A, B, lo, hi, points, g, start, stop):
       the side cap t = 50, and still six ulps at t = 700. A bisector is
       no longer than its longer adjacent side, and sinh of a side over
       710 overflows first.
-    * u, v >= 0, since log1p is monotone and e^b >= e^-b, so x is >= 0 or
-      nan and the sqrt and asinh of it raise nothing: a g(C) called after
-      the inline body got through returns, as g would have.
+    * u, v are >= 0 or nan, since the log1p argument
+      2k sinh(side) / (1 + k e^-side) is a ratio of non-negative terms, so
+      x is >= 0 or nan and the sqrt and asinh of it raise nothing: a g(C)
+      called after the inline body got through returns, as g would have.
     * x takes half_A * half_A as one hoisted factor where
       ``_cevian_length`` multiplies by half_A twice, which moves it by a
       few ulps, well inside the band.
@@ -391,9 +392,9 @@ def _count_sign_changes(A, B, lo, hi, points, g, start, stop):
         sinh_b = sinh(b)
         sinh_c = sinh(c)
         k = sinh_c / sinh_a
-        u = 0.5 * (log1p(k * exp(b)) - log1p(k * exp(-b)))
+        u = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * exp(-b)))
         k = sinh_b / sinh_a
-        v = 0.5 * (log1p(k * exp(c)) - log1p(k * exp(-c)))
+        v = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * exp(-c)))
         h = sinh(0.5 * (c - u))
         xB = h * h + sinh_c * sinh(u) * half_A2
         h = sinh(0.5 * (b - v))
@@ -519,8 +520,8 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     ``law_of_cosines_residual``, ``subtriangle_residuals`` and
     ``unconditional_identities``, with their subexpressions and association
     order, so it returns bit-identical floats. It evaluates
-    each sine and hyperbolic sine once, exp(+-b) and exp(+-c) once per side,
-    and builds no value object.
+    each sine and hyperbolic sine once, exp(-b) and exp(-c) once each (the
+    two feet on a side share it), and builds no value object.
 
     Its acceptance tests are inline too, but it writes no rejection: where
     one fails, ``_replay`` runs the triangle through the public path, which
@@ -611,20 +612,18 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     ):
         _replay(A, B, C, t)
 
-    # bisector_lengths: the feet, one exp(+-side) pair per side, then tB and
-    # tC in the A-side sub-triangles
-    e = exp(b)
+    # bisector_lengths: the feet, one exp(-side) per side, then tB and tC in
+    # the A-side sub-triangles
     en = exp(-b)
     k = sinh_c / sinh_a
-    u = 0.5 * (log1p(k * e) - log1p(k * en))
+    u = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
     k = sinh_a / sinh_c
-    U = 0.5 * (log1p(k * e) - log1p(k * en))
-    e = exp(c)
+    U = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
     en = exp(-c)
     k = sinh_b / sinh_a
-    v = 0.5 * (log1p(k * e) - log1p(k * en))
+    v = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
     k = sinh_a / sinh_b
-    V = 0.5 * (log1p(k * e) - log1p(k * en))
+    V = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
     sinh_u = sinh(u)
     sinh_v = sinh(v)
     h = sinh(0.5 * (c - u))

@@ -100,10 +100,10 @@ def test_seed_42_report_is_pinned(full_scan):
         samples=N_FULL,
         seed=SEED,
         eps_angle=DEFAULT_TOL.eps_angle,
-        max_identity_residual=8.79356882077605e-14,
+        max_identity_residual=2.1720325864266995e-14,
         max_sine_residual=8.148630465931806e-15,
-        max_cevian_residual=8.79356882077605e-14,
-        max_ratio_residual=3.1380710652691755e-14,
+        max_cevian_residual=2.1720325864266995e-14,
+        max_ratio_residual=8.648611092149157e-15,
         monotonicity_failures=0,
         inequality_failures=0,
         tie_band_samples=0,
@@ -130,9 +130,9 @@ def test_criterion_4_equality_case(equality):
     )
     assert ok
     # the study's outputs, pinned bit for bit
-    assert study.max_root_gap == 4.9682480351975755e-14
-    assert (study.worst_A, study.worst_B) == (2.0407601008706875, 0.4857900615499183)
-    assert study.root_iterations == 24355
+    assert study.max_root_gap == 4.901634653720066e-14
+    assert (study.worst_A, study.worst_B) == (2.0457839627413947, 0.4741263922768422)
+    assert study.root_iterations == 24392
 
 
 def test_worst_pair_replays_through_verify(equality, capsys):

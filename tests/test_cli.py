@@ -85,8 +85,8 @@ def test_bisect_equilateral():
 
 
 VERIFY_JSON = (
-    '{"c": 0.7000000000000086, "gap_to_b": 8.659739592076221e-15, '
-    '"sign_changes": 1, "iterations": 26}\n'
+    '{"c": 0.7000000000000001, "gap_to_b": 1.1102230246251565e-16, '
+    '"sign_changes": 1, "iterations": 30}\n'
 )
 
 
@@ -196,9 +196,9 @@ def test_study_passes_and_prints_its_report():
     assert result.returncode == 0
     assert result.stderr == b""
     assert result.stdout.decode() == (
-        "pairs = 20\nseed = 42\neps_angle = 1e-09\nmax_root_gap = 1.942890293094024e-14\n"
-        "worst_A = 1.7000912952917977\nworst_B = 0.5355240476867072\n"
-        "root_iterations = 484\nfailing_pairs = 0\n"
+        "pairs = 20\nseed = 42\neps_angle = 1e-09\nmax_root_gap = 4.618527782440651e-14\n"
+        "worst_A = 0.31411430098214027\nworst_B = 0.7009559990166384\n"
+        "root_iterations = 479\nfailing_pairs = 0\n"
     )
 
 
@@ -242,8 +242,8 @@ def test_figure_unwritable_path(tmp_path):
 @pytest.mark.parametrize(
     "rtol, message",
     [
-        ("1e-15", "sub-triangle sine-law residual 1.2848211280275125e-15 exceeds 1e-15"),
-        ("3e-15", "foot segments do not sum to the side: u + U - b = 9.367506770274758e-17"),
+        ("1e-15", "sub-triangle sine-law residual 1.007437823456445e-15 exceeds 1e-15"),
+        ("3e-15", "law of sines residual 5.39314218107544e-15 exceeds 3e-15"),
     ],
 )
 def test_scan_rtol_rejection_is_pinned(rtol, message):
@@ -422,34 +422,34 @@ PINNED_JSON = [
     )),
     ("bisect aaa 0.6 0.5 0.9", (
         '{"beta": 0.25, "gamma": 0.45, "u": 1.0234049723495697, '
-        '"U": 0.7889515263983358, "v": 1.07667561264952, '
+        '"U": 0.7889515263983358, "v": 1.0766756126495203, '
         '"V": 1.2100008733218832, "tB": 1.7414913190527046, '
         '"tC": 1.2925742190915082, "res_u": 1.8135623442752637e-16, '
-        '"res_U": 3.7739248821015285e-16, "res_v": 2.9784129955335177e-16, '
+        '"res_U": 3.7739248821015285e-16, "res_v": 1.4892064977667586e-16, '
         '"res_V": 2.528905142370342e-16}\n'
     )),
     ("bisect aaa 0.01 0.02 3.0", (
         '{"beta": 0.01, "gamma": 1.5, "u": 2.291521903658081, '
         '"U": 0.34022040747141247, "v": 2.6292606119122706, '
-        '"V": 1.9513411036703747, "tB": 2.2915219036580794, '
+        '"V": 1.9513411036703745, "tB": 2.2915219036580794, '
         '"tC": 0.06907399778277262, "res_u": 1.742054957920577e-15, '
         '"res_U": 5.12172723049542e-15, "res_v": 1.9271891767805374e-15, '
-        '"res_V": 1.2847285454164611e-15}\n'
+        '"res_V": 1.5416742544997532e-15}\n'
     )),
     ("bisect sas 1 1.2 1.5", (
         '{"beta": 0.2235936392363515, "gamma": 0.4501368848554369, '
-        '"u": 0.45996558337809534, "U": 0.5400344166219045, '
-        '"v": 0.5131025302920125, "V": 0.9868974697079874, '
+        '"u": 0.4599655833780954, "U": 0.5400344166219044, '
+        '"v": 0.5131025302920126, "V": 0.9868974697079874, '
         '"tB": 1.4446695107749514, "tC": 0.9822712562658082, '
-        '"res_u": 2.0671515936622786e-16, "res_U": 1.7377030823912308e-16, '
+        '"res_u": 0.0, "res_U": 3.4754061647824617e-16, '
         '"res_v": 3.605388157267153e-16, "res_V": 1.6727646146757237e-16}\n'
     )),
     ("bisect sas 0.3 2.5 4", (
         '{"beta": 0.002589488219222375, "gamma": 0.24131904015219785, '
-        '"u": 0.13117264336924808, "U": 0.16882735663075193, '
+        '"u": 0.13117264336924803, "U": 0.1688273566307519, '
         '"v": 0.19339203314300094, "V": 3.806607966856999, '
         '"tB": 4.107963504439914, "tC": 0.469845718523882, '
-        '"res_u": 9.790699252766825e-16, "res_U": 4.3387007083019847e-16, '
+        '"res_u": 5.594685287295331e-16, "res_U": 2.1693503541509929e-16, '
         '"res_v": 4.090320424407505e-16, "res_V": 0.0}\n'
     )),
 ]

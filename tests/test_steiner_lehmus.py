@@ -216,8 +216,8 @@ def per_triangle_gap(A, B, C):
     sinh_a = math.sinh(a)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
-    u = _adjacent_split(b, sinh_c / sinh_a)
-    v = _adjacent_split(c, sinh_b / sinh_a)
+    u = _adjacent_split(b, sinh_b, sinh_c / sinh_a)
+    v = _adjacent_split(c, sinh_c, sinh_b / sinh_a)
     half_A = math.sin(0.5 * A)
     tB = _cevian_length(c, u, sinh_c, math.sinh(u), half_A)
     tC = _cevian_length(b, v, sinh_b, math.sinh(v), half_A)
@@ -294,13 +294,13 @@ def solved_bisectors(A, B, C, tol):
     [
         (
             DEFAULT_TOL,
-            {"accepted": 1924, "foot": 3, "sub-triangle": 32, "solve": 41},
-            "36585403380b3960114057119795bfad47b86328fc11d1c29bea4bd5d4bfcf9c",
+            {"accepted": 1936, "sub-triangle": 23, "solve": 41},
+            "c651d4f84e25b64544de4efa1b9a9bea141e73bfa20b0095bbff265419f057c1",
         ),
         (
             LOOSE_TOL,
             {"accepted": 1690, "solve": 310},
-            "e5233cf456553675d7c18bf615241b16c11353d5214f9c0b743f4d0a7fcffb56",
+            "3377881b43d7a8b2c93cdce596d10664329905f813dbed6e1fbd4361990ad3b8",
         ),
     ],
 )
@@ -346,18 +346,22 @@ def decimal_cevian_length(adjacent, segment, sinh_adjacent, sinh_segment, half_a
     return 2 * (y + (y * y + 1).sqrt()).ln()
 
 
+def decimal_split(side, k):
+    """The foot segment x of ``_adjacent_split`` in Decimal, written as the
+    difference of logarithms x = (ln(1 + k e^side) - ln(1 + k e^-side)) / 2:
+    on a short side they cancel about log10(1/side) digits of the context's
+    precision, which at 50 digits leaves far more than a float holds."""
+    return ((1 + k * side.exp()).ln() - (1 + k * (-side).exp()).ln()) / 2
+
+
 def decimal_bisectors(a, b, c, A):
     """(tB, tC) of ``bisector_lengths``' formulas in Decimal, from the float
     triangle: the feet by ``_adjacent_split``, then ``_cevian_length``."""
     a, b, c, A = map(Decimal, (a, b, c, A))
     sinh_a, sinh_b, sinh_c = decimal_sinh(a), decimal_sinh(b), decimal_sinh(c)
     half_A = decimal_sin(A / 2)
-
-    def split(side, k):
-        return ((1 + k * side.exp()).ln() - (1 + k * (-side).exp()).ln()) / 2
-
-    u = split(b, sinh_c / sinh_a)
-    v = split(c, sinh_b / sinh_a)
+    u = decimal_split(b, sinh_c / sinh_a)
+    v = decimal_split(c, sinh_b / sinh_a)
     return (decimal_cevian_length(c, u, sinh_c, decimal_sinh(u), half_A),
             decimal_cevian_length(b, v, sinh_b, decimal_sinh(v), half_A))
 
@@ -372,14 +376,15 @@ def decimal_klein(x, y, angle):
 
 def test_bisector_kernels_forward_error_on_needles():
     # relative errors against 50-digit evaluations of the same formulas, on
-    # the 1,924 triangles of gap_triples() that DEFAULT_TOL accepts. The
+    # the 1,936 triangles of gap_triples() that DEFAULT_TOL accepts. The
     # Klein form is within a few ulps at the float (a, c, B) and (a, b, C)
     # (worst 4.0e-16), and so is _cevian_length at its own float arguments
-    # (3.3e-16). But bisector_lengths is up to 3.6e-11 from its formulas
-    # evaluated from the float (a, b, c, A): the foot u's rounding enters
-    # sinh(0.5 * (c - u)), which cancels where the bisector is short beside
-    # its sides (the worst: A = 2.1e-6, c = 0.4256, c - u = 6.9e-6 and
-    # tB = 7.0e-6; tC's is b - v)
+    # (3.3e-16). But bisector_lengths is up to 1.9e-11 from its formulas
+    # evaluated from the float (a, b, c, A): the foot u is within two ulps
+    # of its own formula (test_foot_split_forward_error_on_needles), but
+    # even that rounding enters sinh(0.5 * (c - u)), which cancels where the
+    # bisector is short beside its sides (the worst: A = 1.8e-6,
+    # c = 1.0017, c - u = 2.9e-6 and tB = 3.6e-6; tC's is b - v)
     rel = lambda x, exact: abs(Decimal(x) - exact) / exact
     accepted = 0
     klein = kernel = library = Decimal(0)
@@ -401,9 +406,38 @@ def test_bisector_kernels_forward_error_on_needles():
                 kernel = max(kernel, rel(length, decimal_cevian_length(*map(Decimal, args))))
             tB, tC = decimal_bisectors(t.a, t.b, t.c, t.A)
             library = max(library, rel(d.tB, tB), rel(d.tC, tC))
-    assert accepted == 1924
+    assert accepted == 1936
     assert klein < 4 * 2**-52 and kernel < 4 * 2**-52
-    assert float(library) == pytest.approx(3.63e-11, rel=0.05)
+    assert float(library) == pytest.approx(1.93e-11, rel=0.05)
+
+
+def test_foot_split_forward_error_on_needles():
+    # every foot segment u, U, v, V of the triangles of gap_triples() that
+    # DEFAULT_TOL accepts, against a 50-digit evaluation of the same atanh at
+    # the same float (side, k): one log1p of a ratio of positive terms keeps
+    # it within two ulps (worst 3.3e-16), where a difference of two log1p
+    # terms cancels on short sides, up to 6.1e-11
+    worst = Decimal(0)
+    accepted = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for A, B, C in gap_triples():
+            try:
+                t = solve_from_angles(TriangleAngles(A, B, C))
+                d = bisector_lengths(t)
+            except HypTriError:
+                continue
+            accepted += 1
+            sinh_a, sinh_b, sinh_c = math.sinh(t.a), math.sinh(t.b), math.sinh(t.c)
+            for side, sinh_side, k, foot in (
+                (t.b, sinh_b, sinh_c / sinh_a, d.u), (t.b, sinh_b, sinh_a / sinh_c, d.U),
+                (t.c, sinh_c, sinh_b / sinh_a, d.v), (t.c, sinh_c, sinh_a / sinh_b, d.V),
+            ):
+                assert _adjacent_split(side, sinh_side, k) == foot
+                exact = decimal_split(Decimal(side), Decimal(k))
+                worst = max(worst, abs(Decimal(foot) - exact) / exact)
+    assert accepted == 1936
+    assert worst < 4 * 2**-52
 
 
 def test_solver_recovers_equal_angle():
@@ -419,11 +453,28 @@ def test_solver_reports_unique_sign_change():
 
 def test_solver_outputs_are_pinned():
     assert equal_bisector_report(0.9, 0.7) == EqualBisectorSolve(
-        c=0.7000000000000086, iterations=26, sign_changes=1
+        c=0.7000000000000001, iterations=30, sign_changes=1
     )
     assert equal_bisector_report(0.3, 0.4, LOOSE_TOL) == EqualBisectorSolve(
-        c=0.40000000000000047, iterations=28, sign_changes=1
+        c=0.3999999999999999, iterations=28, sign_changes=1
     )
+
+
+@pytest.mark.parametrize(
+    "A, B, gap, iterations",
+    [
+        (1.3863035361019407e-07, 1.5707961662523675, 2.408273580556397e-11, 45),
+        (1.22778295246226e-07, 1.5707958883534863, 6.668221530503615e-11, 34),
+    ],
+)
+def test_needle_pairs_recover_their_equal_angle(A, B, gap, iterations):
+    # thin isosceles needles on which a foot written as a difference of two
+    # log1p terms cancels enough to put |c - B| at 1.24e-9 and 6.34e-10, so
+    # that verify refutes the theorem; one log1p keeps them below 1e-10, by a
+    # margin of only 1.5-4x
+    result = equal_bisector_report(A, B)
+    assert (abs(result.c - B), result.iterations, result.sign_changes) == (gap, iterations, 1)
+    assert cli.main(["verify", repr(A), repr(B)]) == 0
 
 
 def test_solver_rejects_inadmissible_pair():
@@ -1121,7 +1172,7 @@ def test_evidence_accepts_a_near_tie_that_its_plain_sum_doubts(triple, monkeypat
     [
         (
             DEFAULT_TOL,
-            {"accepted": 1924, "triangle": 40, "sub-triangle": 32, "foot": 3, "law": 1},
+            {"accepted": 1936, "triangle": 40, "sub-triangle": 23, "law": 1},
         ),
         (LOOSE_TOL, {"accepted": 1690, "angle": 310}),
     ],
@@ -1409,7 +1460,7 @@ def test_scan_rejection_is_pinned():
     with pytest.raises(NumericalFailure) as info:
         scan_random(2000, 42, tol)
     assert type(info.value) is NumericalFailure
-    assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
+    assert str(info.value) == "sub-triangle sine-law residual 9.286733695295866e-15 exceeds 8.7e-15"
 
 
 def triangle_angles(seed, i, tol=DEFAULT_TOL):
@@ -1451,7 +1502,7 @@ def test_scan_raises_the_first_rejection_in_index_order(parts, scan_parts, monke
     with pytest.raises(NumericalFailure) as info:
         scan_random(2000, 42, tol)
     assert type(info.value) is NumericalFailure
-    assert str(info.value) == "sub-triangle sine-law residual 8.864609436418781e-15 exceeds 8.7e-15"
+    assert str(info.value) == "sub-triangle sine-law residual 9.286733695295866e-15 exceeds 8.7e-15"
 
 
 def test_scan_rejects_a_bad_seed_before_forking(scan_parts):
