@@ -15,10 +15,10 @@ checks), and it alone writes the stage's rejections. The equality kernel
 ``_gap_in_C`` in ``steiner_lehmus`` calls its kernels for the feet u, v and
 the lengths tB, tC. Two pinned inline copies there run them without calling
 them: the fused scan ``_evidence`` copies the whole stage, and replays a
-triangle through ``bisector_lengths`` where one of its inline tests fails,
-and the equality sweep ``_count_sign_changes`` copies the shared kernels up
-to the arguments of the lengths' asinh, from which it reads the sign of
-tB - tC.
+triangle through ``bisector_lengths`` where its computation raises or its
+one acceptance test fails, and the equality sweep ``_count_sign_changes``
+copies the shared kernels up to the arguments of the lengths' asinh, from
+which it reads the sign of tB - tC.
 """
 
 import math

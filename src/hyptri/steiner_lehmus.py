@@ -6,7 +6,8 @@ Three layers of evidence:
 * ``proof_trace`` reports the ratio/difference quantities of the underlying
   inequality chain with their expected signs (R1, R2 < 1 and R3 > 1 whenever
   B < C, mirrored for B > C). R1 and D carry the evidence; R2 and R3 record
-  the chain's steps that are the monotonicity of sin and cos on (0, pi/2).
+  the chain's steps that B < C implies, the monotonicity of sin and cos on
+  (0, pi/2).
 * ``check_monotonicity`` tests the strict contrapositive
   sign(tB - tC) = sign(C - B), with a tie band around B = C.
 * ``equal_bisector_report`` realizes the equality case constructively:
@@ -80,11 +81,9 @@ class ProofTrace:
     tB - tC, both carried along for reporting.
 
     R1 and D carry the evidence. The steps R2 < 1 and R3 > 1 (for B < C) are
-    the monotonicity of sin and cos on (0, pi/2), so the scan decides them
-    by the sign of sin((C-B)/4) that their product forms
-    R2 - 1 = 2 cos((B+C)/4) sin((B-C)/4) / sin(C/2) and
-    R3 - 1 = 2 sin((B+C)/4) sin((C-B)/4) / cos(C/2) share: the float
-    ratios round to 1 once the angles are tiny.
+    implied by B < C, the monotonicity of sin and cos on (0, pi/2), so the
+    scan checks R1 and b < c, the steps that float kernels can fail. The
+    float ratios R2 and R3 round to 1 once the angles are tiny.
     """
 
     R1: float
@@ -523,14 +522,15 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     each sine and hyperbolic sine once, exp(-b) and exp(-c) once each (the
     two feet on a side share it), and builds no value object.
 
-    Its acceptance tests are inline too, but it writes no rejection: where
-    one fails, ``_replay`` runs the triangle through the public path, which
-    raises the first rejection with its class and message. Each inline test
-    accepts only what the public check at that point accepts, and the one
-    that is stricter, the plain-sum triangle inequality, sends a near tie
-    that the public fsum test accepts to a replay that returns. So it accepts
-    and rejects exactly what the public path does, as the ``test_evidence_*``
-    tests pin.
+    It computes first and decides once, and writes no rejection: where the
+    computation raises, or its one acceptance test fails, ``_replay`` runs
+    the triangle through the public path, which raises the first rejection
+    with its class and message. The acceptance test joins the public
+    checks' rules, each accepting only what the public check accepts, and
+    the one that is stricter, the plain-sum triangle inequality, sends a
+    near tie that the public fsum test accepts to a replay that returns. So
+    it accepts and rejects exactly what the public path does, as the
+    ``test_evidence_*`` tests pin.
     """
     pi = math.pi
     sin = math.sin
@@ -542,137 +542,134 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     sqrt = math.sqrt
     rtol = t.rtol_identity
 
-    # TriangleAngles: the range (false for nan and +-inf), then the defect
-    if not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi):
-        _replay(A, B, C, t)
-    defect = pi - math.fsum((A, B, C))
-    if defect <= t.eps_angle:
-        _replay(A, B, C, t)
-
-    # the AAA side solve, then TriangleSides
-    half_defect = 0.5 * defect
-    sin_A = sin(A)
-    sin_B = sin(B)
-    sin_C = sin(C)
-    sd = sin(half_defect)
     try:
+        # TriangleAngles' defect, then the AAA side solve
+        defect = pi - math.fsum((A, B, C))
+        half_defect = 0.5 * defect
+        sin_A = sin(A)
+        sin_B = sin(B)
+        sin_C = sin(C)
+        sd = sin(half_defect)
         a = 2.0 * asinh(sqrt(sd * sin(A + half_defect) / (sin_B * sin_C)))
         b = 2.0 * asinh(sqrt(sd * sin(B + half_defect) / (sin_C * sin_A)))
         c = 2.0 * asinh(sqrt(sd * sin(C + half_defect) / (sin_A * sin_B)))
-    except ZeroDivisionError:
-        _replay(A, B, C, t)  # raises the side solve's DomainCap
-        raise
-    cap = _MAX_SIDE
-    if not (
-        0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap
-        and b + c > a and c + a > b and a + b > c
-    ):
-        _replay(A, B, C, t)  # raises, or accepts a near tie by the fsum test
 
-    # Triangle: law of sines, law of cosines, side/angle ordering
-    sinh_a = sinh(a)
-    sinh_b = sinh(b)
-    sinh_c = sinh(c)
-    half_A = sin(0.5 * A)
-    half_B = sin(0.5 * B)  # sin beta
-    half_C = sin(0.5 * C)  # sin gamma
-    ra = sinh_a / sin_A
-    rb = sinh_b / sin_B
-    rc = sinh_c / sin_C
-    hi = lo = ra
-    if rb > hi:
-        hi = rb
-    if rc > hi:
-        hi = rc
-    if rb < lo:
-        lo = rb
-    if rc < lo:
-        lo = rc
-    spread = (hi - lo) / hi
-    rhs = cosh(b - c) + 2.0 * sinh_b * sinh_c * half_A * half_A
-    lhs = cosh(a)
-    loc = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
-    rhs = cosh(c - a) + 2.0 * sinh_c * sinh_a * half_B * half_B
-    lhs = cosh(b)
-    r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
-    if r > loc:
-        loc = r
-    rhs = cosh(a - b) + 2.0 * sinh_a * sinh_b * half_C * half_C
-    lhs = cosh(c)
-    r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
-    if r > loc:
-        loc = r
+        # Triangle: law of sines, law of cosines
+        sinh_a = sinh(a)
+        sinh_b = sinh(b)
+        sinh_c = sinh(c)
+        half_A = sin(0.5 * A)
+        half_B = sin(0.5 * B)  # sin beta
+        half_C = sin(0.5 * C)  # sin gamma
+        ra = sinh_a / sin_A
+        rb = sinh_b / sin_B
+        rc = sinh_c / sin_C
+        hi = lo = ra
+        if rb > hi:
+            hi = rb
+        if rc > hi:
+            hi = rc
+        if rb < lo:
+            lo = rb
+        if rc < lo:
+            lo = rc
+        spread = (hi - lo) / hi
+        rhs = cosh(b - c) + 2.0 * sinh_b * sinh_c * half_A * half_A
+        lhs = cosh(a)
+        loc = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+        rhs = cosh(c - a) + 2.0 * sinh_c * sinh_a * half_B * half_B
+        lhs = cosh(b)
+        r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+        if r > loc:
+            loc = r
+        rhs = cosh(a - b) + 2.0 * sinh_a * sinh_b * half_C * half_C
+        lhs = cosh(c)
+        r = abs(lhs - rhs) / (rhs if rhs > lhs else lhs)
+        if r > loc:
+            loc = r
+
+        # bisector_lengths: the feet, one exp(-side) per side, then tB and tC
+        # in the A-side sub-triangles
+        en = exp(-b)
+        k = sinh_c / sinh_a
+        u = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
+        k = sinh_a / sinh_c
+        U = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
+        en = exp(-c)
+        k = sinh_b / sinh_a
+        v = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
+        k = sinh_a / sinh_b
+        V = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
+        sinh_u = sinh(u)
+        sinh_v = sinh(v)
+        h = sinh(0.5 * (c - u))
+        tB = 2.0 * asinh(sqrt(h * h + sinh_c * sinh_u * half_A * half_A))
+        h = sinh(0.5 * (b - v))
+        tC = 2.0 * asinh(sqrt(h * h + sinh_b * sinh_v * half_A * half_A))
+
+        # the sub-triangle residuals: on an accepted triangle every sine here
+        # is of an angle in (0, pi) and every sinh of a positive length, so
+        # each quotient is positive and _rel's max(|x|, |y|) needs no abs
+        sinh_U = sinh(U)
+        sinh_V = sinh(V)
+        sinh_tB = sinh(tB)
+        sinh_tC = sinh(tC)
+        x = sinh_tB / sin_A
+        y = sinh_u / half_B
+        worst = abs(x - y) / (y if y > x else x)
+        x = sinh_tB / sin_C
+        y = sinh_U / half_B
+        r = abs(x - y) / (y if y > x else x)
+        if r > worst:
+            worst = r
+        x = sinh_tC / sin_A
+        y = sinh_v / half_C
+        r = abs(x - y) / (y if y > x else x)
+        if r > worst:
+            worst = r
+        x = sinh_tC / sin_B
+        y = sinh_V / half_C
+        r = abs(x - y) / (y if y > x else x)
+        if r > worst:
+            worst = r
+    except (ArithmeticError, ValueError):
+        _replay(A, B, C, t)  # raises the public path's first rejection
+        raise
+
+    # the public checks in their order: the angle range (false for nan and
+    # +-inf), the defect margin, TriangleSides, the laws of sines and cosines,
+    # the side/angle ordering (reached only with finite sides and angles),
+    # the feet and lengths, and the sub-triangle sine laws
+    cap = _MAX_SIDE
     atol = _ATOL_EQUAL
-    # sides and angles are finite here, so the order test can come first
+    inf = math.inf
     if (
-        spread > rtol or loc > rtol
+        not (0.0 < A < pi and 0.0 < B < pi and 0.0 < C < pi)
+        or defect <= t.eps_angle
+        or not (
+            0.0 < a <= cap and 0.0 < b <= cap and 0.0 < c <= cap
+            and b + c > a and c + a > b and a + b > c
+        )
+        or spread > rtol or loc > rtol
         or ((a < b) != (A < B) and not abs(a - b) <= atol and not abs(A - B) <= atol)
         or ((b < c) != (B < C) and not abs(b - c) <= atol and not abs(B - C) <= atol)
         or ((c < a) != (C < A) and not abs(c - a) <= atol and not abs(C - A) <= atol)
+        or not (
+            0.0 < u < inf and 0.0 < U < inf and 0.0 < v < inf
+            and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
+            and abs(u + U - b) <= rtol * b and abs(v + V - c) <= rtol * c
+        )
+        or worst > rtol
     ):
-        _replay(A, B, C, t)
+        _replay(A, B, C, t)  # raises, or accepts a near tie by the fsum test
 
-    # bisector_lengths: the feet, one exp(-side) per side, then tB and tC in
-    # the A-side sub-triangles
-    en = exp(-b)
-    k = sinh_c / sinh_a
-    u = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
-    k = sinh_a / sinh_c
-    U = 0.5 * log1p(2.0 * k * sinh_b / (1.0 + k * en))
-    en = exp(-c)
-    k = sinh_b / sinh_a
-    v = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
-    k = sinh_a / sinh_b
-    V = 0.5 * log1p(2.0 * k * sinh_c / (1.0 + k * en))
-    sinh_u = sinh(u)
-    sinh_v = sinh(v)
-    h = sinh(0.5 * (c - u))
-    tB = 2.0 * asinh(sqrt(h * h + sinh_c * sinh_u * half_A * half_A))
-    h = sinh(0.5 * (b - v))
-    tC = 2.0 * asinh(sqrt(h * h + sinh_b * sinh_v * half_A * half_A))
-    inf = math.inf
-    if not (
-        0.0 < u < inf and 0.0 < U < inf and 0.0 < v < inf
-        and 0.0 < V < inf and 0.0 < tB < inf and 0.0 < tC < inf
-        and abs(u + U - b) <= rtol * b and abs(v + V - c) <= rtol * c
-    ):
-        _replay(A, B, C, t)
-
-    # the sub-triangle and foot-ratio residuals: every sine here is of an
-    # angle in (0, pi) and every sinh of a positive length, so each quotient
-    # is positive and _rel's max(|x|, |y|) needs no abs
-    sinh_U = sinh(U)
-    sinh_V = sinh(V)
-    sinh_tB = sinh(tB)
-    sinh_tC = sinh(tC)
-    x = sinh_tB / sin_A
-    y = sinh_u / half_B
-    worst = abs(x - y) / (y if y > x else x)
-    x = sinh_tB / sin_C
-    y = sinh_U / half_B
-    r = abs(x - y) / (y if y > x else x)
-    if r > worst:
-        worst = r
-    x = sinh_tC / sin_A
-    y = sinh_v / half_C
-    r = abs(x - y) / (y if y > x else x)
-    if r > worst:
-        worst = r
-    x = sinh_tC / sin_B
-    y = sinh_V / half_C
-    r = abs(x - y) / (y if y > x else x)
-    if r > worst:
-        worst = r
-    if worst > rtol:
-        _replay(A, B, C, t)
+    # the foot-ratio residuals, proof_trace's R1 and check_monotonicity
     x = sinh_U / sinh_u
     y = sin_A / sin_C
     idU = abs(x - y) / (y if y > x else x)
     x = sinh_V / sinh_v
     y = sin_A / sin_B
     idV = abs(x - y) / (y if y > x else x)
-
-    # proof_trace's R1 and check_monotonicity
     in_band, passed = _sign_law(tB - tC, B, C, tB, tC)
     return (
         a, b, c, spread, worst, idU, idV,
@@ -692,7 +689,6 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     ``_SCAN_BLOCK`` triangles at a time from ``start``, the last block
     shorter: the same floats as a scan of all ``n`` from 0.
     """
-    sin = math.sin
     rng = SplitMix64((seed + 3 * start * _GAMMA) & _MASK64)
     max_sine = 0.0
     max_cevian = 0.0
@@ -725,20 +721,15 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
         if c > max_side:
             max_side = c
 
-        if in_band:
-            ties += 1
         if not passed:
             mono_failures += 1
-        if not in_band:
-            # R2 < 1 and R3 > 1 for B < C, mirrored for B > C, by the sign of
-            # sin((C-B)/4) that their product forms share (see ProofTrace)
-            s = sin(0.25 * (C - B))
-            if B < C:
-                ok = R1 < 1.0 and s > 0.0 and b < c
-            else:
-                ok = R1 > 1.0 and s < 0.0 and b > c
-            if not ok:
-                ineq_failures += 1
+        # outside the tie band, the proof steps that floats can fail: R1 < 1
+        # and b < c for B < C, mirrored for B > C; R2 and R3 follow from
+        # B < C (see ProofTrace)
+        if in_band:
+            ties += 1
+        elif not ((R1 < 1.0 and b < c) if B < C else (R1 > 1.0 and b > c)):
+            ineq_failures += 1
     return max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties
 
 
@@ -1076,33 +1067,28 @@ def equality_study(pairs: int, seed: int) -> EqualityStudy:
     the pairs that fail ``EqualBisectorSolve.failures(B)``.
 
     The pairs come from sequential ``random()`` draws r of
-    ``SplitMix64(seed)``: A = 0.05 + 2.55 r, then, only when
-    b_max = (pi - A - 0.1) / 2 exceeds 0.06, B = 0.05 + r (b_max - 0.05);
-    an A without room for B is skipped. The worst pair replays as
-    ``equal_bisector_report(worst_A, worst_B)``, and so as ``hyptri verify
-    worst_A worst_B``, bit for bit.
+    ``SplitMix64(seed)``: A = 0.05 + 2.55 r, then B = 0.05 + r (b_max - 0.05)
+    with b_max = (pi - A - 0.1) / 2, above 0.22 for every such A. The worst
+    pair replays as ``equal_bisector_report(worst_A, worst_B)``, and so as
+    ``hyptri verify worst_A worst_B``, bit for bit.
     """
     _check_count("pair", pairs)
     rng = SplitMix64(seed)
     max_gap = worst_A = worst_B = math.nan
     iterations = 0
     failing = 0
-    solved = 0
-    while solved < pairs:
+    for i in range(pairs):
         A = 0.05 + rng.random() * 2.55
         b_max = (math.pi - A - 0.1) / 2.0
-        if b_max <= 0.06:
-            continue
         B = 0.05 + rng.random() * (b_max - 0.05)
         result = equal_bisector_report(A, B)
         gap = abs(result.c - B)
         # the first pair, then max's rule: replace only on >, nan included
-        if solved == 0 or gap > max_gap:
+        if i == 0 or gap > max_gap:
             max_gap, worst_A, worst_B = gap, A, B
         iterations += result.iterations
         if result.failures(B):
             failing += 1
-        solved += 1
     return EqualityStudy(
         pairs=pairs,
         seed=seed,

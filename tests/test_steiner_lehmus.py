@@ -147,8 +147,8 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
     # (0, pi). The 77 triangles with |C - B| below the fixed bound all have
     # tiny angles; a fixed band took them in and failed each on its gap test.
     # There R3 = cos(B/2)/cos(C/2) rounds to 1 or past it on 210 triangles,
-    # which the scan's proof-step verdict, read from the product forms of
-    # R2 - 1 and R3 - 1, must not count
+    # which the scan's proof-step verdict must not count: it checks R1 and
+    # b < c, and R2 and R3 follow from B < C
     rng = SplitMix64(42)
     seen = Counter()
     rows = []
@@ -475,6 +475,48 @@ def test_needle_pairs_recover_their_equal_angle(A, B, gap, iterations):
     result = equal_bisector_report(A, B)
     assert (abs(result.c - B), result.iterations, result.sign_changes) == (gap, iterations, 1)
     assert cli.main(["verify", repr(A), repr(B)]) == 0
+
+
+def test_equality_case_outcomes_across_the_domain():
+    # 1,500 pairs (A, B) beyond equality_study's well-conditioned box: A
+    # log-uniform in [1e-9, pi], and B a log-uniform fraction of the room
+    # (pi - A)/2 down to 1e-8 on even pairs, room - B one down to 1e-9 on odd
+    # ones. Each outcome class is counted per decade of A: a pass, the
+    # criteria of EqualBisectorSolve.failures that fail, or what it raised.
+    # Every failure has A below 1e-5 and a defect pi - A - 2B below 1.1e-5,
+    # a small thin isosceles triangle, and the one rejection a defect inside
+    # the margin
+    rnd = random.Random(11)
+
+    def log_uniform(lo, hi):
+        return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
+
+    seen = {}
+    for i in range(1500):
+        A = log_uniform(1e-9, math.pi)
+        room = (math.pi - A) / 2.0
+        if i % 2 == 0:
+            B = room * log_uniform(1e-8, 1.0)
+        else:
+            B = room - room * log_uniform(1e-9, 1.0)
+        try:
+            failed = equal_bisector_report(A, B).failures(B)
+            kind = " and ".join(name.split(" not ")[0] for name in failed) or "pass"
+        except HypTriError as exc:
+            kind = type(exc).__name__
+        seen.setdefault(math.floor(math.log10(A)), Counter())[kind] += 1
+    assert {decade: dict(kinds) for decade, kinds in seen.items()} == {
+        -9: {"pass": 123, "|c - B|": 17, "|c - B| and sign changes in the sweep": 13},
+        -8: {"pass": 137, "|c - B|": 22, "|c - B| and sign changes in the sweep": 1},
+        -7: {"pass": 155, "|c - B|": 17},
+        -6: {"pass": 160, "|c - B|": 7},
+        -5: {"pass": 140},
+        -4: {"pass": 170},
+        -3: {"pass": 157},
+        -2: {"pass": 147},
+        -1: {"pass": 149},
+        0: {"pass": 84, "InvalidTriangle": 1},
+    }
 
 
 def test_solver_rejects_inadmissible_pair():
@@ -1096,11 +1138,14 @@ def test_evidence_equals_public_path_in_tie_band(triple, tol):
 # tolerances below: angle range, defect margin, side cap, triangle
 # inequality, law of sines, law of cosines, foot sums, sub-triangle sines,
 # and sines too small for float sides. The rows after the first twelve each
-# fail one test of the fused pass alone, so that no other failing test calls
-# the same check: the range of B, then of C, whose defect passes; one side
-# over the cap with the triangle inequality holding; the triangle inequality
-# at a, then at b; the law of sines but not of cosines (at rtol 3e-16); and a
-# foot sum with the sub-triangle residuals passing, on side b, then side c.
+# fail one term of the fused pass's acceptance test alone: the range of B,
+# then of C, whose defect passes; one side over the cap with the triangle
+# inequality holding; the triangle inequality at a, then at b; the law of
+# sines but not of cosines (at rtol 3e-16); and a foot sum with the
+# sub-triangle residuals passing, on side b, then side c. Between them the
+# rows make the fused computation raise each class that it catches: a
+# ZeroDivisionError (sines too small), a ValueError (an infinite angle) and
+# an OverflowError (sinh of the AAA side a = 710.93).
 REJECTION_TRIPLES = [
     (0.0, 1.0, 1.0),
     (math.nan, 1.0, 1.0),
@@ -1124,6 +1169,8 @@ REJECTION_TRIPLES = [
     (0.1, 0.2, 1.2),
     (1.4, 0.1, 1.4),
     (1.4, 1.4, 0.1),
+    (math.inf, 1.0, 1.0),
+    (2.8415926535897933, 1.2589254117941508e-155, 1.2589254117941508e-155),
 ]
 REJECTION_TOLS = [
     DEFAULT_TOL,
@@ -1135,9 +1182,22 @@ REJECTION_TOLS = [
 
 
 @pytest.mark.parametrize("tol", REJECTION_TOLS)
-def test_evidence_rejects_like_public_path(tol):
+def test_evidence_rejects_like_public_path(tol, monkeypatch):
+    # one exit: a rejected triple is replayed once, wherever the fused pass
+    # found it out, and an accepted one not at all
+    replays = []
+    replay = steiner_lehmus._replay
+
+    def recording(*args):
+        replays.append(args)
+        replay(*args)
+
+    monkeypatch.setattr(steiner_lehmus, "_replay", recording)
     for triple in REJECTION_TRIPLES:
-        assert outcome(_evidence, *triple, tol) == outcome(public_evidence, *triple, tol)
+        replays.clear()
+        fused = outcome(_evidence, *triple, tol)
+        assert fused == outcome(public_evidence, *triple, tol)
+        assert replays == ([] if len(fused) == 10 else [(*triple, tol)]), triple
 
 
 # Needles whose AAA side a ties b + c in the plain float sum, while fsum
@@ -1202,8 +1262,6 @@ def public_scan(n, seed, tol=DEFAULT_TOL):
     for A, B, C in sampled(seed, n, tol.eps_angle):
         tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
         a, b, c, sine, cevian, idU, idV, R1, in_band, passed = public_fields(tri, tol)
-        trace = proof_trace(tri, tol=tol)
-        R2, R3 = trace.R2, trace.R3
         max_sine = max(max_sine, sine)
         max_cevian = max(max_cevian, cevian)
         max_ratio = max(max_ratio, idU, idV)
@@ -1211,10 +1269,11 @@ def public_scan(n, seed, tol=DEFAULT_TOL):
         ties += in_band
         mono_failures += not passed
         if not in_band:
+            # R2 < 1 and R3 > 1 follow from B < C, mirrored for B > C
             if B < C:
-                ok = R1 < 1.0 and R2 < 1.0 and R3 > 1.0 and b < c
+                ok = R1 < 1.0 and b < c
             else:
-                ok = R1 > 1.0 and R2 > 1.0 and R3 < 1.0 and b > c
+                ok = R1 > 1.0 and b > c
             ineq_failures += not ok
     return ScanReport(
         samples=n,
