@@ -5,9 +5,8 @@ Three layers of evidence:
 
 * ``proof_trace`` reports the ratio/difference quantities of the underlying
   inequality chain with their expected signs (R1, R2 < 1 and R3 > 1 whenever
-  B < C, mirrored for B > C). R1 and D carry the evidence; R2 and R3 record
-  the chain's steps that B < C implies, the monotonicity of sin and cos on
-  (0, pi/2).
+  B < C, mirrored for B > C). D carries the evidence; R1, R2 and R3 follow
+  from B < C and b < c, and the scan checks b < c.
 * ``check_monotonicity`` tests the strict contrapositive
   sign(tB - tC) = sign(C - B), with a tie band around B = C.
 * ``equal_bisector_report`` realizes the equality case constructively:
@@ -80,10 +79,10 @@ class ProofTrace:
     idU, idV are the unconditional foot-ratio identity residuals and gap is
     tB - tC, both carried along for reporting.
 
-    R1 and D carry the evidence. The steps R2 < 1 and R3 > 1 (for B < C) are
-    implied by B < C, the monotonicity of sin and cos on (0, pi/2), so the
-    scan checks R1 and b < c, the steps that float kernels can fail. The
-    float ratios R2 and R3 round to 1 once the angles are tiny.
+    D carries the evidence. R2 < 1 and R3 > 1 (for B < C) follow from B < C,
+    the monotonicity of sin and cos on (0, pi/2), and R1 < 1 from R2 < 1 and
+    b < c, so the scan checks b < c, the step that float kernels can fail.
+    The float ratios R2 and R3 round to 1 once the angles are tiny.
     """
 
     R1: float
@@ -294,7 +293,8 @@ def _bracketed_hybrid(g, lo, hi):
             raise NonConvergence(f"no convergence after {_MAX_EVALS} evaluations")
         width = hi - lo
         x = math.nan
-        if not force_bisect and fhi != flo:
+        if not force_bisect:
+            # fhi - flo is never 0.0: the ends hold opposite signs, or one a nan
             x = (lo * fhi - hi * flo) / (fhi - flo)
         if not (lo < x < hi):
             x = lo + 0.5 * width
@@ -506,7 +506,7 @@ def _replay(A: float, B: float, C: float, t: ToleranceConfig) -> None:
 
 def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     """Every per-triangle quantity ``scan_random`` reduces, from raw floats:
-    (a, b, c, sine spread, worst sub-triangle residual, idU, idV, R1, in tie
+    (a, b, c, sine spread, worst sub-triangle residual, idU, idV, in tie
     band, sign law passed).
 
     One flat pass through ``solve_from_angles``, ``bisector_lengths``,
@@ -663,7 +663,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     ):
         _replay(A, B, C, t)  # raises, or accepts a near tie by the fsum test
 
-    # the foot-ratio residuals, proof_trace's R1 and check_monotonicity
+    # the foot-ratio residuals and check_monotonicity
     x = sinh_U / sinh_u
     y = sin_A / sin_C
     idU = abs(x - y) / (y if y > x else x)
@@ -671,10 +671,7 @@ def _evidence(A: float, B: float, C: float, t: ToleranceConfig) -> tuple:
     y = sin_A / sin_B
     idV = abs(x - y) / (y if y > x else x)
     in_band, passed = _sign_law(tB - tC, B, C, tB, tC)
-    return (
-        a, b, c, spread, worst, idU, idV,
-        (half_B / half_C) * (sinh_b / sinh_c), in_band, passed,
-    )
+    return a, b, c, spread, worst, idU, idV, in_band, passed
 
 
 def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
@@ -703,7 +700,7 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
     )
     for r1, r2, r3 in zip(draws, draws, draws):
         A, B, C = _angles_from_draws(r1, r2, r3, tol.eps_angle)
-        a, b, c, sine, cevian, idU, idV, R1, in_band, passed = _evidence(A, B, C, tol)
+        a, b, c, sine, cevian, idU, idV, in_band, passed = _evidence(A, B, C, tol)
 
         # the running maxima by max's rule: replace only on >, nan included
         if sine > max_sine:
@@ -723,12 +720,12 @@ def _scan_part(seed: int, start: int, stop: int, tol: ToleranceConfig) -> tuple:
 
         if not passed:
             mono_failures += 1
-        # outside the tie band, the proof steps that floats can fail: R1 < 1
-        # and b < c for B < C, mirrored for B > C; R2 and R3 follow from
-        # B < C (see ProofTrace)
+        # outside the tie band, the one proof step that floats can fail:
+        # b < c for B < C, mirrored for B > C; R1, R2 and R3 follow from it
+        # and B < C (see ProofTrace)
         if in_band:
             ties += 1
-        elif not ((R1 < 1.0 and b < c) if B < C else (R1 > 1.0 and b > c)):
+        elif not ((b < c) if B < C else (b > c)):
             ineq_failures += 1
     return max_sine, max_cevian, max_ratio, max_side, mono_failures, ineq_failures, ties
 

@@ -150,7 +150,7 @@ def test_criterion_5_proof_step_inequalities(full_scan):
     report(
         "criterion 5 (proof-step inequalities)",
         ok,
-        f"{scan.inequality_failures} strict-sign violations of R1 < 1 and b < c",
+        f"{scan.inequality_failures} strict-sign violations of b < c",
     )
     assert ok
 

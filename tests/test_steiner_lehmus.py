@@ -147,8 +147,9 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
     # (0, pi). The 77 triangles with |C - B| below the fixed bound all have
     # tiny angles; a fixed band took them in and failed each on its gap test.
     # There R3 = cos(B/2)/cos(C/2) rounds to 1 or past it on 210 triangles,
-    # which the scan's proof-step verdict must not count: it checks R1 and
-    # b < c, and R2 and R3 follow from B < C
+    # which the scan's proof-step verdict must not count: it checks b < c,
+    # and R1, R2 and R3 follow from B < C and b < c. The float R1 < 1 step
+    # never changes that verdict
     rng = SplitMix64(42)
     seen = Counter()
     rows = []
@@ -163,12 +164,17 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
             continue
         row = public_fields(t, LOOSE_TOL)
         in_band, passed = row[-2:]
-        R3 = proof_trace(t, tol=LOOSE_TOL).R3
+        trace = proof_trace(t, tol=LOOSE_TOL)
+        b_step = t.b < t.c if t.B < t.C else t.b > t.c
+        R1_step = trace.R1 < 1.0 if t.B < t.C else trace.R1 > 1.0
         seen["accepted"] += 1
         seen["below the fixed bound"] += abs(t.C - t.B) < steiner_lehmus.TIE_BAND_ANGLE
         seen["in the band"] += in_band
         seen["failed"] += not passed
-        seen["float R3 step fails"] += not in_band and not (R3 > 1.0 if t.B < t.C else R3 < 1.0)
+        seen["float R1 step changes the verdict"] += not in_band and (R1_step and b_step) != b_step
+        seen["float R3 step fails"] += not in_band and not (
+            trace.R3 > 1.0 if t.B < t.C else trace.R3 < 1.0
+        )
         rows.append((t.angles.as_tuple(), row))
     # the scan's own reduction over these triangles in place of sampled ones
     triples = iter([triple for triple, _ in rows])
@@ -182,8 +188,62 @@ def test_sas_box_has_no_sign_law_false_alarm(monkeypatch):
     assert dict(seen) == {
         "DomainCap": 2409, "InvalidTriangle": 1, "accepted": 2590,
         "below the fixed bound": 77, "in the band": 0, "failed": 0,
+        "float R1 step changes the verdict": 0,
         "float R3 step fails": 210, "scan monotonicity failures": 0,
         "scan proof-step failures": 0, "scan tie-band samples": 0,
+    }
+
+
+def log_uniform(rnd, lo, hi):
+    """A draw of ``rnd`` (a ``random.Random``), log-uniform in [lo, hi]."""
+    return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
+
+
+def test_float_R1_step_follows_from_b_below_c():
+    # the scan's proof-step verdict is b < c alone (mirrored for B > C), since
+    # it implies R1 < 1 in floats too: outside the tie band, B + C < pi and
+    # |C - B| >= 1e-9 min(1, max(B, C)) put sin(B/2)/sin(C/2) below
+    # 1 - 3.5e-10, and b < c puts sinh b/sinh c below 1 + 3 ulps. Needles
+    # (A and B log-uniform in [1e-9, 2.5], defect log-uniform in [2e-9, 1]),
+    # then band-edge triples C = B + k 1e-9 min(1, B), k in [1, 4], in both
+    # orders, through the public path
+    rnd = random.Random(3)
+    needles = []
+    for _ in range(5000):
+        A = log_uniform(rnd, 1e-9, 2.5)
+        B = log_uniform(rnd, 1e-9, 2.5)
+        needles.append((A, B, math.pi - A - B - log_uniform(rnd, 2e-9, 1.0)))
+    edges = []
+    for _ in range(5000):
+        A = log_uniform(rnd, 1e-9, 2.5)
+        B = log_uniform(rnd, 1e-9, 2.5)
+        C = B + rnd.uniform(1.0, 4.0) * 1e-9 * min(1.0, B)
+        edges += [(A, B, C), (A, C, B)]
+    seen = Counter()
+    for kind, triples in (("needle", needles), ("band edge", edges)):
+        for A, B, C in triples:
+            try:
+                t = solve_from_angles(TriangleAngles(A, B, C))
+                d = bisector_lengths(t)
+            except HypTriError as exc:
+                seen[kind, type(exc).__name__] += 1
+                continue
+            if check_monotonicity(t, d=d).in_tie_band:
+                seen[kind, "in the band"] += 1
+                continue
+            R1 = proof_trace(t, d).R1
+            b_step = t.b < t.c if B < C else t.b > t.c
+            R1_step = R1 < 1.0 if B < C else R1 > 1.0
+            assert (R1_step and b_step) == b_step, (A, B, C)
+            if b_step:
+                assert 1.0 - (R1 if B < C else 1.0 / R1) >= 3e-10, (A, B, C)
+            seen[kind, "accepted"] += 1
+            seen[kind, "b < c fails"] += not b_step
+    assert dict(seen) == {
+        ("needle", "accepted"): 4373, ("needle", "b < c fails"): 0,
+        ("needle", "InvalidTriangle"): 387, ("needle", "NumericalFailure"): 240,
+        ("band edge", "accepted"): 9812, ("band edge", "b < c fails"): 0,
+        ("band edge", "InvalidTriangle"): 188,
     }
 
 
@@ -229,17 +289,13 @@ def gap_triples():
     log-uniform in [1e-9, 2.5], C a log-uniform fraction of what is left."""
     triples = sampled(8, 1000, LOOSE_TOL.eps_angle)
     rnd = random.Random(8)
-
-    def log_uniform(lo, hi):
-        return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
-
     while len(triples) < 2000:
-        A = log_uniform(1e-9, 2.5)
-        B = log_uniform(1e-9, 2.5)
+        A = log_uniform(rnd, 1e-9, 2.5)
+        B = log_uniform(rnd, 1e-9, 2.5)
         rest = math.pi - A - B
         if rest <= 0.0:
             continue
-        f = log_uniform(1e-9, 1.0)
+        f = log_uniform(rnd, 1e-9, 1.0)
         triples.append((A, B, rest * (f if len(triples) % 2 else 1.0 - f)))
     return triples
 
@@ -481,30 +537,32 @@ def test_equality_case_outcomes_across_the_domain():
     # 1,500 pairs (A, B) beyond equality_study's well-conditioned box: A
     # log-uniform in [1e-9, pi], and B a log-uniform fraction of the room
     # (pi - A)/2 down to 1e-8 on even pairs, room - B one down to 1e-9 on odd
-    # ones. Each outcome class is counted per decade of A: a pass, the
-    # criteria of EqualBisectorSolve.failures that fail, or what it raised.
-    # Every failure has A below 1e-5 and a defect pi - A - 2B below 1.1e-5,
-    # a small thin isosceles triangle, and the one rejection a defect inside
-    # the margin
+    # ones. Each outcome class is counted per decade of A, and per decade of
+    # the defect pi - A - 2B: a pass, the criteria of
+    # EqualBisectorSolve.failures that fail, or what it raised. Every failure
+    # has A below 1e-5 and a defect below 1.1e-5, a small thin isosceles
+    # triangle, and the one rejection a defect inside the margin
     rnd = random.Random(11)
-
-    def log_uniform(lo, hi):
-        return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
-
     seen = {}
+    by_defect = {}
+    worst_defect = 0.0  # of a pair that does not pass
     for i in range(1500):
-        A = log_uniform(1e-9, math.pi)
+        A = log_uniform(rnd, 1e-9, math.pi)
         room = (math.pi - A) / 2.0
         if i % 2 == 0:
-            B = room * log_uniform(1e-8, 1.0)
+            B = room * log_uniform(rnd, 1e-8, 1.0)
         else:
-            B = room - room * log_uniform(1e-9, 1.0)
+            B = room - room * log_uniform(rnd, 1e-9, 1.0)
         try:
             failed = equal_bisector_report(A, B).failures(B)
             kind = " and ".join(name.split(" not ")[0] for name in failed) or "pass"
         except HypTriError as exc:
             kind = type(exc).__name__
         seen.setdefault(math.floor(math.log10(A)), Counter())[kind] += 1
+        defect = math.fsum((math.pi, -A, -B, -B))
+        by_defect.setdefault(math.floor(math.log10(defect)), Counter())[kind] += 1
+        if kind != "pass":
+            worst_defect = max(worst_defect, defect)
     assert {decade: dict(kinds) for decade, kinds in seen.items()} == {
         -9: {"pass": 123, "|c - B|": 17, "|c - B| and sign changes in the sweep": 13},
         -8: {"pass": 137, "|c - B|": 22, "|c - B| and sign changes in the sweep": 1},
@@ -517,6 +575,20 @@ def test_equality_case_outcomes_across_the_domain():
         -1: {"pass": 149},
         0: {"pass": 84, "InvalidTriangle": 1},
     }
+    assert {decade: dict(kinds) for decade, kinds in by_defect.items()} == {
+        -10: {"InvalidTriangle": 1},
+        -9: {"pass": 26, "|c - B|": 8, "|c - B| and sign changes in the sweep": 8},
+        -8: {"pass": 50, "|c - B|": 17, "|c - B| and sign changes in the sweep": 5},
+        -7: {"pass": 63, "|c - B|": 26, "|c - B| and sign changes in the sweep": 1},
+        -6: {"pass": 72, "|c - B|": 11},
+        -5: {"pass": 88, "|c - B|": 1},
+        -4: {"pass": 81},
+        -3: {"pass": 79},
+        -2: {"pass": 95},
+        -1: {"pass": 112},
+        0: {"pass": 756},
+    }
+    assert worst_defect < 1.1e-5
 
 
 def test_solver_rejects_inadmissible_pair():
@@ -987,7 +1059,7 @@ def public_fields(tri, tol):
     return (
         tri.a, tri.b, tri.c,
         law_of_sines_residual(tri), subtriangle_residuals(tri, d).max(),
-        trace.idU, trace.idV, trace.R1, mono.in_tie_band, mono.passed,
+        trace.idU, trace.idV, mono.in_tie_band, mono.passed,
     )
 
 
@@ -1197,7 +1269,7 @@ def test_evidence_rejects_like_public_path(tol, monkeypatch):
         replays.clear()
         fused = outcome(_evidence, *triple, tol)
         assert fused == outcome(public_evidence, *triple, tol)
-        assert replays == ([] if len(fused) == 10 else [(*triple, tol)]), triple
+        assert replays == ([] if len(fused) == 9 else [(*triple, tol)]), triple
 
 
 # Needles whose AAA side a ties b + c in the plain float sum, while fsum
@@ -1223,7 +1295,7 @@ def test_evidence_accepts_a_near_tie_that_its_plain_sum_doubts(triple, monkeypat
     monkeypatch.setattr(steiner_lehmus, "_replay", recording)
     fused = _evidence(*triple, DEFAULT_TOL)
     assert replays == [None]
-    assert len(fused) == 10
+    assert len(fused) == 9
     assert fused == public_evidence(*triple, DEFAULT_TOL)
 
 
@@ -1244,7 +1316,7 @@ def test_evidence_equals_public_path_on_needle_grid(tol, counts):
     for triple in gap_triples():
         fused = outcome(_evidence, *triple, tol)
         assert fused == outcome(public_evidence, *triple, tol), triple
-        seen["accepted" if len(fused) == 10 else fused[1].split(" ")[0]] += 1
+        seen["accepted" if len(fused) == 9 else fused[1].split(" ")[0]] += 1
     assert dict(seen) == counts
 
 
@@ -1261,7 +1333,7 @@ def public_scan(n, seed, tol=DEFAULT_TOL):
     mono_failures = ineq_failures = ties = 0
     for A, B, C in sampled(seed, n, tol.eps_angle):
         tri = solve_from_angles(TriangleAngles(A, B, C, tol=tol), tol=tol)
-        a, b, c, sine, cevian, idU, idV, R1, in_band, passed = public_fields(tri, tol)
+        a, b, c, sine, cevian, idU, idV, in_band, passed = public_fields(tri, tol)
         max_sine = max(max_sine, sine)
         max_cevian = max(max_cevian, cevian)
         max_ratio = max(max_ratio, idU, idV)
@@ -1269,12 +1341,8 @@ def public_scan(n, seed, tol=DEFAULT_TOL):
         ties += in_band
         mono_failures += not passed
         if not in_band:
-            # R2 < 1 and R3 > 1 follow from B < C, mirrored for B > C
-            if B < C:
-                ok = R1 < 1.0 and b < c
-            else:
-                ok = R1 > 1.0 and b > c
-            ineq_failures += not ok
+            # R1, R2 and R3 follow from B < C and b < c, mirrored for B > C
+            ineq_failures += not ((b < c) if B < C else (b > c))
     return ScanReport(
         samples=n,
         seed=seed,
@@ -1458,11 +1526,10 @@ def reference_pairs(n, seed):
     """The equality study's pairs, drawn as its docstring states."""
     rng = SplitMix64(seed)
     pairs = []
-    while len(pairs) < n:
+    for _ in range(n):
         A = 0.05 + rng.random() * 2.55
         b_max = (math.pi - A - 0.1) / 2.0
-        if b_max > 0.06:
-            pairs.append((A, 0.05 + rng.random() * (b_max - 0.05)))
+        pairs.append((A, 0.05 + rng.random() * (b_max - 0.05)))
     return pairs
 
 
